@@ -1,11 +1,12 @@
 """tcalab: exact invariants of GL-equivariant modules over Sym(C^inf).
 
-Subpackages are organized by what they compute:
+Modules are organized by what they compute:
 
     partitions   partition arithmetic, strips, border strips
-    symchar      symmetric group characters, Littlewood-Richardson rule
+    symchar      symmetric group characters, Littlewood-Richardson rule,
+                 the Combination core shared by all partition-indexed classes
     polynomials  sparse exact multivariate polynomials
-    ktheory      Grothendieck group bases, pairing, Fourier involution
+    ktheory      Grothendieck group bases, products, pairing, Fourier involution
     hilbert      enhanced Hilbert series and character polynomials
     homalg       injective resolutions, local cohomology, depth, regularity
     quiver       finite quiver truncations used for machine verification

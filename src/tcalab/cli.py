@@ -27,7 +27,7 @@ import sys
 from . import __version__, homalg, hilbert, ktheory, quiver
 from .ktheory import AClass, KClassK, L_BASIS, Q_BASIS
 from .partitions import Partition, parse_partition, size
-from .symchar import VClass
+from .symchar import Combination, VClass
 
 SCHEMA = "tcalab/1"
 
@@ -60,20 +60,15 @@ def parse_class_spec(spec: str) -> AClass | KClassK:
         pos = m.end()
     if spec[pos:].strip() or not terms:
         raise InputError(f"cannot parse class spec {spec!r}")
-    kinds = {k for _, k, _ in terms}
-    if kinds <= {"S", "P"}:
-        tors: dict[Partition, int] = {}
-        proj: dict[Partition, int] = {}
-        for c, k, p in terms:
-            target = tors if k == "S" else proj
-            target[p] = target.get(p, 0) + c
-        return AClass(VClass(tors), VClass(proj))
-    if kinds <= {"L"} or kinds <= {"Q"}:
-        basis = L_BASIS if kinds == {"L"} else Q_BASIS
-        coeffs: dict[Partition, int] = {}
-        for c, _, p in terms:
-            coeffs[p] = coeffs.get(p, 0) + c
-        return KClassK(basis, coeffs)
+    coeffs: dict[str, dict[Partition, int]] = {}
+    for c, k, p in terms:
+        kind = coeffs.setdefault(k, {})
+        kind[p] = kind.get(p, 0) + c
+    if set(coeffs) <= {"S", "P"}:
+        return AClass(VClass(coeffs.get("S")), VClass(coeffs.get("P")))
+    if set(coeffs) in ({L_BASIS}, {Q_BASIS}):
+        (basis,) = coeffs
+        return KClassK(basis, coeffs[basis])
     raise InputError(
         "class spec must use only S/P symbols or a single K-theory basis"
     )
@@ -87,21 +82,18 @@ def _part_json(p: Partition) -> list[int]:
     return list(p)
 
 
-def _vclass_json(x: VClass) -> list[dict]:
+def _terms_json(x: Combination) -> list[dict]:
     return [{"partition": _part_json(p), "coeff": c} for p, c in x.items()]
 
 
 def _kclass_json(x: KClassK) -> dict:
-    return {
-        "basis": x.basis,
-        "terms": [{"partition": _part_json(p), "coeff": c} for p, c in x.items()],
-    }
+    return {"basis": x.basis, "terms": _terms_json(x)}
 
 
 def _aclass_json(x: AClass) -> dict:
     return {
-        "torsion": _vclass_json(x.torsion),
-        "projective": _vclass_json(x.projective),
+        "torsion": _terms_json(x.torsion),
+        "projective": _terms_json(x.projective),
     }
 
 
@@ -116,6 +108,17 @@ def _emit(doc: dict, table: bool = False) -> None:
 
 # ---------------------------------------------------------------------------
 # Subcommands
+
+# operand count of each `ktheory` and `quiver` operation
+_ARITY = {"conv": 1, "mult": 2, "pair": 2, "hom": 2, "socle": 1, "verify-bgg": 1}
+
+
+def _operands(args) -> list[str]:
+    """The operands of args.op, refused before any work if miscounted."""
+    want = _ARITY[args.op]
+    if len(args.args) != want:
+        raise InputError(f"{args.op} takes {want} operand(s), got {len(args.args)}")
+    return args.args
 
 
 def _cmd_charpoly(args) -> dict:
@@ -193,19 +196,20 @@ def _cmd_bgg(args) -> dict:
 
 
 def _cmd_ktheory(args) -> dict:
+    operands = _operands(args)
     if args.op == "conv":
-        cls = parse_class_spec(args.args[0])
+        cls = parse_class_spec(operands[0])
         if not isinstance(cls, KClassK):
             raise InputError("conv expects an L or Q class spec")
         out = ktheory.q_to_l(cls) if cls.basis == Q_BASIS else ktheory.l_to_q(cls)
         return {"command": "ktheory.conv", "result": _kclass_json(out)}
     if args.op == "mult":
-        x, y = (parse_class_spec(a) for a in args.args[:2])
+        x, y = (parse_class_spec(a) for a in operands)
         if not (isinstance(x, KClassK) and isinstance(y, KClassK)):
             raise InputError("mult expects two K-class specs")
         return {"command": "ktheory.mult", "result": _kclass_json(ktheory.k_product(x, y))}
     if args.op == "pair":
-        x, y = (parse_class_spec(a) for a in args.args[:2])
+        x, y = (parse_class_spec(a) for a in operands)
         if not (isinstance(x, KClassK) and isinstance(y, KClassK)):
             raise InputError("pair expects two K-class specs")
         return {"command": "ktheory.pair", "value": ktheory.pairing(x, y)}
@@ -251,8 +255,9 @@ def _cmd_poincare(args) -> dict:
 
 
 def _cmd_quiver(args) -> dict:
+    operands = _operands(args)
     if args.op == "hom":
-        lam, mu = parse_partition(args.args[0]), parse_partition(args.args[1])
+        lam, mu = (parse_partition(a) for a in operands)
         n = max(size(lam), size(mu), args.size or 0)
         vs = quiver.VertexSet.up_to_size(n)
         dim, _ = quiver.hom_space(
@@ -260,8 +265,7 @@ def _cmd_quiver(args) -> dict:
         )
         return {"command": "quiver.hom", "dimension": dim}
     if args.op == "socle":
-        spec = args.args[0]
-        cls = parse_class_spec(spec)
+        cls = parse_class_spec(operands[0])
         if not isinstance(cls, KClassK):
             raise InputError("socle expects an L or Q basis symbol")
         items = cls.items()
@@ -283,7 +287,7 @@ def _cmd_quiver(args) -> dict:
             ],
         }
     if args.op == "verify-bgg":
-        lam = parse_partition(args.args[0])
+        lam = parse_partition(operands[0])
         cx = quiver.realize_bgg(lam)
         cohom = quiver.complex_cohomology(cx)
         ok = cohom[0] == {lam: 1} and all(not h for h in cohom[1:])
@@ -356,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ktheory", help="basis conversion, products, pairing")
     p.add_argument("op", choices=("conv", "mult", "pair"))
-    p.add_argument("args", nargs="+")
+    p.add_argument("args", nargs="*")
     p.set_defaults(fn=_cmd_ktheory)
 
     p = sub.add_parser("fourier", help="Fourier transform of a class")
@@ -377,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quiver", help="hom spaces, socles, resolution checks")
     p.add_argument("op", choices=("hom", "socle", "verify-bgg"))
-    p.add_argument("args", nargs="+")
+    p.add_argument("args", nargs="*")
     p.add_argument("--size", type=int, default=None)
     p.set_defaults(fn=_cmd_quiver)
 

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 from .ktheory import AClass, KClassK, Q_BASIS, q_to_l
 from .partitions import (
     Partition,
+    _partitions_cached,
     aut_factor,
     multiplicities,
     partition,
@@ -53,8 +55,6 @@ def enhanced_of_simple(lam: Partition) -> MPoly:
     """Enhanced series of a single simple: sum over cycle types mu of
     trace(c_mu) t^mu / mu!.  Homogeneous of weighted degree |lam|."""
     lam = partition(lam)
-    from .partitions import _partitions_cached
-
     terms = MPoly.zero("t")
     for mu in _partitions_cached(size(lam)):
         tr = mn_trace(mu, lam)
@@ -63,15 +63,23 @@ def enhanced_of_simple(lam: Partition) -> MPoly:
     return terms
 
 
+def enhanced_sum(terms: Iterable[tuple[Partition, int]]) -> MPoly:
+    """Sum of c times the enhanced series of the simple at lam over the
+    pairs (lam, c); coefficients of a repeated lam are added first."""
+    coeffs: dict[Partition, int] = {}
+    for lam, c in terms:
+        coeffs[lam] = coeffs.get(lam, 0) + c
+    return sum(
+        (enhanced_of_simple(lam).scale(c) for lam, c in coeffs.items() if c),
+        MPoly.zero("t"),
+    )
+
+
 def enhanced_of_class(x: AClass) -> EnhancedSeries:
     """p from the projective part, q from the torsion part."""
-    p = MPoly.zero("t")
-    for lam, c in x.projective.coeffs.items():
-        p = p + enhanced_of_simple(lam).scale(c)
-    q = MPoly.zero("t")
-    for lam, c in x.torsion.coeffs.items():
-        q = q + enhanced_of_simple(lam).scale(c)
-    return EnhancedSeries(p, q)
+    return EnhancedSeries(
+        enhanced_sum(x.projective.coeffs.items()), enhanced_sum(x.torsion.coeffs.items())
+    )
 
 
 def plain_hilbert(s: EnhancedSeries) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -99,11 +107,9 @@ def char_poly_simple(lam: Partition) -> MPoly:
     """Character polynomial of the simple at lam: umbral image of the
     alternating sum of enhanced series over vertical-strip removals."""
     lam = partition(lam)
-    p = MPoly.zero("t")
-    for d in range(size(lam) + 1):
-        for mu in remove_strips(lam, d, "VS"):
-            p = p + enhanced_of_simple(mu).scale((-1) ** d)
-    return umbral(p)
+    return umbral(enhanced_sum(
+        (mu, (-1) ** d) for d in range(size(lam) + 1) for mu in remove_strips(lam, d, "VS")
+    ))
 
 
 def char_poly_of_class(x: AClass) -> MPoly:

@@ -18,14 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .hilbert import enhanced_of_class, enhanced_of_simple
-from .ktheory import AClass
+from .hilbert import enhanced_of_class, enhanced_sum
+from .ktheory import AClass, signed_transpose
 from .partitions import (
     Partition,
     VS,
     aligned_border_strips,
     contains,
     hook_dimension,
+    is_strip,
     partition,
     prefixed_to_partition,
     remove_strips,
@@ -85,7 +86,8 @@ def _cover_sign(lam: Partition, mu: Partition, mup: Partition) -> int:
     prof = _removal_profile(lam, mu)
     profp = _removal_profile(lam, mup)
     diff = [k for k in set(prof) | set(profp) if prof.get(k, 0) != profp.get(k, 0)]
-    assert len(diff) == 1
+    if len(diff) != 1:
+        raise AssertionError(f"{mu} -> {mup} is not a single-box cover inside {lam}")
     k = diff[0]
     exponent = sum(c for i, c in prof.items() if i < k)
     return (-1) ** exponent
@@ -112,8 +114,6 @@ def ext_simples(lam, mu) -> dict[int, int]:
     """Ext between simples: one dimensional in degree |mu|-|lam| when mu/lam
     is a vertical strip, zero otherwise."""
     lam, mu = partition(lam), partition(mu)
-    from .partitions import is_strip
-
     if is_strip(mu, lam, VS):
         return {size(mu) - size(lam): 1}
     return {}
@@ -176,11 +176,9 @@ def q_from_local_cohomology(lam, D: int) -> MPoly:
     """Alternating sum over rows of the enhanced series of their entries;
     the q-part of the enhanced series of the tail module."""
     table = local_cohomology(lam, D)
-    q = MPoly.zero("t")
-    for i, entries in table.rows.items():
-        for nu in entries:
-            q = q + enhanced_of_simple(nu).scale((-1) ** i)
-    return q
+    return enhanced_sum(
+        (nu, (-1) ** i) for i, entries in table.rows.items() for nu in entries
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -502,15 +500,9 @@ def fourier_module(graded: dict[int, AClass]) -> dict[int, AClass]:
 def fourier_class(x: AClass) -> AClass:
     """Ungraded Euler shadow of the transform: homological shifts become
     signs (-1)^{|lam|}."""
-    tors: dict[Partition, int] = {}
-    proj: dict[Partition, int] = {}
-    for lam, c in x.torsion.coeffs.items():
-        t = transpose(lam)
-        proj[t] = proj.get(t, 0) + c * (-1) ** size(lam)
-    for lam, c in x.projective.coeffs.items():
-        t = transpose(lam)
-        tors[t] = tors.get(t, 0) + c * (-1) ** size(lam)
-    return AClass(VClass(tors), VClass(proj))
+    return AClass(
+        VClass(signed_transpose(x.projective)), VClass(signed_transpose(x.torsion))
+    )
 
 
 def fourier_hilbert_check(x: AClass, bound: int) -> bool:

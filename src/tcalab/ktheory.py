@@ -10,6 +10,10 @@ Products are computed with the Littlewood-Richardson rule in either basis.
 Classes over the full polynomial ring are ungraded Euler classes spanned by
 simples [S_lam] (torsion) and projectives [A x S_lam]; homological shifts
 are absorbed into signs.
+
+All of these classes share the arithmetic of `symchar.Combination`: KClassK
+is its L/Q-basis constructor, AClass pairs two S-basis parts, and
+`k_product` is the one Littlewood-Richardson product for every basis.
 """
 
 from __future__ import annotations
@@ -18,15 +22,13 @@ from .partitions import (
     HS,
     VS,
     Partition,
+    is_strip,
     partition,
     remove_strips,
     size,
+    transpose,
 )
-from .symchar import VClass, lr_expand, _term_order
-
-
-class BasisMismatchError(ValueError):
-    """Arithmetic attempted across the L and Q bases without conversion."""
+from .symchar import S_BASIS, BasisMismatchError, Combination, VClass, lr_expand
 
 
 class ZeroClassError(ValueError):
@@ -37,76 +39,23 @@ L_BASIS = "L"
 Q_BASIS = "Q"
 
 
-class KClassK:
+class KClassK(Combination):
     """Integer combination of basis classes of K(Mod_K), tagged L or Q."""
 
-    __slots__ = ("basis", "coeffs")
+    __slots__ = ()
 
     def __init__(self, basis: str, coeffs: dict[Partition, int] | None = None):
         if basis not in (L_BASIS, Q_BASIS):
             raise ValueError(f"basis must be 'L' or 'Q', got {basis!r}")
-        self.basis = basis
-        self.coeffs = {p: c for p, c in (coeffs or {}).items() if c != 0}
-
-    @classmethod
-    def of(cls, basis: str, lam) -> "KClassK":
-        return cls(basis, {partition(lam): 1})
-
-    def items(self) -> list[tuple[Partition, int]]:
-        return sorted(self.coeffs.items(), key=lambda kv: _term_order(kv[0]))
-
-    def _check(self, other: "KClassK") -> None:
-        if self.basis != other.basis:
-            raise BasisMismatchError(
-                f"cannot combine {self.basis}-basis with {other.basis}-basis"
-            )
-
-    def __add__(self, other: "KClassK") -> "KClassK":
-        self._check(other)
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            out[p] = out.get(p, 0) + c
-        return KClassK(self.basis, out)
-
-    def __sub__(self, other: "KClassK") -> "KClassK":
-        return self + (-other)
-
-    def __neg__(self) -> "KClassK":
-        return KClassK(self.basis, {p: -c for p, c in self.coeffs.items()})
-
-    def __rmul__(self, n: int) -> "KClassK":
-        return KClassK(self.basis, {p: n * c for p, c in self.coeffs.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, KClassK)
-            and self.basis == other.basis
-            and self.coeffs == other.coeffs
-        )
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __hash__(self):
-        return hash((self.basis, frozenset(self.coeffs.items())))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return f"0_{self.basis}"
-        bits = []
-        for p, c in self.items():
-            name = f"{self.basis}[{','.join(map(str, p)) or '0'}]"
-            mag = "" if abs(c) == 1 else str(abs(c))
-            bits.append(f"{'+' if c >= 0 else '-'}{mag}{name}")
-        return "".join(bits).lstrip("+")
+        super().__init__(basis, coeffs)
 
 
 def l_class(lam) -> KClassK:
-    return KClassK.of(L_BASIS, lam)
+    return KClassK(L_BASIS, {partition(lam): 1})
 
 
 def q_class(lam) -> KClassK:
-    return KClassK.of(Q_BASIS, lam)
+    return KClassK(Q_BASIS, {partition(lam): 1})
 
 
 def q_to_l(x: KClassK) -> KClassK:
@@ -134,31 +83,26 @@ def l_to_q(x: KClassK) -> KClassK:
     return KClassK(Q_BASIS, out)
 
 
-def k_product(x: KClassK, y: KClassK) -> KClassK:
-    """Product in K(Mod_K); the LR rule applies in both bases."""
+def k_product(x: Combination, y: Combination) -> Combination:
+    """Bilinear extension of [lam][mu] = sum of c^nu_{lam,mu} [nu]: the
+    product in K(Mod_K) in either basis, and of classes of simples."""
     x._check(y)
     out: dict[Partition, int] = {}
     for lam, a in x.coeffs.items():
         for mu, b in y.coeffs.items():
             for nu, c in lr_expand(lam, mu):
                 out[nu] = out.get(nu, 0) + a * b * c
-    return KClassK(x.basis, out)
+    return x._new(out)
 
 
 def _pair_basis(b1: str, lam: Partition, b2: str, mu: Partition) -> int:
     if b1 == Q_BASIS and b2 == Q_BASIS:
-        from .partitions import is_strip
-
         return 1 if is_strip(lam, mu, HS) else 0
     if b1 == L_BASIS and b2 == Q_BASIS:
         return 1 if lam == mu else 0
     if b1 == L_BASIS and b2 == L_BASIS:
-        from .partitions import is_strip
-
         return (-1) ** (size(mu) - size(lam)) if is_strip(mu, lam, VS) else 0
     # Q against L: signed count over common removals
-    from .partitions import is_strip
-
     total = 0
     for d in range(size(lam) + 1):
         for nu in remove_strips(lam, d, HS):
@@ -177,17 +121,17 @@ def pairing(x: KClassK, y: KClassK) -> int:
     return total
 
 
+def signed_transpose(x: Combination) -> dict[Partition, int]:
+    """Coefficients of the Fourier image: lam goes to its transpose with
+    sign (-1)^{|lam|}."""
+    return {transpose(lam): c * (-1) ** size(lam) for lam, c in x.coeffs.items()}
+
+
 def fourier_K(x: KClassK) -> KClassK:
     """The involution swapping bases: basis class of lam goes to the other
     basis at the transpose with sign (-1)^{|lam|}."""
-    from .partitions import transpose
-
     other = L_BASIS if x.basis == Q_BASIS else Q_BASIS
-    out: dict[Partition, int] = {}
-    for lam, c in x.coeffs.items():
-        t = transpose(lam)
-        out[t] = out.get(t, 0) + c * (-1) ** size(lam)
-    return KClassK(other, out)
+    return KClassK(other, signed_transpose(x))
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +145,13 @@ class AClass:
     __slots__ = ("torsion", "projective")
 
     def __init__(self, torsion: VClass | None = None, projective: VClass | None = None):
-        self.torsion = torsion or VClass()
-        self.projective = projective or VClass()
+        self.torsion = VClass() if torsion is None else torsion
+        self.projective = VClass() if projective is None else projective
+        for part in (self.torsion, self.projective):
+            if part.basis != S_BASIS:
+                raise BasisMismatchError(
+                    f"module class parts must be S-basis, got {part.basis}-basis"
+                )
 
     @classmethod
     def simple(cls, lam) -> "AClass":
@@ -238,22 +187,8 @@ class AClass:
         return hash((self.torsion, self.projective))
 
     def __repr__(self) -> str:
-        if not self:
-            return "0"
-        bits = []
-        for p, c in self.torsion.items():
-            name = f"S[{','.join(map(str, p)) or '0'}]"
-            mag = "" if abs(c) == 1 else str(abs(c))
-            bits.append(f"{'+' if c >= 0 else '-'}{mag}{name}")
-        for p, c in self.projective.items():
-            name = f"P[{','.join(map(str, p)) or '0'}]"
-            mag = "" if abs(c) == 1 else str(abs(c))
-            bits.append(f"{'+' if c >= 0 else '-'}{mag}{name}")
-        return "".join(bits).lstrip("+")
-
-
-def _box_removals(lam: Partition) -> list[Partition]:
-    return remove_strips(lam, 1, HS)
+        terms = self.torsion.format_terms() + self.projective.format_terms("P")
+        return terms.lstrip("+") or "0"
 
 
 def schur_derivative(x):
@@ -262,16 +197,13 @@ def schur_derivative(x):
     if isinstance(x, VClass):
         out: dict[Partition, int] = {}
         for lam, c in x.coeffs.items():
-            for mu in _box_removals(lam):
+            for mu in remove_strips(lam, 1, HS):
                 out[mu] = out.get(mu, 0) + c
         return VClass(out)
     if isinstance(x, AClass):
-        proj: dict[Partition, int] = {}
-        for lam, c in x.projective.coeffs.items():
-            proj[lam] = proj.get(lam, 0) + c
-            for mu in _box_removals(lam):
-                proj[mu] = proj.get(mu, 0) + c
-        return AClass(schur_derivative(x.torsion), VClass(proj))
+        return AClass(
+            schur_derivative(x.torsion), x.projective + schur_derivative(x.projective)
+        )
     raise TypeError(f"expected VClass or AClass, got {type(x).__name__}")
 
 
@@ -310,9 +242,4 @@ def diff_annihilator(x: AClass) -> tuple[int, int]:
 def injective_envelope_class(lam) -> VClass:
     """Class of the torsion injective envelope of [S_lam]: multiplicity one
     on each horizontal-strip removal of lam."""
-    lam = partition(lam)
-    out: dict[Partition, int] = {}
-    for d in range(size(lam) + 1):
-        for mu in remove_strips(lam, d, HS):
-            out[mu] = 1
-    return VClass(out)
+    return VClass(q_to_l(q_class(lam)).coeffs)

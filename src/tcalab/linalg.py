@@ -23,11 +23,7 @@ def identity(n: int) -> Matrix:
     return out
 
 
-def shape(a: Matrix, cols_hint: int = 0) -> tuple[int, int]:
-    return (len(a), len(a[0]) if a else cols_hint)
-
-
-def mat_mul(a: Matrix, b: Matrix, inner: int | None = None) -> Matrix:
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     rows = len(a)
     cols = len(b[0]) if b else 0
     if rows == 0 or cols == 0:
@@ -44,19 +40,6 @@ def mat_mul(a: Matrix, b: Matrix, inner: int | None = None) -> Matrix:
                 if bk[j] != 0:
                     oi[j] += aik * bk[j]
     return out
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Matrix, c) -> Matrix:
-    c = Fraction(c)
-    return [[c * x for x in row] for row in a]
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a == b
 
 
 def is_zero(a: Matrix) -> bool:

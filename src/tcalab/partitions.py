@@ -115,14 +115,6 @@ def stats(p: Partition) -> PartitionStats:
     return PartitionStats(multiplicities(p), aut_factor(p), len(p), sum(p))
 
 
-def conjugacy_class_size_factor(p: Partition) -> int:
-    """z_mu = prod i^{m_i} m_i!, the centralizer order of the class mu."""
-    z = 1
-    for i, c in multiplicities(p).items():
-        z *= i**c * factorial(c)
-    return z
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 
@@ -290,11 +282,6 @@ def eval_poly(coeffs: tuple[Fraction, ...], x) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # Prefixed shapes, aligned border strips, shifted normalization
-
-
-def prefixed(first: int, rest: Partition) -> tuple[int, ...]:
-    """The integer sequence (first, rest); a partition iff first >= rest_1."""
-    return (first,) + rest
 
 
 def prefixed_is_partition(first: int, rest: Partition) -> bool:

@@ -127,9 +127,6 @@ class MPoly:
         """Max weighted degree (deg x_i = i); zero polynomial has degree 0."""
         return max((weighted_degree(k) for k in self.terms), default=0)
 
-    def variables(self) -> list[int]:
-        return sorted({i for k in self.terms for i, _ in k})
-
     def coefficient(self, exps: dict[int, int]) -> Fraction:
         return self.terms.get(_canon_key(exps), Fraction(0))
 

@@ -10,6 +10,7 @@ itself without a test harness.
 from __future__ import annotations
 
 import sys
+import time
 from typing import Callable, TextIO
 
 from . import hilbert, homalg, ktheory, quiver
@@ -17,6 +18,7 @@ from .ktheory import AClass, l_class, l_to_q, q_class, q_to_l
 from .partitions import (
     HS,
     VS,
+    _partitions_cached,
     contains,
     is_strip,
     partitions_up_to,
@@ -97,8 +99,6 @@ def _check_character_threshold(cap: int) -> str | None:
         X = hilbert.char_poly_simple(lam)
         top = lam[0] if lam else 0
         for n in range(0, top + size(lam) + 3):
-            from .partitions import _partitions_cached
-
             for mu in _partitions_cached(n):
                 got = hilbert.eval_char_poly(X, mu)
                 want = hilbert.character_value(lam, mu)
@@ -142,11 +142,15 @@ CHECKS: list[tuple[str, Callable[[int], str | None]]] = [
 
 
 def run_selftest(cap: int, log: TextIO = sys.stderr) -> list[str]:
+    """Run every check at the size cap, logging each result with its
+    elapsed seconds; returns the failure messages."""
     failures = []
     for name, fn in CHECKS:
+        start = time.perf_counter()
         msg = fn(cap)
+        elapsed = time.perf_counter() - start
         status = "ok" if msg is None else f"FAIL ({msg})"
-        print(f"selftest: {name}: {status}", file=log)
+        print(f"selftest: {name}: {status} ({elapsed:.2f} s)", file=log)
         if msg is not None:
             failures.append(msg)
     return failures

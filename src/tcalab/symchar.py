@@ -6,6 +6,12 @@ coefficients are computed by direct enumeration of lattice-word skew
 semistandard tableaux; this is deliberately the slow transparent algorithm,
 because these numbers serve as the oracle for everything else.
 
+The module also holds the one arithmetic core for classes indexed by
+partitions: `Combination`, a finitely supported integer combination tagged
+with its basis.  `VClass` (simples [S_lam]) is its S-basis constructor here;
+`ktheory.KClassK` (the L and Q bases) and `ktheory.AClass` build on it, and
+`ktheory.k_product` is the Littlewood-Richardson product for all of them.
+
 Everything here is an exact integer.
 """
 
@@ -16,6 +22,9 @@ from functools import lru_cache
 from .partitions import (
     HS,
     Partition,
+    _beta_numbers,
+    _partition_from_beta,
+    _partitions_cached,
     add_strips,
     contains,
     partition,
@@ -27,11 +36,14 @@ class SizeMismatchError(ValueError):
     """Cycle type and shape index representations of different groups."""
 
 
+class BasisMismatchError(ValueError):
+    """Arithmetic attempted across two bases without conversion."""
+
+
 @lru_cache(maxsize=None)
 def _rim_hook_removals(lam: Partition, s: int) -> tuple[tuple[Partition, int], ...]:
     """All (result, height) for removable rim hooks of size s from lam."""
-    n = len(lam)
-    beta = [lam[i] + (n - 1 - i) for i in range(n)]
+    beta = _beta_numbers(lam)
     present = set(beta)
     out = []
     for i, b in enumerate(beta):
@@ -39,9 +51,7 @@ def _rim_hook_removals(lam: Partition, s: int) -> tuple[tuple[Partition, int], .
         if nb < 0 or nb in present:
             continue
         height = 1 + sum(1 for x in beta if nb < x < b)
-        replaced = sorted(beta[:i] + [nb] + beta[i + 1 :], reverse=True)
-        result = partition(replaced[j] - (n - 1 - j) for j in range(n))
-        out.append((result, height))
+        out.append((_partition_from_beta(beta[:i] + [nb] + beta[i + 1 :]), height))
     return tuple(out)
 
 
@@ -118,8 +128,6 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
 @lru_cache(maxsize=None)
 def lr_expand(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
     """All (nu, c^nu_{lam,mu}) with nonzero coefficient."""
-    from .partitions import _partitions_cached
-
     out = []
     for nu in _partitions_cached(size(lam) + size(mu)):
         if not (contains(nu, lam) and contains(nu, mu)):
@@ -134,77 +142,98 @@ def lr_expand(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...
 # Formal integer combinations of partitions
 
 
+S_BASIS = "S"
+
+
 def _term_order(p: Partition):
     return (size(p), tuple(-x for x in p))
 
 
-class VClass:
-    """Finitely supported integer combination of simple objects [S_lam]."""
+class Combination:
+    """Finitely supported integer combination of basis classes indexed by
+    partitions, tagged with the name of the basis.  Zero coefficients are
+    never stored; arithmetic across two bases raises BasisMismatchError."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("basis", "coeffs")
 
-    def __init__(self, coeffs: dict[Partition, int] | None = None):
+    def __init__(self, basis: str, coeffs: dict[Partition, int] | None = None):
+        self.basis = basis
         self.coeffs = {p: c for p, c in (coeffs or {}).items() if c != 0}
 
-    @classmethod
-    def simple(cls, lam) -> "VClass":
-        return cls({partition(lam): 1})
+    def _new(self, coeffs: dict[Partition, int]) -> "Combination":
+        """A combination of the same type and basis, zeros dropped."""
+        out = object.__new__(type(self))
+        Combination.__init__(out, self.basis, coeffs)
+        return out
 
-    @classmethod
-    def zero(cls) -> "VClass":
-        return cls()
+    def _check(self, other: "Combination") -> None:
+        if self.basis != other.basis:
+            raise BasisMismatchError(
+                f"cannot combine {self.basis}-basis with {other.basis}-basis"
+            )
 
     def items(self) -> list[tuple[Partition, int]]:
         return sorted(self.coeffs.items(), key=lambda kv: _term_order(kv[0]))
 
-    def __add__(self, other: "VClass") -> "VClass":
+    def __add__(self, other: "Combination") -> "Combination":
+        self._check(other)
         out = dict(self.coeffs)
         for p, c in other.coeffs.items():
             out[p] = out.get(p, 0) + c
-        return VClass(out)
+        return self._new(out)
 
-    def __sub__(self, other: "VClass") -> "VClass":
+    def __sub__(self, other: "Combination") -> "Combination":
         return self + (-other)
 
-    def __neg__(self) -> "VClass":
-        return VClass({p: -c for p, c in self.coeffs.items()})
+    def __neg__(self) -> "Combination":
+        return self._new({p: -c for p, c in self.coeffs.items()})
 
-    def __rmul__(self, n: int) -> "VClass":
-        return VClass({p: n * c for p, c in self.coeffs.items()})
-
-    def __mul__(self, other: "VClass") -> "VClass":
-        return schur_product(self, other)
+    def __rmul__(self, n: int) -> "Combination":
+        return self._new({p: n * c for p, c in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, VClass) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, Combination)
+            and self.basis == other.basis
+            and self.coeffs == other.coeffs
+        )
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash((self.basis, frozenset(self.coeffs.items())))
+
+    def format_terms(self, name: str | None = None) -> str:
+        """Signed terms such as '+2L[2,1]-L[0]', named by the basis unless
+        another symbol is given."""
+        name = name or self.basis
+        return "".join(
+            f"{'+' if c >= 0 else '-'}{'' if abs(c) == 1 else abs(c)}"
+            f"{name}[{','.join(map(str, p)) or '0'}]"
+            for p, c in self.items()
+        )
 
     def __repr__(self) -> str:
         if not self.coeffs:
-            return "0"
-        bits = []
-        for p, c in self.items():
-            name = f"S[{','.join(map(str, p)) or '0'}]"
-            bits.append(f"{'+' if c >= 0 else '-'}{abs(c) if abs(c) != 1 else ''}{name}")
-        return "".join(bits).lstrip("+")
+            return "0" if self.basis == S_BASIS else f"0_{self.basis}"
+        return self.format_terms().lstrip("+")
 
     def max_size(self) -> int:
         return max((size(p) for p in self.coeffs), default=0)
 
 
-def schur_product(x: VClass, y: VClass) -> VClass:
-    """Bilinear extension of [S_lam][S_mu] = sum of c^nu [S_nu]."""
-    out: dict[Partition, int] = {}
-    for lam, a in x.coeffs.items():
-        for mu, b in y.coeffs.items():
-            for nu, c in lr_expand(lam, mu):
-                out[nu] = out.get(nu, 0) + a * b * c
-    return VClass(out)
+class VClass(Combination):
+    """Integer combination of simple objects [S_lam]."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs: dict[Partition, int] | None = None):
+        super().__init__(S_BASIS, coeffs)
+
+    @classmethod
+    def simple(cls, lam) -> "VClass":
+        return cls({partition(lam): 1})
 
 
 def pieri_class(lam: Partition, d: int, kind: str = HS) -> VClass:

@@ -1,6 +1,8 @@
 """Command line behavior: parsing, JSON schemas, exit codes, determinism."""
 
+import ast
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -93,6 +95,23 @@ class TestCommands:
         assert run_cli(["depth", "not-a-partition", "1"]).returncode == 2
         assert run_cli([]).returncode == 2
         assert run_cli(["selftest", "--size", "3"]).returncode == 0
+
+    def test_operand_count_is_checked_first(self, capsys):
+        operands = {
+            ("ktheory", "conv"): ["L[1]"],
+            ("ktheory", "mult"): ["L[1]", "L[1]"],
+            ("ktheory", "pair"): ["L[1]", "Q[1]"],
+            ("quiver", "hom"): ["2", "1"],
+            ("quiver", "socle"): ["Q[1]"],
+            ("quiver", "verify-bgg"): ["1"],
+        }
+        for (command, op), good in operands.items():
+            for bad in (good[:-1], good + good[-1:]):
+                assert main([command, op, *bad]) == 2, (command, op, bad)
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert "operand" in json.loads(err)["error"]
+        assert run_cli(["quiver", "hom", "2"]).returncode == 2
 
     def test_trunc_env_var(self):
         doc = json.loads(
@@ -189,3 +208,14 @@ class TestMainEntry:
             "quiver",
             "selftest",
         } <= names
+
+
+def test_no_assert_statements_in_package():
+    """Internal checks raise explicitly, so `python -O` cannot strip them."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "tcalab"
+    modules = sorted(src.glob("*.py"))
+    assert modules
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"assert statement in {path.name} at lines {lines}"

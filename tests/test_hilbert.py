@@ -82,10 +82,10 @@ class TestEnhancedSeries:
             for mu in partitions_up_to(3):
                 x = AClass.free(lam)
                 y = AClass.free(mu)
-                from tcalab.symchar import schur_product
+                from tcalab.ktheory import k_product
 
                 prod = AClass(
-                    projective=schur_product(VClass.simple(lam), VClass.simple(mu))
+                    projective=k_product(VClass.simple(lam), VClass.simple(mu))
                 )
                 assert (
                     enhanced_of_class(prod).p

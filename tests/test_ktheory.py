@@ -52,6 +52,17 @@ class TestBasisChange:
         with pytest.raises(BasisMismatchError):
             k_product(l_class((1,)), q_class((1,)))
 
+    def test_torsion_and_k_classes_do_not_mix(self):
+        with pytest.raises(BasisMismatchError):
+            VClass({(1,): 1}) + l_class((1,))
+        with pytest.raises(BasisMismatchError):
+            l_class((1,)) + VClass({(1,): 1})
+        with pytest.raises(BasisMismatchError):
+            AClass(torsion=l_class((2,)))
+        with pytest.raises(BasisMismatchError):
+            AClass(projective=q_class((2,)))
+        assert VClass({(1,): 1}) != l_class((1,))
+
 
 class TestProduct:
     def test_pieri_in_q(self):

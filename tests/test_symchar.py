@@ -14,13 +14,13 @@ from tcalab.partitions import (
     partitions_up_to,
     transpose,
 )
+from tcalab.ktheory import k_product
 from tcalab.symchar import (
     SizeMismatchError,
     VClass,
     lr_coefficient,
     mn_trace,
     pieri_class,
-    schur_product,
 )
 
 
@@ -104,16 +104,16 @@ class TestLR:
 
 class TestVClass:
     def test_pieri_both_ways(self):
-        assert schur_product(VClass.simple((1,)), VClass.simple((1,))) == VClass(
+        assert k_product(VClass.simple((1,)), VClass.simple((1,))) == VClass(
             {(2,): 1, (1, 1): 1}
         )
-        assert schur_product(VClass.simple((2,)), VClass.simple((1, 1))) == VClass(
+        assert k_product(VClass.simple((2,)), VClass.simple((1, 1))) == VClass(
             {(3, 1): 1, (2, 1, 1): 1}
         )
 
     def test_unit_law(self):
         x = VClass({(2, 1): 3, (1,): -2})
-        assert schur_product(x, VClass.simple(())) == x
+        assert k_product(x, VClass.simple(())) == x
 
     @settings(deadline=None, max_examples=30)
     @given(
@@ -123,9 +123,9 @@ class TestVClass:
     )
     def test_commutative_associative(self, a, b, c):
         x, y, z = VClass.simple(a), VClass.simple(b), VClass.simple(c)
-        assert schur_product(x, y) == schur_product(y, x)
-        assert schur_product(schur_product(x, y), z) == schur_product(
-            x, schur_product(y, z)
+        assert k_product(x, y) == k_product(y, x)
+        assert k_product(k_product(x, y), z) == k_product(
+            x, k_product(y, z)
         )
 
     def test_pieri_class_examples(self):
@@ -139,9 +139,9 @@ class TestVClass:
             for d in range(5):
                 row = VClass.simple((d,) if d else ())
                 col = VClass.simple((1,) * d)
-                assert pieri_class(lam, d, HS) == schur_product(
+                assert pieri_class(lam, d, HS) == k_product(
                     VClass.simple(lam), row
                 )
-                assert pieri_class(lam, d, VS) == schur_product(
+                assert pieri_class(lam, d, VS) == k_product(
                     VClass.simple(lam), col
                 )
