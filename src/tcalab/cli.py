@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -36,12 +37,25 @@ class InputError(ValueError):
     pass
 
 
+def _nonneg_int(text: str) -> int:
+    """argparse type of every count and bound: a non-negative integer."""
+    if not re.fullmatch(r"\s*\+?\d+\s*", text):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _default_trunc() -> int:
-    raw = os.environ.get("TCALAB_TRUNC", "12")
     try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"TCALAB_TRUNC must be an integer, got {raw!r}")
+        return _nonneg_int(os.environ.get("TCALAB_TRUNC", "12"))
+    except argparse.ArgumentTypeError as exc:
+        raise InputError(f"TCALAB_TRUNC {exc}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Ends a usage error like any input error: exit 2, one-line JSON."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
 
 
 _TERM_RE = re.compile(r"([+-]?)\s*(\d*)\s*([SPLQ])\[([0-9,\s]*)\]")
@@ -101,9 +115,9 @@ def _emit(doc: dict, table: bool = False) -> None:
     doc = {"schema": SCHEMA, **doc}
     if table:
         for key, value in doc.items():
-            print(f"{key}: {json.dumps(value, sort_keys=True)}")
+            print(f"{key}: {json.dumps(value, sort_keys=True, allow_nan=False)}")
     else:
-        print(json.dumps(doc, sort_keys=True))
+        print(json.dumps(doc, sort_keys=True, allow_nan=False))
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +187,11 @@ def _cmd_localcoh(args) -> dict:
 
 def _cmd_depth(args) -> dict:
     lam = parse_partition(args.partition)
-    return {
-        "command": "depth",
-        "partition": _part_json(lam),
-        "d": args.d,
-        "depth": homalg.depth(lam, args.d),
-    }
+    depth = homalg.depth(lam, args.d)
+    doc = {"command": "depth", "partition": _part_json(lam), "d": args.d, "depth": depth}
+    if depth == math.inf:
+        doc.update(depth=None, infinite=True)
+    return doc
 
 
 def _cmd_bgg(args) -> dict:
@@ -258,8 +271,8 @@ def _cmd_quiver(args) -> dict:
     operands = _operands(args)
     if args.op == "hom":
         lam, mu = (parse_partition(a) for a in operands)
-        n = max(size(lam), size(mu), args.size or 0)
-        vs = quiver.VertexSet.up_to_size(n)
+        # any truncation holding both injectives gives the same dimension
+        vs = quiver.VertexSet.up_to_size(max(size(lam), size(mu)))
         dim, _ = quiver.hom_space(
             quiver.build_injective(lam, vs), quiver.build_injective(mu, vs)
         )
@@ -311,6 +324,8 @@ def _cmd_quiver(args) -> dict:
 def _cmd_selftest(args) -> dict:
     from .selftest import run_selftest
 
+    if args.size < 1:
+        raise InputError(f"selftest size must be at least 1, got {args.size}")
     failures = run_selftest(args.size, log=sys.stderr)
     if failures:
         raise AssertionError("; ".join(failures))
@@ -321,7 +336,7 @@ def _cmd_selftest(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="tcalab",
         description="exact invariants of equivariant modules over Sym(C^inf)",
     )
@@ -341,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("modify", help="below-threshold character data")
     p.add_argument("partition")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_nonneg_int)
     p.set_defaults(fn=_cmd_modify)
 
     p = sub.add_parser("localcoh", help="local cohomology table of a tail module")
@@ -370,19 +385,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("efw", help="resolution shape of a Pieri cokernel")
     p.add_argument("alpha")
     p.add_argument("e", type=int)
-    p.add_argument("--bound", type=int, default=8)
+    p.add_argument("--bound", type=_nonneg_int, default=8)
     p.set_defaults(fn=_cmd_efw)
 
     p = sub.add_parser("poincare", help="truncated Poincare series")
     p.add_argument("alpha")
     p.add_argument("e", type=int)
-    p.add_argument("--trunc", type=int, default=None)
+    p.add_argument("--trunc", type=_nonneg_int, default=None)
     p.set_defaults(fn=_cmd_poincare)
 
     p = sub.add_parser("quiver", help="hom spaces, socles, resolution checks")
     p.add_argument("op", choices=("hom", "socle", "verify-bgg"))
     p.add_argument("args", nargs="*")
-    p.add_argument("--size", type=int, default=None)
     p.set_defaults(fn=_cmd_quiver)
 
     p = sub.add_parser("selftest", help="cross-module invariant suite")
@@ -393,13 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
     internal = (AssertionError, quiver.RelationError, quiver.NotAComplexError)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help and --version
+            return exc.code if isinstance(exc.code, int) else 2
         doc = args.fn(args)
     except internal as exc:
         print(

@@ -19,14 +19,15 @@ from typing import Iterable
 
 from .ktheory import AClass, KClassK, Q_BASIS, q_to_l
 from .partitions import (
+    VS,
     Partition,
     _partitions_cached,
     aut_factor,
     multiplicities,
     partition,
-    remove_strips,
     shifted_normalize,
     size,
+    strips_below,
 )
 from .polynomials import MPoly, falling_factorial_poly
 from .symchar import mn_trace
@@ -107,9 +108,7 @@ def char_poly_simple(lam: Partition) -> MPoly:
     """Character polynomial of the simple at lam: umbral image of the
     alternating sum of enhanced series over vertical-strip removals."""
     lam = partition(lam)
-    return umbral(enhanced_sum(
-        (mu, (-1) ** d) for d in range(size(lam) + 1) for mu in remove_strips(lam, d, "VS")
-    ))
+    return umbral(enhanced_sum((mu, (-1) ** d) for d, mu in strips_below(lam, VS)))
 
 
 def char_poly_of_class(x: AClass) -> MPoly:

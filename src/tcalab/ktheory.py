@@ -26,6 +26,7 @@ from .partitions import (
     partition,
     remove_strips,
     size,
+    strips_below,
     transpose,
 )
 from .symchar import S_BASIS, BasisMismatchError, Combination, VClass, lr_expand
@@ -64,9 +65,8 @@ def q_to_l(x: KClassK) -> KClassK:
         raise BasisMismatchError("q_to_l expects a Q-basis class")
     out: dict[Partition, int] = {}
     for lam, c in x.coeffs.items():
-        for d in range(size(lam) + 1):
-            for mu in remove_strips(lam, d, HS):
-                out[mu] = out.get(mu, 0) + c
+        for _, mu in strips_below(lam, HS):
+            out[mu] = out.get(mu, 0) + c
     return KClassK(L_BASIS, out)
 
 
@@ -76,10 +76,8 @@ def l_to_q(x: KClassK) -> KClassK:
         raise BasisMismatchError("l_to_q expects an L-basis class")
     out: dict[Partition, int] = {}
     for mu, c in x.coeffs.items():
-        for d in range(size(mu) + 1):
-            sign = (-1) ** d
-            for nu in remove_strips(mu, d, VS):
-                out[nu] = out.get(nu, 0) + sign * c
+        for d, nu in strips_below(mu, VS):
+            out[nu] = out.get(nu, 0) + (-1) ** d * c
     return KClassK(Q_BASIS, out)
 
 
@@ -104,10 +102,9 @@ def _pair_basis(b1: str, lam: Partition, b2: str, mu: Partition) -> int:
         return (-1) ** (size(mu) - size(lam)) if is_strip(mu, lam, VS) else 0
     # Q against L: signed count over common removals
     total = 0
-    for d in range(size(lam) + 1):
-        for nu in remove_strips(lam, d, HS):
-            if is_strip(mu, nu, VS):
-                total += (-1) ** (size(mu) - size(nu))
+    for _, nu in strips_below(lam, HS):
+        if is_strip(mu, nu, VS):
+            total += (-1) ** (size(mu) - size(nu))
     return total
 
 

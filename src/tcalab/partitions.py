@@ -197,6 +197,12 @@ def remove_strips(lam: Partition, d: int, kind: str) -> list[Partition]:
     return sorted(results, reverse=True)
 
 
+def strips_below(lam: Partition, kind: str) -> list[tuple[int, Partition]]:
+    """Every (d, mu) with lam/mu a strip of the kind and size d, by d
+    ascending and then as remove_strips orders them."""
+    return [(d, mu) for d in range(size(lam) + 1) for mu in remove_strips(lam, d, kind)]
+
+
 def add_strips(lam: Partition, d: int, kind: str) -> list[Partition]:
     """All mu with mu/lam a strip of size d, lexicographically descending."""
     if d < 0:

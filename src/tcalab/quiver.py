@@ -3,11 +3,12 @@ quiver with arrows along horizontal-strip containments and trivial-cocycle
 relations.
 
 A vertex set is a finite, downward-closed family of partitions under the
-relation mu <= lam iff lam/mu is a horizontal strip.  A representation
-stores exact rational matrices on covering arrows only (one added box);
-longer arrows are recovered by composition, and a validator enforces the
-relations, so hom spaces, socles, and complex cohomology are honest linear
-algebra over the rationals.
+relation mu <= lam iff lam/mu is a horizontal strip, which the vertex set
+tabulates once at construction.  A representation stores exact rational
+matrices on covering arrows only (one added box); longer arrows are
+recovered by composition, and a validator enforces the relations, so hom
+spaces, socles, and complex cohomology are honest linear algebra over the
+rationals.
 
 This module machine-checks what the rest of the package computes by
 formula: hom dimensions between injectives, socles, exactness of the
@@ -25,13 +26,11 @@ from .linalg import Matrix
 from .partitions import (
     HS,
     Partition,
-    add_strips,
     contains,
-    is_strip,
     partition,
     partitions_up_to,
-    remove_strips,
     size,
+    strips_below,
 )
 
 
@@ -63,28 +62,32 @@ class RelationError(ValueError):
     """A stored representation violates the quiver relations."""
 
 
-def _hs_leq(mu: Partition, lam: Partition) -> bool:
-    """The quiver order: mu <= lam iff lam/mu is a horizontal strip."""
-    return is_strip(lam, mu, HS)
-
-
 class VertexSet:
-    """Finite downward-closed set of partitions, validated at construction."""
+    """Finite downward-closed set of partitions, validated at construction,
+    with the quiver order tabulated once: `below[v]` is the down-set of v
+    (v included) and `up[v]` the one-box successors of v in the set."""
 
-    __slots__ = ("vertices", "index")
+    __slots__ = ("vertices", "index", "below", "up", "_covers")
 
     def __init__(self, vertices):
         vs = sorted({partition(v) for v in vertices},
                     key=lambda p: (size(p), tuple(-x for x in p)))
-        present = set(vs)
+        self.vertices = tuple(vs)
+        self.index = {v: i for i, v in enumerate(vs)}
+        self.below: dict[Partition, frozenset[Partition]] = {}
+        up: dict[Partition, list[Partition]] = {v: [] for v in vs}
         for v in vs:
-            for w in remove_strips(v, 1, HS):
-                if w not in present:
+            strips = strips_below(v, HS)
+            for d, w in strips:
+                if w not in self.index:
                     raise VertexMissingError(
                         f"vertex set is not downward closed: {v} needs {w}"
                     )
-        self.vertices = tuple(vs)
-        self.index = {v: i for i, v in enumerate(vs)}
+                if d == 1:
+                    up[w].append(v)
+            self.below[v] = frozenset(w for _, w in strips)
+        self.up = {v: tuple(ws) for v, ws in up.items()}
+        self._covers = tuple((v, w) for v in vs for w in self.up[v])
 
     @classmethod
     def up_to_size(cls, n: int) -> "VertexSet":
@@ -102,14 +105,9 @@ class VertexSet:
     def __hash__(self):
         return hash(self.vertices)
 
-    def covering_pairs(self) -> list[tuple[Partition, Partition]]:
+    def covering_pairs(self) -> tuple[tuple[Partition, Partition], ...]:
         """All (i, j) in the set with j obtained from i by adding one box."""
-        out = []
-        for i in self.vertices:
-            for j in add_strips(i, 1, HS):
-                if j in self.index:
-                    out.append((i, j))
-        return out
+        return self._covers
 
 
 class QuiverRep:
@@ -160,7 +158,9 @@ class QuiverRep:
         cached = self._arrow_cache.get(key)
         if cached is not None:
             return cached
-        j = _chain_step(i, k)
+        j = next((j for j in self.vs.up[i] if j in self.vs.below[k]), None)
+        if j is None:
+            raise RelationError(f"no covering step from {i} to {k}")
         m = linalg.mat_mul(self.arrow(j, k), self.cover_matrix(i, j))
         self._arrow_cache[key] = m
         return m
@@ -169,6 +169,7 @@ class QuiverRep:
         """Check both relation families over all triples with nonzero end
         dimensions: composites agree when the long arrow exists and vanish
         when it does not."""
+        below = self.vs.below
         support = [v for v in self.vs.vertices if self.dims[v]]
         for i in support:
             for k in support:
@@ -177,9 +178,9 @@ class QuiverRep:
                 mids = [
                     j
                     for j in self.vs.vertices
-                    if j != i and j != k and _hs_leq(i, j) and _hs_leq(j, k)
+                    if j != i and j != k and i in below[j] and j in below[k]
                 ]
-                if _hs_leq(i, k):
+                if i in below[k]:
                     direct = self.arrow(i, k)
                     for j in mids:
                         via = linalg.mat_mul(self.arrow(j, k), self.arrow(i, j))
@@ -196,14 +197,6 @@ class QuiverRep:
                             )
 
 
-def _chain_step(i: Partition, k: Partition) -> Partition:
-    """First single-box step from i toward k staying inside the strip."""
-    for j in add_strips(i, 1, HS):
-        if contains(k, j) and is_strip(k, j, HS):
-            return j
-    raise RelationError(f"no covering step from {i} to {k}")
-
-
 def build_simple(lam, vs: VertexSet) -> QuiverRep:
     """One-dimensional at the vertex, zero arrows."""
     lam = partition(lam)
@@ -216,20 +209,15 @@ def build_injective(lam, vs: VertexSet) -> QuiverRep:
     """Indecomposable injective at lam: one-dimensional on the down-set of
     lam, with all internal covering arrows the scalar one."""
     lam = partition(lam)
-    support = set()
-    for d in range(size(lam) + 1):
-        for mu in remove_strips(lam, d, HS):
-            if mu not in vs:
-                raise TruncationTooSmallError(
-                    f"vertex set misses {mu} below {lam}"
-                )
-            support.add(mu)
-    dims = {v: 1 for v in support}
-    arrows = {}
-    for (i, j) in vs.covering_pairs():
-        if i in support and j in support:
-            arrows[(i, j)] = [[Fraction(1)]]
-    return QuiverRep(vs, dims, arrows)
+    if lam not in vs.index:
+        raise TruncationTooSmallError(f"vertex set misses {lam}")
+    support = vs.below[lam]
+    arrows = {
+        (i, j): [[Fraction(1)]]
+        for (i, j) in vs.covering_pairs()
+        if i in support and j in support
+    }
+    return QuiverRep(vs, dict.fromkeys(support, 1), arrows)
 
 
 def direct_sum(reps: list[QuiverRep]) -> tuple[QuiverRep, list[dict[Partition, int]]]:
@@ -311,8 +299,8 @@ def socle(rep: QuiverRep) -> dict[Partition, int]:
         if rep.dims[v] == 0:
             continue
         stacked: Matrix = []
-        for w in add_strips(v, 1, HS):
-            if w in rep.vs.index and rep.dims[w]:
+        for w in rep.vs.up[v]:
+            if rep.dims[w]:
                 stacked.extend(rep.cover_matrix(v, w))
         nullity = rep.dims[v] - linalg.rank(stacked)
         if nullity:
@@ -386,12 +374,6 @@ def complex_cohomology(cx: RepComplex) -> list[dict[Partition, int]]:
     return out
 
 
-def canonical_injective_map_entry(mu: Partition, mup: Partition, v: Partition) -> int:
-    """Vertexwise entry of the canonical map between injectives at mu and
-    mup (requires mu/mup a horizontal strip): one on the common down-set."""
-    return 1 if _hs_leq(v, mup) and _hs_leq(v, mu) else 0
-
-
 def realize_bgg(lam, vs: VertexSet | None = None) -> RepComplex:
     """Realize the injective resolution of the simple at lam as an explicit
     complex of quiver representations; the constructor certifies d^2 = 0."""
@@ -423,10 +405,8 @@ def realize_bgg(lam, vs: VertexSet | None = None) -> RepComplex:
             for b, mu in enumerate(summands[t]):
                 for a, mup in enumerate(summands[t + 1]):
                     s = res.signs.get((mu, mup))
-                    if s is None:
-                        continue
-                    entry = canonical_injective_map_entry(mu, mup, v)
-                    if entry:
+                    # the canonical map is one on the common down-set
+                    if s is not None and v in vs.below[mu] and v in vs.below[mup]:
                         m[offsets[t + 1][a][v]][offsets[t][b][v]] = Fraction(s)
                         changed = True
             if changed:
@@ -444,22 +424,22 @@ def kernel_cokernel_constituents(
     lam, mu = partition(lam), partition(mu)
     if scale == 0:
         raise ZeroMapError("the zero map has no transparent kernel data")
-    if not is_strip(lam, mu, HS):
-        raise NotHSError(f"{lam}/{mu} is not a horizontal strip")
     vs = VertexSet.up_to_size(size(lam))
+    down_lam = vs.below[lam]
+    if mu not in down_lam:
+        raise NotHSError(f"{lam}/{mu} is not a horizontal strip")
+    down_mu = vs.below[mu]
     src = build_injective(lam, vs)
     dst = build_injective(mu, vs)
     ker: set[Partition] = set()
     coker: set[Partition] = set()
     for v in vs.vertices:
-        entry = scale * canonical_injective_map_entry(lam, mu, v)
-        r = 1 if (entry and src.dims[v] and dst.dims[v]) else 0
+        # the scaled canonical map has rank one on the common down-set
+        r = 1 if (v in down_lam and v in down_mu and src.dims[v] and dst.dims[v]) else 0
         if src.dims[v] - r:
             ker.add(v)
         if dst.dims[v] - r:
             coker.add(v)
-    down_lam = {v for v in vs.vertices if _hs_leq(v, lam)}
-    down_mu = {v for v in vs.vertices if _hs_leq(v, mu)}
     if ker != down_lam - down_mu or coker != down_mu - down_lam:
         raise RelationError("rank computation disagrees with down-set difference")
     return ker, coker
@@ -474,8 +454,8 @@ def tau_contractibility_check(vs: VertexSet) -> bool:
     x <= y forces tau(y) <= x, and tau iterates any vertex to empty."""
     for y in vs.vertices:
         ty = tau_first_row_deletion(y)
-        for x in vs.vertices:
-            if _hs_leq(x, y) and not _hs_leq(ty, x):
+        for x in vs.below[y]:
+            if ty not in vs.below[x]:
                 return False
     for x in vs.vertices:
         p = x

@@ -22,21 +22,21 @@ from .partitions import (
     contains,
     is_strip,
     partitions_up_to,
-    remove_strips,
     size,
+    strips_below,
     transpose,
 )
 
 def _check_strip_identity(cap: int) -> str | None:
     for lam in partitions_up_to(cap):
+        below = strips_below(lam, HS)
         for nu in partitions_up_to(size(lam)):
             if not contains(lam, nu):
                 continue
             total = 0
-            for d in range(size(lam) - size(nu) + 1):
-                for mu in remove_strips(lam, d, HS):
-                    if is_strip(mu, nu, VS):
-                        total += (-1) ** (size(mu) - size(nu))
+            for _, mu in below:
+                if is_strip(mu, nu, VS):
+                    total += (-1) ** (size(mu) - size(nu))
             expected = 1 if lam == nu else 0
             if total != expected:
                 return f"strip identity fails at lam={lam}, nu={nu}"

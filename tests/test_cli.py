@@ -162,6 +162,75 @@ class TestCommands:
         assert doc["dimension"] == 0
 
 
+def _refused(capsys, argv) -> str:
+    """Run argv in process; it must exit 2 with empty stdout and exactly one
+    JSON line on stderr.  Returns the error message."""
+    assert main(argv) == 2, argv
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1, err
+    return json.loads(err)["error"]
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_selftest_refuses_sizes_below_one(self, capsys, monkeypatch, size):
+        import tcalab.selftest as selftest_mod
+
+        def never(cap):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(selftest_mod, "CHECKS", [("never", never)])
+        assert "size" in _refused(capsys, ["selftest", "--size", size])
+
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["efw", "1", "1", "--bound", "-2"], None),
+            (["poincare", "1", "1", "--trunc", "-3"], None),
+            (["modify", "2,1", "-5"], None),
+            (["poincare", "1", "1"], "-4"),
+        ],
+    )
+    def test_negative_counts_are_refused(self, capsys, monkeypatch, argv, env):
+        if env is not None:
+            monkeypatch.setenv("TCALAB_TRUNC", env)
+        assert "non-negative" in _refused(capsys, argv)
+
+    def test_quiver_has_no_size_option(self, capsys):
+        _refused(capsys, ["quiver", "hom", "2", "1", "--size", "3"])
+
+    def test_infinite_depth_is_strict_json(self, capsys):
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        assert main(["depth", "0", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["depth"] is None and doc["infinite"] is True
+        assert main(["depth", "3", "5"]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["depth"] == 1 and "infinite" not in doc
+
+
+@pytest.mark.parametrize("script", ["depth_survey.py", "worked_examples.py"])
+def test_scripts_run(script):
+    import os
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / script)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
+
+
 class TestMainEntry:
     def test_main_returns_zero(self, capsys):
         assert main(["modify", "2", "2"]) == 0

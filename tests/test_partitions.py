@@ -35,6 +35,7 @@ from tcalab.partitions import (
     size,
     stable_dimension_poly,
     stats,
+    strips_below,
     transpose,
 )
 
@@ -117,6 +118,17 @@ class TestStrips:
                 assert set(remove_strips(lam, d, kind)) == brute_remove_strips(
                     lam, d, kind
                 )
+
+    def test_strips_below_matches_oracle(self):
+        for lam in partitions_up_to(6):
+            for kind in (HS, VS):
+                got = strips_below(lam, kind)
+                assert [d for d, _ in got] == sorted(d for d, _ in got)
+                assert len(set(got)) == len(got)
+                for d in range(size(lam) + 1):
+                    assert {mu for e, mu in got if e == d} == brute_remove_strips(
+                        lam, d, kind
+                    ), (lam, kind, d)
 
     def test_vs_is_hs_on_transposes(self):
         for lam in partitions_up_to(8):

@@ -9,6 +9,7 @@ from conftest import partitions_st
 from tcalab.ktheory import q_class, q_to_l
 from tcalab.partitions import (
     HS,
+    add_strips,
     is_strip,
     partitions_up_to,
     remove_strips,
@@ -48,6 +49,27 @@ class TestVertexSet:
         for i, j in vs.covering_pairs():
             assert size(j) == size(i) + 1
             assert is_strip(j, i, HS)
+
+
+class TestOrderTable:
+    # the full truncation, and the down-closure of (3,1) and (1,1,1), which
+    # is not a truncation by size
+    SETS = (
+        VertexSet.up_to_size(6),
+        VertexSet([(), (1,), (2,), (1, 1), (3,), (2, 1), (3, 1), (1, 1, 1)]),
+    )
+
+    @pytest.mark.parametrize("vs", SETS)
+    def test_below_is_the_strip_down_set(self, vs):
+        for v in vs.vertices:
+            assert vs.below[v] == {mu for mu in vs.vertices if is_strip(v, mu, HS)}, v
+
+    @pytest.mark.parametrize("vs", SETS)
+    def test_covers_match_a_scan(self, vs):
+        scan = [(i, j) for i in vs.vertices for j in add_strips(i, 1, HS) if j in vs]
+        assert list(vs.covering_pairs()) == scan
+        for v in vs.vertices:
+            assert list(vs.up[v]) == [j for i, j in scan if i == v]
 
 
 class TestBuilders:
