@@ -16,13 +16,6 @@ def zeros(rows: int, cols: int) -> Matrix:
     return [[Fraction(0)] * cols for _ in range(rows)]
 
 
-def identity(n: int) -> Matrix:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     rows = len(a)
     cols = len(b[0]) if b else 0

@@ -1,14 +1,14 @@
 """Finite-dimensional verification model: representations of the partition
-quiver with arrows along horizontal-strip containments and trivial-cocycle
-relations.
+quiver, given by its local presentation.
 
-A vertex set is a finite, downward-closed family of partitions under the
-relation mu <= lam iff lam/mu is a horizontal strip, which the vertex set
-tabulates once at construction.  A representation stores exact rational
-matrices on covering arrows only (one added box); longer arrows are
-recovered by composition, and a validator enforces the relations, so hom
-spaces, socles, and complex cohomology are honest linear algebra over the
-rationals.
+A vertex set is a finite family of partitions closed under removing a box.
+The quiver has one arrow for each added box, and its relations are local:
+squares commute, and two boxes added in one column compose to zero.  A
+representation stores exact rational matrices on the one-box arrows and
+is validated against these relations, which generate every relation
+between longer paths; so the path i -> k is well defined, and vanishes
+unless k/i is a horizontal strip.  Hom spaces, socles, and complex
+cohomology are then honest linear algebra over the rationals.
 
 This module machine-checks what the rest of the package computes by
 formula: hom dimensions between injectives, socles, exactness of the
@@ -26,9 +26,10 @@ from .linalg import Matrix
 from .partitions import (
     HS,
     Partition,
-    contains,
+    is_strip,
     partition,
     partitions_up_to,
+    remove_strips,
     size,
     strips_below,
 )
@@ -62,30 +63,33 @@ class RelationError(ValueError):
     """A stored representation violates the quiver relations."""
 
 
-class VertexSet:
-    """Finite downward-closed set of partitions, validated at construction,
-    with the quiver order tabulated once: `below[v]` is the down-set of v
-    (v included) and `up[v]` the one-box successors of v in the set."""
+def _compose(a: Matrix, b: Matrix, cols: int) -> Matrix:
+    """The product a b, with cols the column count of b.  A b with no rows
+    has inner dimension zero, and mat_mul, which reads the column count off
+    b's first row, cannot see cols then."""
+    return linalg.mat_mul(a, b) if b else linalg.zeros(len(a), cols)
 
-    __slots__ = ("vertices", "index", "below", "up", "_covers")
+
+class VertexSet:
+    """Finite set of partitions closed under removing a box, validated at
+    construction; `up[v]` holds the one-box successors of v in the set,
+    which are the targets of the quiver's arrows out of v."""
+
+    __slots__ = ("vertices", "index", "up", "_covers")
 
     def __init__(self, vertices):
         vs = sorted({partition(v) for v in vertices},
                     key=lambda p: (size(p), tuple(-x for x in p)))
         self.vertices = tuple(vs)
         self.index = {v: i for i, v in enumerate(vs)}
-        self.below: dict[Partition, frozenset[Partition]] = {}
         up: dict[Partition, list[Partition]] = {v: [] for v in vs}
         for v in vs:
-            strips = strips_below(v, HS)
-            for d, w in strips:
+            for w in remove_strips(v, 1, HS):
                 if w not in self.index:
                     raise VertexMissingError(
                         f"vertex set is not downward closed: {v} needs {w}"
                     )
-                if d == 1:
-                    up[w].append(v)
-            self.below[v] = frozenset(w for _, w in strips)
+                up[w].append(v)
         self.up = {v: tuple(ws) for v, ws in up.items()}
         self._covers = tuple((v, w) for v in vs for w in self.up[v])
 
@@ -114,7 +118,7 @@ class QuiverRep:
     """Dimension vector plus matrices on covering arrows; immutable after
     construction and checked against the relations."""
 
-    __slots__ = ("vs", "dims", "arrows", "_arrow_cache")
+    __slots__ = ("vs", "dims", "arrows")
 
     def __init__(
         self,
@@ -133,7 +137,6 @@ class QuiverRep:
                 raise ValueError(f"arrow {(i, j)} has wrong shape")
             if not linalg.is_zero(m):
                 self.arrows[(i, j)] = m
-        self._arrow_cache: dict[tuple[Partition, Partition], Matrix] = {}
         if validate:
             self.validate()
 
@@ -149,52 +152,36 @@ class QuiverRep:
             return linalg.zeros(self.dims[j], self.dims[i])
         return m
 
-    def arrow(self, i: Partition, k: Partition) -> Matrix:
-        """Matrix of the composite arrow i -> k (for i <= k), reconstructed
-        through any chain of single boxes inside the strip k/i."""
-        if i == k:
-            return linalg.identity(self.dims[i])
-        key = (i, k)
-        cached = self._arrow_cache.get(key)
-        if cached is not None:
-            return cached
-        j = next((j for j in self.vs.up[i] if j in self.vs.below[k]), None)
-        if j is None:
-            raise RelationError(f"no covering step from {i} to {k}")
-        m = linalg.mat_mul(self.arrow(j, k), self.cover_matrix(i, j))
-        self._arrow_cache[key] = m
-        return m
-
     def validate(self) -> None:
-        """Check both relation families over all triples with nonzero end
-        dimensions: composites agree when the long arrow exists and vanish
-        when it does not."""
-        below = self.vs.below
-        support = [v for v in self.vs.vertices if self.dims[v]]
-        for i in support:
-            for k in support:
-                if i == k or not contains(k, i):
-                    continue
-                mids = [
-                    j
-                    for j in self.vs.vertices
-                    if j != i and j != k and i in below[j] and j in below[k]
-                ]
-                if i in below[k]:
-                    direct = self.arrow(i, k)
-                    for j in mids:
-                        via = linalg.mat_mul(self.arrow(j, k), self.arrow(i, j))
-                        if via != direct:
-                            raise RelationError(
-                                f"composite through {j} disagrees on {(i, k)}"
-                            )
-                else:
-                    for j in mids:
-                        via = linalg.mat_mul(self.arrow(j, k), self.arrow(i, j))
+        """Check the local relations on every two-box path i -> j -> k with
+        nonzero dimension at i and k: when k/i is a horizontal strip the
+        paths through its middles agree (squares commute; a horizontal
+        domino has one middle), and when k/i is a vertical domino the
+        composite vanishes.  Any two one-box chains through a strip are
+        joined by commuting squares, and a chain through two boxes of one
+        column can be reordered until they form a vertical domino, so
+        these relations generate all the others."""
+        dims, up = self.dims, self.vs.up
+        for i in self.vs.vertices:
+            if not dims[i]:
+                continue
+            paths: dict[Partition, Matrix] = {}
+            for j in up[i]:
+                for k in up[j]:
+                    if not dims[k]:
+                        continue
+                    via = _compose(
+                        self.cover_matrix(j, k), self.cover_matrix(i, j), dims[i]
+                    )
+                    if not is_strip(k, i, HS):
                         if not linalg.is_zero(via):
                             raise RelationError(
                                 f"nonzero composite through {j} on non-strip {(i, k)}"
                             )
+                    elif paths.setdefault(k, via) != via:
+                        raise RelationError(
+                            f"composite through {j} disagrees on {(i, k)}"
+                        )
 
 
 def build_simple(lam, vs: VertexSet) -> QuiverRep:
@@ -211,7 +198,7 @@ def build_injective(lam, vs: VertexSet) -> QuiverRep:
     lam = partition(lam)
     if lam not in vs.index:
         raise TruncationTooSmallError(f"vertex set misses {lam}")
-    support = vs.below[lam]
+    support = {mu for _, mu in strips_below(lam, HS)}
     arrows = {
         (i, j): [[Fraction(1)]]
         for (i, j) in vs.covering_pairs()
@@ -326,8 +313,9 @@ class RepComplex:
         for t, phi in enumerate(self.maps):
             src, dst = self.reps[t], self.reps[t + 1]
             for (i, j) in vs.covering_pairs():
-                lhs = linalg.mat_mul(self._mat(phi, dst, src, j), src.cover_matrix(i, j))
-                rhs = linalg.mat_mul(dst.cover_matrix(i, j), self._mat(phi, dst, src, i))
+                n = src.dims[i]
+                lhs = _compose(self._mat(phi, dst, src, j), src.cover_matrix(i, j), n)
+                rhs = _compose(dst.cover_matrix(i, j), self._mat(phi, dst, src, i), n)
                 if lhs != rhs:
                     raise NotAComplexError(f"map {t} is not a morphism at {(i, j)}")
         for t in range(len(self.maps) - 1):
@@ -382,16 +370,16 @@ def realize_bgg(lam, vs: VertexSet | None = None) -> RepComplex:
         vs = VertexSet.up_to_size(size(lam))
     res: InjResolution = bgg_resolution(lam)
     reps: list[QuiverRep] = []
-    summands: list[tuple[Partition, ...]] = []
+    blocks: list[list[QuiverRep]] = []
     offsets: list[list[dict[Partition, int]]] = []
     for term in res.terms:
-        blocks = [build_injective(mu, vs) for mu in term]
-        if blocks:
-            total, offs = direct_sum(blocks)
+        term_blocks = [build_injective(mu, vs) for mu in term]
+        if term_blocks:
+            total, offs = direct_sum(term_blocks)
         else:
             total, offs = QuiverRep(vs, {}, {}), []
         reps.append(total)
-        summands.append(term)
+        blocks.append(term_blocks)
         offsets.append(offs)
     maps: list[dict[Partition, Matrix]] = []
     for t in range(len(res.terms) - 1):
@@ -402,11 +390,12 @@ def realize_bgg(lam, vs: VertexSet | None = None) -> RepComplex:
                 continue
             m = linalg.zeros(dst.dims[v], src.dims[v])
             changed = False
-            for b, mu in enumerate(summands[t]):
-                for a, mup in enumerate(summands[t + 1]):
+            for b, mu in enumerate(res.terms[t]):
+                for a, mup in enumerate(res.terms[t + 1]):
                     s = res.signs.get((mu, mup))
                     # the canonical map is one on the common down-set
-                    if s is not None and v in vs.below[mu] and v in vs.below[mup]:
+                    common = blocks[t][b].dims[v] and blocks[t + 1][a].dims[v]
+                    if s is not None and common:
                         m[offsets[t + 1][a][v]][offsets[t][b][v]] = Fraction(s)
                         changed = True
             if changed:
@@ -418,28 +407,25 @@ def realize_bgg(lam, vs: VertexSet | None = None) -> RepComplex:
 def kernel_cokernel_constituents(
     lam, mu, scale: int = 1
 ) -> tuple[set[Partition], set[Partition]]:
-    """Constituent sets of the kernel and cokernel of a nonzero map between
-    the injectives at lam and mu, machine-verified by vertexwise ranks and
-    checked against the down-set differences."""
+    """Constituent sets of the kernel and cokernel of the map scale * canonical
+    between the injectives at lam and mu, read off as H^0 and H^1 of the
+    two-term complex (vertexwise ranks of a certified morphism) and checked
+    against the down-set differences."""
     lam, mu = partition(lam), partition(mu)
     if scale == 0:
         raise ZeroMapError("the zero map has no transparent kernel data")
-    vs = VertexSet.up_to_size(size(lam))
-    down_lam = vs.below[lam]
-    if mu not in down_lam:
+    if not is_strip(lam, mu, HS):
         raise NotHSError(f"{lam}/{mu} is not a horizontal strip")
-    down_mu = vs.below[mu]
+    vs = VertexSet.up_to_size(size(lam))
     src = build_injective(lam, vs)
     dst = build_injective(mu, vs)
-    ker: set[Partition] = set()
-    coker: set[Partition] = set()
-    for v in vs.vertices:
-        # the scaled canonical map has rank one on the common down-set
-        r = 1 if (v in down_lam and v in down_mu and src.dims[v] and dst.dims[v]) else 0
-        if src.dims[v] - r:
-            ker.add(v)
-        if dst.dims[v] - r:
-            coker.add(v)
+    phi = {
+        v: [[Fraction(scale)]] for v in vs.vertices if src.dims[v] and dst.dims[v]
+    }
+    h0, h1 = complex_cohomology(RepComplex([src, dst], [phi]))
+    ker, coker = set(h0), set(h1)
+    down_lam = {x for _, x in strips_below(lam, HS)}
+    down_mu = {x for _, x in strips_below(mu, HS)}
     if ker != down_lam - down_mu or coker != down_mu - down_lam:
         raise RelationError("rank computation disagrees with down-set difference")
     return ker, coker
@@ -454,8 +440,8 @@ def tau_contractibility_check(vs: VertexSet) -> bool:
     x <= y forces tau(y) <= x, and tau iterates any vertex to empty."""
     for y in vs.vertices:
         ty = tau_first_row_deletion(y)
-        for x in vs.below[y]:
-            if ty not in vs.below[x]:
+        for _, x in strips_below(y, HS):
+            if not is_strip(x, ty, HS):
                 return False
     for x in vs.vertices:
         p = x

@@ -94,8 +94,7 @@ def _check_depth_coherence(cap: int) -> str | None:
 
 
 def _check_character_threshold(cap: int) -> str | None:
-    small = min(cap, 3)
-    for lam in partitions_up_to(small):
+    for lam in partitions_up_to(cap):
         X = hilbert.char_poly_simple(lam)
         top = lam[0] if lam else 0
         for n in range(0, top + size(lam) + 3):
@@ -108,8 +107,7 @@ def _check_character_threshold(cap: int) -> str | None:
 
 
 def _check_bgg_realization(cap: int) -> str | None:
-    small = min(cap, 4)
-    for lam in partitions_up_to(small):
+    for lam in partitions_up_to(cap):
         cx = quiver.realize_bgg(lam)
         cohom = quiver.complex_cohomology(cx)
         if cohom[0] != {lam: 1} or any(h for h in cohom[1:]):

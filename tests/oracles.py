@@ -263,3 +263,62 @@ def brute_lr_via_characters(lam, mu, nu, trace_fn) -> int:
             )
     assert total.denominator == 1
     return int(total)
+
+
+def _mat_mul(a, b, rows: int, inner: int, cols: int):
+    return [
+        [sum(a[r][m] * b[m][c] for m in range(inner)) for c in range(cols)]
+        for r in range(rows)
+    ]
+
+
+def global_relations_hold(vertices, dims, arrows) -> bool:
+    """The quiver relations checked globally: for every pair i, k with
+    nonzero dimensions and i contained in k, the composite through each
+    middle j with j/i and k/j horizontal strips equals the long arrow i -> k
+    when k/i is a horizontal strip, and vanishes when it is not.  The long
+    arrow is composed along one chain of single boxes.  `arrows` maps
+    one-box pairs (i, j) to dims[j] x dims[i] matrices, absent ones are zero,
+    and every product takes its shape from `dims`, so a path through a
+    zero-dimensional vertex keeps its shape.  This is the O(V^3) scan the
+    library's local validator replaced."""
+    vertices = list(vertices)
+
+    def d(v):
+        return dims.get(v, 0)
+
+    def cover(i, j):
+        m = arrows.get((i, j))
+        return m if m is not None else [[0] * d(i) for _ in range(d(j))]
+
+    memo = {}
+
+    def arrow(i, k):
+        if i == k:
+            return [[int(r == c) for c in range(d(i))] for r in range(d(i))]
+        if (i, k) not in memo:
+            j = next(
+                j for j in vertices
+                if len(cells(j) - cells(i)) == 1
+                and skew_is_hs(j, i)
+                and skew_is_hs(k, j)
+            )
+            memo[i, k] = _mat_mul(arrow(j, k), cover(i, j), d(k), d(j), d(i))
+        return memo[i, k]
+
+    support = [v for v in vertices if d(v)]
+    for i in support:
+        for k in support:
+            if i == k or not cells(i) <= cells(k):
+                continue
+            if skew_is_hs(k, i):
+                direct = arrow(i, k)
+            else:
+                direct = [[0] * d(i) for _ in range(d(k))]
+            for j in vertices:
+                if j in (i, k) or not (skew_is_hs(j, i) and skew_is_hs(k, j)):
+                    continue
+                via = _mat_mul(arrow(j, k), arrow(i, j), d(k), d(j), d(i))
+                if via != direct:
+                    return False
+    return True

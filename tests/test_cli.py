@@ -12,14 +12,14 @@ from tcalab.cli import build_parser, main, parse_class_spec, InputError
 from tcalab.ktheory import AClass, KClassK
 
 
-def run_cli(args, env=None):
+def run_cli(args, env=None, flags=()):
     import os
 
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
     return subprocess.run(
-        [sys.executable, "-m", "tcalab.cli", *args],
+        [sys.executable, *flags, "-m", "tcalab.cli", *args],
         capture_output=True,
         text=True,
         env=full_env,
@@ -95,6 +95,13 @@ class TestCommands:
         assert run_cli(["depth", "not-a-partition", "1"]).returncode == 2
         assert run_cli([]).returncode == 2
         assert run_cli(["selftest", "--size", "3"]).returncode == 0
+
+    @pytest.mark.parametrize("flags", [(), ("-O",)])
+    def test_selftest_at_default_size(self, flags):
+        # every check runs at the full size, and none relies on `assert`
+        proc = run_cli(["selftest"], flags=flags)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["size"] == 5
 
     def test_operand_count_is_checked_first(self, capsys):
         operands = {

@@ -1,11 +1,14 @@
 """Machine verification layer: hom spaces, socles, relation validation,
 realized resolutions, kernel/cokernel constituents, contractibility."""
 
+import random
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings
 
 from conftest import partitions_st
+from oracles import global_relations_hold
 from tcalab.ktheory import q_class, q_to_l
 from tcalab.partitions import (
     HS,
@@ -60,9 +63,10 @@ class TestOrderTable:
     )
 
     @pytest.mark.parametrize("vs", SETS)
-    def test_below_is_the_strip_down_set(self, vs):
+    def test_injective_support_is_the_strip_down_set(self, vs):
         for v in vs.vertices:
-            assert vs.below[v] == {mu for mu in vs.vertices if is_strip(v, mu, HS)}, v
+            support = {mu for mu in vs.vertices if build_injective(v, vs).dims[mu]}
+            assert support == {mu for mu in vs.vertices if is_strip(v, mu, HS)}, v
 
     @pytest.mark.parametrize("vs", SETS)
     def test_covers_match_a_scan(self, vs):
@@ -70,6 +74,68 @@ class TestOrderTable:
         assert list(vs.covering_pairs()) == scan
         for v in vs.vertices:
             assert list(vs.up[v]) == [j for i, j in scan if i == v]
+
+
+class TestLocalRelations:
+    """The validator checks the quiver's local presentation; it must accept
+    and reject exactly what the global scan in the oracles does."""
+
+    SETS = (
+        VertexSet.up_to_size(3),
+        VertexSet.up_to_size(4),
+        VertexSet.up_to_size(5),
+        TestOrderTable.SETS[1],
+    )
+
+    @staticmethod
+    def _accepts(vs, dims, arrows):
+        try:
+            QuiverRep(vs, dims, arrows)
+        except RelationError:
+            return False
+        return True
+
+    @staticmethod
+    def _random_rep(rng, vs):
+        dims = {v: rng.choice((0, 0, 1, 1, 2)) for v in vs.vertices}
+        arrows = {
+            (i, j): [
+                [Fraction(rng.choice((-1, 0, 0, 1))) for _ in range(dims[i])]
+                for _ in range(dims[j])
+            ]
+            for (i, j) in vs.covering_pairs()
+            if dims[i] and dims[j] and rng.random() < 0.5
+        }
+        return dims, arrows
+
+    @staticmethod
+    def _perturbed_sum(rng, vs):
+        lams = rng.sample(vs.vertices, rng.randint(1, 3))
+        ds, _ = direct_sum([build_injective(lam, vs) for lam in lams])
+        pairs = [(i, j) for (i, j) in vs.covering_pairs() if ds.dims[i] and ds.dims[j]]
+        arrows = {pair: [row[:] for row in ds.cover_matrix(*pair)] for pair in pairs}
+        if pairs:
+            m = arrows[rng.choice(pairs)]
+            a, b = rng.randrange(len(m)), rng.randrange(len(m[0]))
+            m[a][b] += rng.choice((-1, 1, 2))
+        return ds.dims, arrows
+
+    @pytest.mark.parametrize("vs", SETS)
+    def test_agrees_with_the_global_scan(self, vs):
+        rng = random.Random(len(vs))
+        verdicts = set()
+        for n in range(150):
+            make = self._random_rep if n % 2 else self._perturbed_sum
+            dims, arrows = make(rng, vs)
+            want = global_relations_hold(vs.vertices, dims, arrows)
+            assert self._accepts(vs, dims, arrows) == want, (dims, arrows)
+            verdicts.add((make, want))
+        assert len(verdicts) == 4
+
+    def test_products_through_zero_dimensional_vertices_keep_their_shape(self):
+        vs = VertexSet.up_to_size(2)
+        RepComplex([build_simple((1,), vs), build_injective((2,), vs)], [{}])
+        QuiverRep(VertexSet.up_to_size(5), {(): 1, (1,): 1, (4,): 2}, {})
 
 
 class TestBuilders:
@@ -259,6 +325,14 @@ class TestKernelCokernel:
         ker, coker = kernel_cokernel_constituents((2, 1), (1,))
         assert ker == {(2, 1), (1, 1), (2,)}
         assert coker == {()}
+        assert kernel_cokernel_constituents((2, 1), (1,), scale=3) == (ker, coker)
+
+    def test_ranks_are_computed(self, monkeypatch):
+        from tcalab import linalg
+
+        monkeypatch.setattr(linalg, "rank", lambda m: 0)
+        with pytest.raises(RelationError):
+            kernel_cokernel_constituents((2, 1), (1,))
 
     def test_errors(self):
         with pytest.raises(ZeroMapError):
