@@ -10,6 +10,13 @@ between longer paths; so the path i -> k is well defined, and vanishes
 unless k/i is a horizontal strip.  Hom spaces, socles, and complex
 cohomology are then honest linear algebra over the rationals.
 
+One convention holds throughout: an arrow matrix or a map block that is
+not stored is the zero map.  Constructors check the shape of every block
+and drop the zero ones, and a product of blocks that vanishes is again
+absent, so no zero matrix is built to stand for a missing one.  Every sum
+of indecomposable injectives, a single one included, comes from
+`injective_sum`, which also says where each summand sits in the basis.
+
 This module machine-checks what the rest of the package computes by
 formula: hom dimensions between injectives, socles, exactness of the
 injective resolutions of simples, and kernel/cokernel constituents.
@@ -63,11 +70,13 @@ class RelationError(ValueError):
     """A stored representation violates the quiver relations."""
 
 
-def _compose(a: Matrix, b: Matrix, cols: int) -> Matrix:
-    """The product a b, with cols the column count of b.  A b with no rows
-    has inner dimension zero, and mat_mul, which reads the column count off
-    b's first row, cannot see cols then."""
-    return linalg.mat_mul(a, b) if b else linalg.zeros(len(a), cols)
+def _product(a: Matrix | None, b: Matrix | None) -> Matrix | None:
+    """The block a b, with None standing for the zero map on either side
+    and in the result."""
+    if a is None or b is None:
+        return None
+    m = linalg.mat_mul(a, b)
+    return None if linalg.is_zero(m) else m
 
 
 class VertexSet:
@@ -116,7 +125,8 @@ class VertexSet:
 
 class QuiverRep:
     """Dimension vector plus matrices on covering arrows; immutable after
-    construction and checked against the relations."""
+    construction and checked against the relations.  Zero arrows are not
+    stored."""
 
     __slots__ = ("vs", "dims", "arrows")
 
@@ -125,32 +135,29 @@ class QuiverRep:
         vs: VertexSet,
         dims: dict[Partition, int],
         arrows: dict[tuple[Partition, Partition], Matrix],
-        validate: bool = True,
     ):
+        for v, d in dims.items():
+            if v not in vs.index:
+                raise VertexMissingError(f"dimension at {v}, outside the vertex set")
+            if not isinstance(d, int) or d < 0:
+                raise ValueError(f"dimension {d!r} at {v} is not a nonnegative integer")
         self.vs = vs
         self.dims = {v: dims.get(v, 0) for v in vs.vertices}
         self.arrows = {}
         for (i, j), m in arrows.items():
             if i not in vs.index or j not in vs.index:
                 raise VertexMissingError(f"arrow endpoint missing: {(i, j)}")
-            if len(m) != self.dims[j] or (m and len(m[0]) != self.dims[i]):
+            if len(m) != self.dims[j] or any(len(row) != self.dims[i] for row in m):
                 raise ValueError(f"arrow {(i, j)} has wrong shape")
             if not linalg.is_zero(m):
                 self.arrows[(i, j)] = m
-        if validate:
-            self.validate()
+        self.validate()
 
     def dim(self, v) -> int:
         return self.dims.get(partition(v), 0)
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
-
-    def cover_matrix(self, i: Partition, j: Partition) -> Matrix:
-        m = self.arrows.get((i, j))
-        if m is None:
-            return linalg.zeros(self.dims[j], self.dims[i])
-        return m
 
     def validate(self) -> None:
         """Check the local relations on every two-box path i -> j -> k with
@@ -161,20 +168,19 @@ class QuiverRep:
         joined by commuting squares, and a chain through two boxes of one
         column can be reordered until they form a vertical domino, so
         these relations generate all the others."""
-        dims, up = self.dims, self.vs.up
+        dims, up, arrows = self.dims, self.vs.up, self.arrows
         for i in self.vs.vertices:
             if not dims[i]:
                 continue
-            paths: dict[Partition, Matrix] = {}
+            paths: dict[Partition, Matrix | None] = {}
             for j in up[i]:
+                a = arrows.get((i, j))
                 for k in up[j]:
                     if not dims[k]:
                         continue
-                    via = _compose(
-                        self.cover_matrix(j, k), self.cover_matrix(i, j), dims[i]
-                    )
+                    via = _product(arrows.get((j, k)), a)
                     if not is_strip(k, i, HS):
-                        if not linalg.is_zero(via):
+                        if via is not None:
                             raise RelationError(
                                 f"nonzero composite through {j} on non-strip {(i, k)}"
                             )
@@ -192,47 +198,35 @@ def build_simple(lam, vs: VertexSet) -> QuiverRep:
     return QuiverRep(vs, {lam: 1}, {})
 
 
-def build_injective(lam, vs: VertexSet) -> QuiverRep:
-    """Indecomposable injective at lam: one-dimensional on the down-set of
-    lam, with all internal covering arrows the scalar one."""
-    lam = partition(lam)
-    if lam not in vs.index:
-        raise TruncationTooSmallError(f"vertex set misses {lam}")
-    support = {mu for _, mu in strips_below(lam, HS)}
-    arrows = {
-        (i, j): [[Fraction(1)]]
-        for (i, j) in vs.covering_pairs()
-        if i in support and j in support
-    }
-    return QuiverRep(vs, dict.fromkeys(support, 1), arrows)
-
-
-def direct_sum(reps: list[QuiverRep]) -> tuple[QuiverRep, list[dict[Partition, int]]]:
-    """Block direct sum; returns the sum and per-summand vertex offsets."""
-    if not reps:
-        raise ValueError("empty direct sum needs an explicit vertex set")
-    vs = reps[0].vs
-    for r in reps:
-        if r.vs != vs:
-            raise VertexSetMismatchError("summands live on different vertex sets")
-    offsets: list[dict[Partition, int]] = []
-    dims = {v: 0 for v in vs.vertices}
-    for r in reps:
-        offsets.append(dict(dims))
-        for v in vs.vertices:
-            dims[v] += r.dims[v]
+def injective_sum(
+    lams, vs: VertexSet
+) -> tuple[QuiverRep, dict[Partition, dict[int, int]]]:
+    """The direct sum of the indecomposable injectives at lams, in order.
+    The injective at lam is one-dimensional on the down-set of lam, with
+    every internal covering arrow the scalar one; where[v][b] is the basis
+    position at v of summand b, present when v lies below lams[b]."""
+    where: dict[Partition, dict[int, int]] = {v: {} for v in vs.vertices}
+    for b, lam in enumerate(lams):
+        lam = partition(lam)
+        if lam not in vs.index:
+            raise TruncationTooSmallError(f"vertex set misses {lam}")
+        for _, mu in strips_below(lam, HS):
+            where[mu][b] = len(where[mu])
     arrows: dict[tuple[Partition, Partition], Matrix] = {}
     for (i, j) in vs.covering_pairs():
-        if dims[i] == 0 or dims[j] == 0:
-            continue
-        m = linalg.zeros(dims[j], dims[i])
-        for r, off in zip(reps, offsets):
-            block = r.cover_matrix(i, j)
-            for a in range(r.dims[j]):
-                for b in range(r.dims[i]):
-                    m[off[j] + a][off[i] + b] = block[a][b]
-        arrows[(i, j)] = m
-    return QuiverRep(vs, dims, arrows), offsets
+        common = where[i].keys() & where[j].keys()
+        if common:
+            m = linalg.zeros(len(where[j]), len(where[i]))
+            for b in common:
+                m[where[j][b]][where[i][b]] = Fraction(1)
+            arrows[(i, j)] = m
+    dims = {v: len(at) for v, at in where.items()}
+    return QuiverRep(vs, dims, arrows), where
+
+
+def build_injective(lam, vs: VertexSet) -> QuiverRep:
+    """Indecomposable injective at lam."""
+    return injective_sum([lam], vs)[0]
 
 
 def hom_space(
@@ -243,25 +237,25 @@ def hom_space(
     if r1.vs != r2.vs:
         raise VertexSetMismatchError("hom requires a common vertex set")
     vs = r1.vs
-    slots: list[tuple[Partition, int, int]] = []
     offset: dict[Partition, int] = {}
     n = 0
     for v in vs.vertices:
         offset[v] = n
-        slots.extend((v, a, b) for a in range(r2.dims[v]) for b in range(r1.dims[v]))
         n += r2.dims[v] * r1.dims[v]
     rows: list[list[Fraction]] = []
     for (i, j) in vs.covering_pairs():
-        a1 = r1.cover_matrix(i, j)
-        a2 = r2.cover_matrix(i, j)
+        a1 = r1.arrows.get((i, j))
+        a2 = r2.arrows.get((i, j))
         # constraint: phi_j a1 - a2 phi_i = 0, entrywise
         for p in range(r2.dims[j]):
             for q in range(r1.dims[i]):
                 row = [Fraction(0)] * n
-                for s in range(r1.dims[j]):
-                    row[offset[j] + p * r1.dims[j] + s] += a1[s][q]
-                for s in range(r2.dims[i]):
-                    row[offset[i] + s * r1.dims[i] + q] -= a2[p][s]
+                if a1 is not None:
+                    for s in range(r1.dims[j]):
+                        row[offset[j] + p * r1.dims[j] + s] += a1[s][q]
+                if a2 is not None:
+                    for s in range(r2.dims[i]):
+                        row[offset[i] + s * r1.dims[i] + q] -= a2[p][s]
                 if any(x != 0 for x in row):
                     rows.append(row)
     basis_vecs = linalg.nullspace(rows, n)
@@ -287,8 +281,7 @@ def socle(rep: QuiverRep) -> dict[Partition, int]:
             continue
         stacked: Matrix = []
         for w in rep.vs.up[v]:
-            if rep.dims[w]:
-                stacked.extend(rep.cover_matrix(v, w))
+            stacked.extend(rep.arrows.get((v, w), []))
         nullity = rep.dims[v] - linalg.rank(stacked)
         if nullity:
             out[v] = nullity
@@ -298,7 +291,8 @@ def socle(rep: QuiverRep) -> dict[Partition, int]:
 @dataclass
 class RepComplex:
     """Consecutive representations with intertwiner matrices; construction
-    verifies the morphism property and that consecutive composites vanish."""
+    checks the shape of every map block, drops the zero ones, and verifies
+    the morphism property and that consecutive composites vanish."""
 
     reps: list[QuiverRep]
     maps: list[dict[Partition, Matrix]]
@@ -310,30 +304,29 @@ class RepComplex:
         for r in self.reps:
             if r.vs != vs:
                 raise VertexSetMismatchError("terms on different vertex sets")
+        maps: list[dict[Partition, Matrix]] = []
         for t, phi in enumerate(self.maps):
             src, dst = self.reps[t], self.reps[t + 1]
+            kept: dict[Partition, Matrix] = {}
+            for v, m in phi.items():
+                if v not in vs.index:
+                    raise VertexMissingError(
+                        f"map {t} has a block at {v}, outside the vertex set"
+                    )
+                if len(m) != dst.dims[v] or any(len(row) != src.dims[v] for row in m):
+                    raise ValueError(f"map {t} has a block of wrong shape at {v}")
+                if not linalg.is_zero(m):
+                    kept[v] = m
             for (i, j) in vs.covering_pairs():
-                n = src.dims[i]
-                lhs = _compose(self._mat(phi, dst, src, j), src.cover_matrix(i, j), n)
-                rhs = _compose(dst.cover_matrix(i, j), self._mat(phi, dst, src, i), n)
-                if lhs != rhs:
+                lhs = _product(kept.get(j), src.arrows.get((i, j)))
+                if lhs != _product(dst.arrows.get((i, j)), kept.get(i)):
                     raise NotAComplexError(f"map {t} is not a morphism at {(i, j)}")
-        for t in range(len(self.maps) - 1):
-            mid, last = self.reps[t + 1], self.reps[t + 2]
-            for v in vs.vertices:
-                prod = linalg.mat_mul(
-                    self._mat(self.maps[t + 1], last, mid, v),
-                    self._mat(self.maps[t], mid, self.reps[t], v),
-                )
-                if not linalg.is_zero(prod):
+            maps.append(kept)
+        self.maps = maps
+        for t in range(len(maps) - 1):
+            for v, m in maps[t].items():
+                if _product(maps[t + 1].get(v), m) is not None:
                     raise NotAComplexError(f"composite {t},{t+1} nonzero at {v}")
-
-    @staticmethod
-    def _mat(phi: dict[Partition, Matrix], dst: QuiverRep, src: QuiverRep, v) -> Matrix:
-        m = phi.get(v)
-        if m is None:
-            return linalg.zeros(dst.dims[v], src.dims[v])
-        return m
 
 
 def complex_cohomology(cx: RepComplex) -> list[dict[Partition, int]]:
@@ -349,12 +342,10 @@ def complex_cohomology(cx: RepComplex) -> list[dict[Partition, int]]:
                 continue
             out_rank = 0
             if t < len(cx.maps):
-                m = RepComplex._mat(cx.maps[t], cx.reps[t + 1], rep, v)
-                out_rank = linalg.rank(m)
+                out_rank = linalg.rank(cx.maps[t].get(v, []))
             in_rank = 0
             if t > 0:
-                m = RepComplex._mat(cx.maps[t - 1], rep, cx.reps[t - 1], v)
-                in_rank = linalg.rank(m)
+                in_rank = linalg.rank(cx.maps[t - 1].get(v, []))
             h = d - out_rank - in_rank
             if h:
                 table[v] = h
@@ -369,39 +360,22 @@ def realize_bgg(lam, vs: VertexSet | None = None) -> RepComplex:
     if vs is None:
         vs = VertexSet.up_to_size(size(lam))
     res: InjResolution = bgg_resolution(lam)
-    reps: list[QuiverRep] = []
-    blocks: list[list[QuiverRep]] = []
-    offsets: list[list[dict[Partition, int]]] = []
-    for term in res.terms:
-        term_blocks = [build_injective(mu, vs) for mu in term]
-        if term_blocks:
-            total, offs = direct_sum(term_blocks)
-        else:
-            total, offs = QuiverRep(vs, {}, {}), []
-        reps.append(total)
-        blocks.append(term_blocks)
-        offsets.append(offs)
+    sums = [injective_sum(term, vs) for term in res.terms]
     maps: list[dict[Partition, Matrix]] = []
     for t in range(len(res.terms) - 1):
+        (src, at), (dst, to) = sums[t], sums[t + 1]
         phi: dict[Partition, Matrix] = {}
-        src, dst = reps[t], reps[t + 1]
         for v in vs.vertices:
-            if src.dims[v] == 0 or dst.dims[v] == 0:
-                continue
-            m = linalg.zeros(dst.dims[v], src.dims[v])
-            changed = False
-            for b, mu in enumerate(res.terms[t]):
-                for a, mup in enumerate(res.terms[t + 1]):
-                    s = res.signs.get((mu, mup))
-                    # the canonical map is one on the common down-set
-                    common = blocks[t][b].dims[v] and blocks[t + 1][a].dims[v]
-                    if s is not None and common:
-                        m[offsets[t + 1][a][v]][offsets[t][b][v]] = Fraction(s)
-                        changed = True
-            if changed:
-                phi[v] = m
+            # the canonical map is one on the common down-set
+            for b, col in at[v].items():
+                for a, row in to[v].items():
+                    s = res.signs.get((res.terms[t][b], res.terms[t + 1][a]))
+                    if s is not None:
+                        if v not in phi:
+                            phi[v] = linalg.zeros(dst.dims[v], src.dims[v])
+                        phi[v][row][col] = Fraction(s)
         maps.append(phi)
-    return RepComplex(reps, maps)
+    return RepComplex([rep for rep, _ in sums], maps)
 
 
 def kernel_cokernel_constituents(

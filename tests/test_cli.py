@@ -295,3 +295,21 @@ def test_no_assert_statements_in_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"assert statement in {path.name} at lines {lines}"
+
+
+def test_package_imports_only_the_standard_library():
+    """The package is dependency-free: every absolute import is tcalab's own
+    or the standard library's."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "tcalab"
+    modules = sorted(src.glob("*.py"))
+    assert modules
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        tops = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops.add(node.module.split(".")[0])
+        foreign = sorted(tops - {"tcalab"} - sys.stdlib_module_names)
+        assert not foreign, f"{path.name} imports {foreign}"

@@ -2,6 +2,7 @@
 realized resolutions, kernel/cokernel constituents, contractibility."""
 
 import random
+from collections import Counter
 
 import pytest
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 
 from conftest import partitions_st
 from oracles import global_relations_hold
+from tcalab import linalg
 from tcalab.ktheory import q_class, q_to_l
 from tcalab.partitions import (
     HS,
@@ -31,13 +33,19 @@ from tcalab.quiver import (
     build_injective,
     build_simple,
     complex_cohomology,
-    direct_sum,
     hom_space,
+    injective_sum,
     kernel_cokernel_constituents,
     realize_bgg,
     socle,
     tau_contractibility_check,
 )
+
+
+def dense_arrow(rep, i, j):
+    """The matrix on the arrow i -> j, with an absent arrow as zeros."""
+    m = rep.arrows.get((i, j))
+    return linalg.zeros(rep.dims[j], rep.dims[i]) if m is None else m
 
 
 class TestVertexSet:
@@ -111,9 +119,9 @@ class TestLocalRelations:
     @staticmethod
     def _perturbed_sum(rng, vs):
         lams = rng.sample(vs.vertices, rng.randint(1, 3))
-        ds, _ = direct_sum([build_injective(lam, vs) for lam in lams])
+        ds, _ = injective_sum(lams, vs)
         pairs = [(i, j) for (i, j) in vs.covering_pairs() if ds.dims[i] and ds.dims[j]]
-        arrows = {pair: [row[:] for row in ds.cover_matrix(*pair)] for pair in pairs}
+        arrows = {pair: [row[:] for row in dense_arrow(ds, *pair)] for pair in pairs}
         if pairs:
             m = arrows[rng.choice(pairs)]
             a, b = rng.randrange(len(m)), rng.randrange(len(m[0]))
@@ -136,6 +144,67 @@ class TestLocalRelations:
         vs = VertexSet.up_to_size(2)
         RepComplex([build_simple((1,), vs), build_injective((2,), vs)], [{}])
         QuiverRep(VertexSet.up_to_size(5), {(): 1, (1,): 1, (4,): 2}, {})
+
+
+class TestRepInput:
+    VS = VertexSet.up_to_size(2)
+
+    def test_negative_dimension_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            QuiverRep(self.VS, {(1,): -2}, {})
+
+    def test_dimension_outside_the_vertex_set_rejected(self):
+        with pytest.raises(VertexMissingError):
+            QuiverRep(self.VS, {(5,): 3}, {})
+
+    def test_ragged_arrow_rejected(self):
+        one = Fraction(1)
+        with pytest.raises(ValueError, match="shape"):
+            QuiverRep(self.VS, {(): 1, (1,): 2}, {((), (1,)): [[one], [one, one]]})
+
+    @pytest.mark.parametrize(
+        "phi, error",
+        [
+            ({(1,): [[Fraction(1), Fraction(0)]]}, "shape"),
+            ({(1,): [[Fraction(1)], [Fraction(0)]]}, "shape"),
+            ({(5,): [[Fraction(1)]]}, "outside the vertex set"),
+        ],
+    )
+    def test_map_blocks_are_checked(self, phi, error):
+        q = build_injective((2,), self.VS)
+        with pytest.raises(ValueError, match=error):
+            RepComplex([q, q], [phi])
+
+
+def seeded_lists(vs, seed, count):
+    """count lists of one to three vertices of vs, repeats allowed."""
+    rng = random.Random(seed)
+    return [rng.choices(vs.vertices, k=rng.randint(1, 3)) for _ in range(count)]
+
+
+class TestInjectiveSum:
+    VS = VertexSet.up_to_size(5)
+    LISTS = seeded_lists(VS, 5, 24)
+
+    def test_dimension_vector_and_positions(self):
+        for lams in self.LISTS:
+            rep, where = injective_sum(lams, self.VS)
+            for v in self.VS.vertices:
+                below = [b for b, lam in enumerate(lams) if is_strip(lam, v, HS)]
+                assert rep.dims[v] == len(below), (lams, v)
+                assert list(where[v].items()) == [(b, n) for n, b in enumerate(below)]
+
+    def test_hom_dimensions(self):
+        for lams, mus in zip(self.LISTS, self.LISTS[1:]):
+            expected = sum(is_strip(a, b, HS) for a in lams for b in mus)
+            dim, _ = hom_space(
+                injective_sum(lams, self.VS)[0], injective_sum(mus, self.VS)[0]
+            )
+            assert dim == expected, (lams, mus)
+
+    def test_socle_is_the_summand_multiset(self):
+        for lams in self.LISTS:
+            assert socle(injective_sum(lams, self.VS)[0]) == Counter(lams), lams
 
 
 class TestBuilders:
@@ -214,15 +283,13 @@ class TestHomSocle:
         dim, basis = hom_space(q21, q1)
         assert dim == 1
         phi = basis[0]
-        from tcalab import linalg
-
         for (i, j) in vs.covering_pairs():
             lhs = linalg.mat_mul(
                 phi.get(j, linalg.zeros(q1.dims[j], q21.dims[j])),
-                q21.cover_matrix(i, j),
+                dense_arrow(q21, i, j),
             )
             rhs = linalg.mat_mul(
-                q1.cover_matrix(i, j),
+                dense_arrow(q1, i, j),
                 phi.get(i, linalg.zeros(q1.dims[i], q21.dims[i])),
             )
             assert lhs == rhs
@@ -232,9 +299,7 @@ class TestHomSocle:
         for lam in partitions_up_to(4):
             assert socle(build_injective(lam, vs)) == {lam: 1}
             assert socle(build_simple(lam, vs)) == {lam: 1}
-        ds, _ = direct_sum(
-            [build_injective((2,), vs), build_injective((1, 1), vs)]
-        )
+        ds, _ = injective_sum([(2,), (1, 1)], vs)
         assert socle(ds) == {(2,): 1, (1, 1): 1}
 
     def test_cyclic_subreps_have_top_socle(self):
