@@ -7,6 +7,15 @@ and q honest polynomials; p carries the character polynomial through the
 umbral substitution t^nu -> falling factorials in the variables a_i, and q
 is the low-degree correction governed by local cohomology.
 
+The umbral map sends t^nu / nu! to prod_i (a_i)_{m_i} / m_i! =
+prod_i C(a_i, m_i), the binomial C(a, nu) with m_i = m_i(nu).  In that
+basis a character polynomial has integer coefficients: the one of the
+simple at lam carries sum (-1)^d chi^mu(nu) on C(a, nu), over the vertical
+strips lam/mu of size d with |mu| = |nu|.  It is computed in integers and
+turned into the monomial basis once, by expanding each falling factorial
+(x)_d = sum_k s(d, k) x^k through the signed Stirling numbers of the first
+kind.
+
 The modification rule evaluates a character polynomial below its stable
 range by rho-shifted sorting of the prefixed sequence (N - |lam|, lam).
 """
@@ -29,7 +38,7 @@ from .partitions import (
     size,
     strips_below,
 )
-from .polynomials import MPoly, falling_factorial_poly
+from .polynomials import MPoly, TermKey, partition_key
 from .symchar import mn_trace
 
 
@@ -56,24 +65,21 @@ def enhanced_of_simple(lam: Partition) -> MPoly:
     """Enhanced series of a single simple: sum over cycle types mu of
     trace(c_mu) t^mu / mu!.  Homogeneous of weighted degree |lam|."""
     lam = partition(lam)
-    terms = MPoly.zero("t")
-    for mu in _partitions_cached(size(lam)):
-        tr = mn_trace(mu, lam)
-        if tr:
-            terms = terms + MPoly.of_partition(mu, Fraction(tr, aut_factor(mu)))
-    return terms
+    return MPoly("t", {
+        partition_key(mu): Fraction(mn_trace(mu, lam), aut_factor(mu))
+        for mu in _partitions_cached(size(lam))
+    })
 
 
 def enhanced_sum(terms: Iterable[tuple[Partition, int]]) -> MPoly:
     """Sum of c times the enhanced series of the simple at lam over the
-    pairs (lam, c); coefficients of a repeated lam are added first."""
-    coeffs: dict[Partition, int] = {}
+    pairs (lam, c), accumulated in one dict."""
+    out: dict[TermKey, Fraction] = {}
     for lam, c in terms:
-        coeffs[lam] = coeffs.get(lam, 0) + c
-    return sum(
-        (enhanced_of_simple(lam).scale(c) for lam, c in coeffs.items() if c),
-        MPoly.zero("t"),
-    )
+        if c:
+            for k, v in enhanced_of_simple(lam).terms.items():
+                out[k] = out.get(k, 0) + c * v
+    return MPoly("t", out)
 
 
 def enhanced_of_class(x: AClass) -> EnhancedSeries:
@@ -89,26 +95,59 @@ def plain_hilbert(s: EnhancedSeries) -> tuple[tuple[Fraction, ...], tuple[Fracti
     return s.p.restrict_to_first(), s.q.restrict_to_first()
 
 
+def _stirling_rows(top: int) -> list[list[int]]:
+    """Signed Stirling numbers of the first kind, row n holding s(n, k) for
+    k = 0..n, so that (x)_n = sum_k s(n, k) x^k."""
+    rows = [[1]]
+    for n in range(top):
+        prev = rows[-1] + [0]
+        rows.append([(prev[k - 1] if k else 0) - n * prev[k] for k in range(n + 2)])
+    return rows
+
+
 def umbral(p: MPoly) -> MPoly:
     """Linear (not multiplicative) substitution prod t_i^{d_i} ->
-    prod (a_i)_{d_i}, falling factorials expanded in the monomial basis."""
+    prod (a_i)_{d_i}, falling factorials expanded in the monomial basis.
+
+    One pass: each (a_i)_{d_i} is expanded by the Stirling row s(d_i, .),
+    the variables of a term are distinct so the expansions multiply by
+    concatenating keys, and every term lands in one accumulating dict."""
     if p.family != "t":
         raise ValueError("umbral substitution consumes the t family")
-    out = MPoly.zero("a")
+    top = max((d for key in p.terms for _, d in key), default=0)
+    stirling = _stirling_rows(top)
+    # (i, d) -> [(((i, e),), s(d, e))], so every key shares its (i, e) pairs
+    factors: dict[tuple[int, int], list] = {}
+    out: dict[TermKey, Fraction] = {}
     for key, c in p.terms.items():
-        term = MPoly.const(c, "a")
+        expansion = [((), c)]
         for i, d in key:
-            term = term * falling_factorial_poly(i, d)
-        out = out + term
-    return out
+            if (i, d) not in factors:
+                factors[i, d] = [(((i, e),), s) for e, s in enumerate(stirling[d]) if s]
+            expansion = [(k + f, v * s) for k, v in expansion for f, s in factors[i, d]]
+        for k, v in expansion:
+            out[k] = out.get(k, 0) + v
+    return MPoly("a", out)
 
 
 @lru_cache(maxsize=None)
 def char_poly_simple(lam: Partition) -> MPoly:
     """Character polynomial of the simple at lam: umbral image of the
-    alternating sum of enhanced series over vertical-strip removals."""
+    alternating sum of enhanced series over vertical-strip removals.
+
+    In the binomial basis C(a, nu) = prod_i C(a_i, m_i(nu)) the coefficient
+    on nu is the integer sum of (-1)^d chi^mu(nu) over the strips lam/mu of
+    size d with |mu| = |nu|; the monomial form is its umbral image from
+    t^nu / nu!, taken once at the end."""
     lam = partition(lam)
-    return umbral(enhanced_sum((mu, (-1) ** d) for d, mu in strips_below(lam, VS)))
+    coeffs: dict[Partition, int] = {}
+    for d, mu in strips_below(lam, VS):
+        sign = -1 if d % 2 else 1
+        for nu in _partitions_cached(size(mu)):
+            coeffs[nu] = coeffs.get(nu, 0) + sign * mn_trace(nu, mu)
+    return umbral(MPoly("t", {
+        partition_key(nu): Fraction(c, aut_factor(nu)) for nu, c in coeffs.items() if c
+    }))
 
 
 def char_poly_of_class(x: AClass) -> MPoly:
@@ -120,8 +159,7 @@ def eval_char_poly(X: MPoly, mu: Partition) -> Fraction:
     """Evaluate at a_i = m_i(mu); integral on integral classes."""
     if X.family != "a":
         raise ValueError("character polynomials live in the a family")
-    values = {i: Fraction(m) for i, m in multiplicities(partition(mu)).items()}
-    return X.evaluate(values)
+    return X.evaluate(multiplicities(partition(mu)))
 
 
 def modification(lam: Partition, n_boxes: int) -> tuple[int, Partition] | None:

@@ -14,9 +14,9 @@ stabilized row-count statistic of a resolution shape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .hilbert import enhanced_of_class, enhanced_sum
 from .ktheory import AClass, signed_transpose
@@ -33,7 +33,7 @@ from .partitions import (
     size,
     transpose,
 )
-from .polynomials import MPoly
+from .polynomials import MPoly, exp_t0_truncated, mul_truncated
 from .symchar import VClass
 
 
@@ -53,8 +53,7 @@ class InsufficientShapeError(ValueError):
 # Injective resolutions of simples
 
 
-@dataclass(frozen=True)
-class InjResolution:
+class InjResolution(NamedTuple):
     """Terms of the minimal injective resolution of a simple, with the sign
     on each single-box covering map between consecutive terms."""
 
@@ -123,8 +122,7 @@ def ext_simples(lam, mu) -> dict[int, int]:
 # Local cohomology and depth of tail modules
 
 
-@dataclass(frozen=True)
-class LocalCohomologyTable:
+class LocalCohomologyTable(NamedTuple):
     """Rows i >= 1 of local cohomology as objects of the semisimple
     category, plus the partition generating each row as a module."""
 
@@ -185,8 +183,7 @@ def q_from_local_cohomology(lam, D: int) -> MPoly:
 # Resolution shapes
 
 
-@dataclass(frozen=True)
-class TailRule:
+class TailRule(NamedTuple):
     """Past start, each generator gains one box at the bottom of the column
     per homological step (so generator degree grows by exactly one)."""
 
@@ -195,22 +192,34 @@ class TailRule:
     column: int = 1
 
 
-@dataclass(frozen=True)
 class FreeResShape:
     """Homological-degree-indexed generator multisets of a minimal free
     resolution, with an optional eventually-linear tail rule."""
 
-    explicit: dict[int, tuple[Partition, ...]]
-    tail: TailRule | None = None
+    __slots__ = ("explicit", "tail")
 
-    def __post_init__(self):
-        if not self.explicit:
+    def __init__(
+        self, explicit: dict[int, tuple[Partition, ...]], tail: TailRule | None = None
+    ):
+        if not explicit:
             raise InsufficientShapeError("explicit range must be nonempty")
-        idx = sorted(self.explicit)
+        idx = sorted(explicit)
         if idx != list(range(idx[0], idx[-1] + 1)) or idx[0] != 0:
             raise InsufficientShapeError("explicit indices must run 0..n")
-        if self.tail is not None and self.tail.start != idx[-1] + 1:
+        if tail is not None and tail.start != idx[-1] + 1:
             raise InsufficientShapeError("tail must start right after explicit range")
+        self.explicit = explicit
+        self.tail = tail
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, FreeResShape)
+            and self.explicit == other.explicit
+            and self.tail == other.tail
+        )
+
+    def __repr__(self) -> str:
+        return f"FreeResShape(explicit={self.explicit!r}, tail={self.tail!r})"
 
     def generators_at(self, i: int) -> tuple[Partition, ...]:
         if i in self.explicit:
@@ -374,12 +383,14 @@ def depth_from_resolution(shape: FreeResShape) -> int | float:
 # Poincare series
 
 
-@dataclass(frozen=True)
 class PoincareTruncation:
     """Exact coefficients of t^d q^n for d <= bound."""
 
-    bound: int
-    coeffs: dict[tuple[int, int], Fraction]
+    __slots__ = ("bound", "coeffs")
+
+    def __init__(self, bound: int, coeffs: dict[tuple[int, int], Fraction]):
+        self.bound = bound
+        self.coeffs = coeffs
 
     def __eq__(self, other) -> bool:
         return (
@@ -387,6 +398,9 @@ class PoincareTruncation:
             and self.bound == other.bound
             and self.coeffs == other.coeffs
         )
+
+    def __repr__(self) -> str:
+        return f"PoincareTruncation(bound={self.bound!r}, coeffs={self.coeffs!r})"
 
     def coefficient(self, d: int, n: int) -> Fraction:
         return self.coeffs.get((d, n), Fraction(0))
@@ -509,8 +523,6 @@ def fourier_hilbert_check(x: AClass, bound: int) -> bool:
     """Verify that the transform swaps the p and q parts of the enhanced
     series up to t -> -t, exactly on the polynomial parts and under
     truncation for the assembled series identity."""
-    from .polynomials import exp_t0_truncated, mul_truncated
-
     s = enhanced_of_class(x)
     fs = enhanced_of_class(fourier_class(x))
     if fs.p != s.q.negate_variables() or fs.q != s.p.negate_variables():

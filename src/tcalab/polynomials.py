@@ -17,13 +17,18 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .partitions import Partition, multiplicities, partitions_up_to
+from .partitions import Partition, aut_factor, multiplicities, partitions_up_to
 
 TermKey = tuple[tuple[int, int], ...]
 
 
 def _canon_key(exps: dict[int, int]) -> TermKey:
     return tuple(sorted((i, d) for i, d in exps.items() if d != 0))
+
+
+def partition_key(mu: Partition) -> TermKey:
+    """Key of the monomial prod_i x_i^{m_i(mu)}."""
+    return tuple(sorted(multiplicities(mu).items()))
 
 
 def weighted_degree(key: TermKey) -> int:
@@ -68,7 +73,7 @@ class MPoly:
     @classmethod
     def of_partition(cls, mu: Partition, coeff=1, family: str = "t") -> "MPoly":
         """coeff * prod_i x_i^{m_i(mu)}."""
-        return cls.monomial(multiplicities(mu), coeff, family)
+        return cls(family, {partition_key(mu): Fraction(coeff)})
 
     # -- ring structure
 
@@ -160,17 +165,19 @@ class MPoly:
         return MPoly(self.family, out)
 
     def evaluate(self, values: dict[int, Fraction | int]) -> Fraction:
-        """Evaluate with unlisted variables set to zero."""
+        """Evaluate with unlisted variables set to zero.  Each coefficient is
+        multiplied by the product of its powers, an integer when the values
+        are integers."""
         total = Fraction(0)
         for k, c in self.terms.items():
-            v = c
+            v = 1
             for i, d in k:
-                base = Fraction(values.get(i, 0))
-                if base == 0:
-                    v = Fraction(0)
+                base = values.get(i, 0)
+                if not base:
                     break
                 v *= base**d
-            total += v
+            else:
+                total += c * v
         return total
 
     def restrict_to_first(self) -> tuple[Fraction, ...]:
@@ -218,25 +225,13 @@ class MPoly:
         ]
 
 
-def falling_factorial_poly(index: int, depth: int, family: str = "a") -> MPoly:
-    """(x_index)_depth = x(x-1)...(x-depth+1) expanded in the monomial basis."""
-    out = MPoly.const(1, family)
-    x = MPoly.variable(index, family)
-    for k in range(depth):
-        out = out * (x - MPoly.const(k, family))
-    return out
-
-
 @lru_cache(maxsize=None)
 def exp_t0_truncated(bound: int) -> MPoly:
     """exp(T_0) truncated at weighted degree bound: sum over partitions mu
     of size <= bound of t^mu / mu!."""
-    from .partitions import aut_factor
-
-    terms: dict[TermKey, Fraction] = {}
-    for mu in partitions_up_to(bound):
-        terms[_canon_key(multiplicities(mu))] = Fraction(1, aut_factor(mu))
-    return MPoly("t", terms)
+    return MPoly("t", {
+        partition_key(mu): Fraction(1, aut_factor(mu)) for mu in partitions_up_to(bound)
+    })
 
 
 def mul_truncated(a: MPoly, b: MPoly, bound: int) -> MPoly:

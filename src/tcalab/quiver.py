@@ -24,7 +24,6 @@ injective resolutions of simples, and kernel/cokernel constituents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -288,25 +287,24 @@ def socle(rep: QuiverRep) -> dict[Partition, int]:
     return out
 
 
-@dataclass
 class RepComplex:
     """Consecutive representations with intertwiner matrices; construction
     checks the shape of every map block, drops the zero ones, and verifies
     the morphism property and that consecutive composites vanish."""
 
-    reps: list[QuiverRep]
-    maps: list[dict[Partition, Matrix]]
+    __slots__ = ("reps", "maps")
 
-    def __post_init__(self):
-        if len(self.maps) != len(self.reps) - 1:
+    def __init__(self, reps: list[QuiverRep], maps: list[dict[Partition, Matrix]]):
+        if len(maps) != len(reps) - 1:
             raise NotAComplexError("need one map between consecutive terms")
-        vs = self.reps[0].vs
-        for r in self.reps:
+        vs = reps[0].vs
+        for r in reps:
             if r.vs != vs:
                 raise VertexSetMismatchError("terms on different vertex sets")
-        maps: list[dict[Partition, Matrix]] = []
-        for t, phi in enumerate(self.maps):
-            src, dst = self.reps[t], self.reps[t + 1]
+        self.reps = reps
+        self.maps: list[dict[Partition, Matrix]] = []
+        for t, phi in enumerate(maps):
+            src, dst = reps[t], reps[t + 1]
             kept: dict[Partition, Matrix] = {}
             for v, m in phi.items():
                 if v not in vs.index:
@@ -321,12 +319,18 @@ class RepComplex:
                 lhs = _product(kept.get(j), src.arrows.get((i, j)))
                 if lhs != _product(dst.arrows.get((i, j)), kept.get(i)):
                     raise NotAComplexError(f"map {t} is not a morphism at {(i, j)}")
-            maps.append(kept)
-        self.maps = maps
-        for t in range(len(maps) - 1):
-            for v, m in maps[t].items():
-                if _product(maps[t + 1].get(v), m) is not None:
+            self.maps.append(kept)
+        for t in range(len(self.maps) - 1):
+            for v, m in self.maps[t].items():
+                if _product(self.maps[t + 1].get(v), m) is not None:
                     raise NotAComplexError(f"composite {t},{t+1} nonzero at {v}")
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, RepComplex)
+            and self.reps == other.reps
+            and self.maps == other.maps
+        )
 
 
 def complex_cohomology(cx: RepComplex) -> list[dict[Partition, int]]:

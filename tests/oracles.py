@@ -322,3 +322,52 @@ def global_relations_hold(vertices, dims, arrows) -> bool:
                 if via != direct:
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Character polynomials by polynomial products
+
+
+def falling_factorial_poly(index: int, depth: int, family: str = "a"):
+    """(x_index)_depth = x(x-1)...(x-depth+1) expanded in the monomial basis
+    by repeated MPoly products."""
+    from tcalab.polynomials import MPoly
+
+    out = MPoly.const(1, family)
+    x = MPoly.variable(index, family)
+    for k in range(depth):
+        out = out * (x - MPoly.const(k, family))
+    return out
+
+
+def umbral_by_products(p):
+    """The umbral map prod t_i^{d_i} -> prod (a_i)_{d_i}, term by term as a
+    product of falling factorial polynomials."""
+    from tcalab.polynomials import MPoly
+
+    out = MPoly.zero("a")
+    for key, c in p.terms.items():
+        term = MPoly.const(c, "a")
+        for i, d in key:
+            term = term * falling_factorial_poly(i, d)
+        out = out + term
+    return out
+
+
+def char_poly_by_products(lam):
+    """Character polynomial of the simple at lam as the umbral image of the
+    alternating sum, over vertical-strip removals lam/mu of size d, of the
+    enhanced series sum_nu chi^mu(nu) t^nu / nu!, all built from MPoly sums
+    and products of Fractions."""
+    from tcalab.partitions import VS, aut_factor, partitions_of, strips_below
+    from tcalab.polynomials import MPoly
+    from tcalab.symchar import mn_trace
+
+    series = MPoly.zero("t")
+    for d, mu in strips_below(lam, VS):
+        for nu in partitions_of(sum(mu)):
+            c = Fraction((-1) ** d * mn_trace(nu, mu), aut_factor(nu))
+            series = series + MPoly.monomial(
+                {i: nu.count(i) for i in set(nu)}, c, "t"
+            )
+    return umbral_by_products(series)

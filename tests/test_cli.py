@@ -313,3 +313,16 @@ def test_package_imports_only_the_standard_library():
                 tops.add(node.module.split(".")[0])
         foreign = sorted(tops - {"tcalab"} - sys.stdlib_module_names)
         assert not foreign, f"{path.name} imports {foreign}"
+
+
+def test_cli_import_leaves_out_inspect():
+    """Importing the CLI pulls in neither `inspect` nor `dataclasses` (which
+    imports `inspect`, `ast`, `dis` and `copy`); they cost start-up time and
+    resident memory in every one-shot request."""
+    code = (
+        "import sys; before = set(sys.modules); import tcalab.cli; "
+        "print(sorted({'inspect', 'dataclasses'} & (set(sys.modules) - before)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -1,12 +1,14 @@
 """Enhanced series, character polynomials, the modification rule, and the
 threshold behavior, all pinned to worked values or character oracles."""
 
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
 from hypothesis import given
 
 from conftest import partitions_st
+from oracles import char_poly_by_products, umbral_by_products
 from tcalab.hilbert import (
     EnhancedSeries,
     char_poly_of_class,
@@ -130,8 +132,28 @@ class TestUmbral:
             p = p + MPoly.monomial(exps, c, "t")
         assert (umbral(p) == MPoly.zero("a")) == (p == MPoly.zero("t"))
 
+    def test_matches_falling_factorial_products(self):
+        # seeded random t-polynomials with Fraction coefficients: the one-pass
+        # Stirling expansion equals the product of falling factorial MPolys
+        rng = random.Random(6)
+        for _ in range(200):
+            p = MPoly.zero("t")
+            for _ in range(rng.randint(0, 6)):
+                exps = {
+                    rng.randint(1, 4): rng.randint(1, 5) for _ in range(rng.randint(0, 3))
+                }
+                c = Fraction(rng.randint(-40, 40), rng.randint(1, 30))
+                p = p + MPoly.monomial(exps, c, "t")
+            assert umbral(p) == umbral_by_products(p)
+
 
 class TestCharacterPolynomials:
+    def test_matches_the_product_oracle(self):
+        # the integer binomial-basis route against the enhanced-series sums
+        # and falling factorial products, on every partition up to size 8
+        for lam in partitions_up_to(8):
+            assert char_poly_simple(lam) == char_poly_by_products(lam), lam
+
     def test_displayed_polynomials(self):
         assert char_poly_simple(()) == MPoly.const(1, "a")
         assert char_poly_simple((1,)) == amono({1: 1}, 1) + amono({}, -1)

@@ -6,13 +6,9 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from oracles import falling_factorial_poly
 from tcalab.partitions import aut_factor, partitions_up_to
-from tcalab.polynomials import (
-    MPoly,
-    exp_t0_truncated,
-    falling_factorial_poly,
-    mul_truncated,
-)
+from tcalab.polynomials import MPoly, exp_t0_truncated, mul_truncated
 
 
 def small_polys():
@@ -25,6 +21,16 @@ def small_polys():
             (MPoly.monomial(e, c) for e, c in ts), start=MPoly.zero()
         )
     )
+
+
+def term_by_term(p, values):
+    """p at the given values, unlisted variables zero, one term at a time."""
+    total = Fraction(0)
+    for key, c in p.terms.items():
+        for i, d in key:
+            c *= Fraction(values.get(i, 0)) ** d
+        total += c
+    return total
 
 
 class TestRing:
@@ -68,6 +74,27 @@ class TestRing:
         p = MPoly.monomial({1: 2}, 1, "a") + MPoly.monomial({2: 1}, -3, "a")
         assert p.evaluate({1: 2, 2: 1}) == 1
         assert p.evaluate({}) == 0
+        q = p + MPoly.monomial({2: 1}, Fraction(3, 2), "a")
+        assert q.evaluate({1: Fraction(1, 2), 2: 2}) == Fraction(-11, 4)
+        as_fractions = {1: Fraction(2), 2: Fraction(1)}
+        assert q.evaluate({1: 2, 2: 1}) == q.evaluate(as_fractions) == Fraction(5, 2)
+
+    @given(
+        small_polys(),
+        st.dictionaries(st.integers(1, 3), st.integers(-3, 3)),
+        st.dictionaries(
+            st.integers(1, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        ),
+    )
+    def test_evaluate_int_and_fraction_values_agree(self, p, ints, fracs):
+        # the same values as int and as Fraction give the same Fraction, and
+        # non-integral values the sum of the terms taken one by one
+        as_fractions = {i: Fraction(v) for i, v in ints.items()}
+        got = p.evaluate(ints)
+        assert isinstance(got, Fraction)
+        assert got == p.evaluate(as_fractions) == term_by_term(p, as_fractions)
+        assert isinstance(p.evaluate(fracs), Fraction)
+        assert p.evaluate(fracs) == term_by_term(p, fracs)
 
 
 class TestSpecials:
