@@ -1,7 +1,10 @@
-"""Minimal exact linear algebra over Fraction.
+"""Minimal exact linear algebra over the rationals.
 
-Matrices are lists of row lists; the empty matrix with zero rows or columns
-is legal everywhere.  Nothing numerical happens here: rank and nullspace
+Matrices are lists of row lists whose entries are `int` or `Fraction`;
+the empty matrix with zero rows or columns is legal everywhere.  Integer
+entries stay integers as long as no division is needed, and the only
+division, by a pivot other than 1 or -1, goes through `Fraction`, so no
+float ever appears.  Nothing numerical happens here: rank and nullspace
 come from exact Gaussian elimination, so rank decisions are unambiguous.
 """
 
@@ -9,11 +12,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Matrix = list[list[Fraction]]
+# exact rational entries: int or Fraction, never float
+Matrix = list[list[int | Fraction]]
 
 
 def zeros(rows: int, cols: int) -> Matrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
+    return [[0] * cols for _ in range(rows)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -40,7 +44,9 @@ def is_zero(a: Matrix) -> bool:
 
 
 def _rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column indices."""
+    """Reduced row echelon form and pivot column indices.  A pivot of 1 or
+    -1 keeps an integer row integral; any other pivot is inverted as a
+    Fraction."""
     m = [row[:] for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -51,8 +57,12 @@ def _rref(a: Matrix) -> tuple[Matrix, list[int]]:
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        p = m[r][c]
+        if p == -1:
+            m[r] = [-x for x in m[r]]
+        elif p != 1:
+            inv = Fraction(1) / p
+            m[r] = [x * inv for x in m[r]]
         for i in range(rows):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
@@ -71,7 +81,8 @@ def rank(a: Matrix) -> int:
 
 
 def nullspace(a: Matrix, cols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per free column, deterministic."""
+    """Basis of the right kernel, one vector per free column, deterministic;
+    its entries are Fractions whatever the input's entries are."""
     if cols == 0:
         return []
     if not a:
@@ -88,6 +99,6 @@ def nullspace(a: Matrix, cols: int) -> list[list[Fraction]]:
         v = [Fraction(0)] * cols
         v[free] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -m[r][free]
+            v[pc] = Fraction(-m[r][free])
         basis.append(v)
     return basis

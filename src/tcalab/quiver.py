@@ -4,18 +4,19 @@ quiver, given by its local presentation.
 A vertex set is a finite family of partitions closed under removing a box.
 The quiver has one arrow for each added box, and its relations are local:
 squares commute, and two boxes added in one column compose to zero.  A
-representation stores exact rational matrices on the one-box arrows and
-is validated against these relations, which generate every relation
-between longer paths; so the path i -> k is well defined, and vanishes
-unless k/i is a horizontal strip.  Hom spaces, socles, and complex
-cohomology are then honest linear algebra over the rationals.
+representation stores matrices with integer or `Fraction` entries on the
+one-box arrows and is validated against these relations, which generate
+every relation between longer paths; so the path i -> k is well defined,
+and vanishes unless k/i is a horizontal strip.  Hom spaces, socles, and
+complex cohomology are then honest linear algebra over the rationals.
 
 One convention holds throughout: an arrow matrix or a map block that is
-not stored is the zero map.  Constructors check the shape of every block
-and drop the zero ones, and a product of blocks that vanishes is again
-absent, so no zero matrix is built to stand for a missing one.  Every sum
-of indecomposable injectives, a single one included, comes from
-`injective_sum`, which also says where each summand sits in the basis.
+not stored is the zero map.  Constructors check the shape and the entries
+of every block and drop the zero ones, and a product of blocks that
+vanishes is again absent, so no zero matrix is built to stand for a
+missing one.  Every sum of indecomposable injectives, a single one
+included, comes from `injective_sum`, which also says where each summand
+sits in the basis.
 
 This module machine-checks what the rest of the package computes by
 formula: hom dimensions between injectives, socles, exactness of the
@@ -35,7 +36,6 @@ from .partitions import (
     is_strip,
     partition,
     partitions_up_to,
-    remove_strips,
     size,
     strips_below,
 )
@@ -69,6 +69,20 @@ class RelationError(ValueError):
     """A stored representation violates the quiver relations."""
 
 
+def _block_fault(m: Matrix, rows: int, cols: int) -> str | None:
+    """What keeps m from being a rows x cols matrix of exact entries, ints
+    (bools excluded) or Fractions; None when nothing does."""
+    if len(m) != rows:
+        return "wrong shape"
+    for row in m:
+        if len(row) != cols:
+            return "wrong shape"
+        for x in row:
+            if type(x) is not int and type(x) is not Fraction:
+                return f"inexact entry {x!r}"
+    return None
+
+
 def _product(a: Matrix | None, b: Matrix | None) -> Matrix | None:
     """The block a b, with None standing for the zero map on either side
     and in the result."""
@@ -76,6 +90,17 @@ def _product(a: Matrix | None, b: Matrix | None) -> Matrix | None:
         return None
     m = linalg.mat_mul(a, b)
     return None if linalg.is_zero(m) else m
+
+
+def _corner_removals(v: Partition) -> list[Partition]:
+    """The partitions v with one corner box removed, lexicographically
+    descending (bottom corner first), as remove_strips(v, 1, HS) lists
+    them."""
+    out = []
+    for i in range(len(v) - 1, -1, -1):
+        if i + 1 == len(v) or v[i] > v[i + 1]:
+            out.append(v[:i] + (v[i] - 1,) + v[i + 1:] if v[i] > 1 else v[:i])
+    return out
 
 
 class VertexSet:
@@ -86,24 +111,33 @@ class VertexSet:
     __slots__ = ("vertices", "index", "up", "_covers")
 
     def __init__(self, vertices):
-        vs = sorted({partition(v) for v in vertices},
-                    key=lambda p: (size(p), tuple(-x for x in p)))
+        self._build(sorted({partition(v) for v in vertices},
+                           key=lambda p: (size(p), tuple(-x for x in p))))
+
+    def _build(self, vs: list[Partition]) -> None:
+        """Tabulate canonical partitions given by size, then lexicographically
+        descending; raise if a corner removal leaves the set."""
         self.vertices = tuple(vs)
         self.index = {v: i for i, v in enumerate(vs)}
         up: dict[Partition, list[Partition]] = {v: [] for v in vs}
         for v in vs:
-            for w in remove_strips(v, 1, HS):
-                if w not in self.index:
+            for w in _corner_removals(v):
+                covers = up.get(w)
+                if covers is None:
                     raise VertexMissingError(
                         f"vertex set is not downward closed: {v} needs {w}"
                     )
-                up[w].append(v)
+                covers.append(v)
         self.up = {v: tuple(ws) for v, ws in up.items()}
         self._covers = tuple((v, w) for v in vs for w in self.up[v])
 
     @classmethod
     def up_to_size(cls, n: int) -> "VertexSet":
-        return cls(partitions_up_to(n))
+        """All partitions of size at most n, which partitions_up_to already
+        lists canonical and in vertex order."""
+        out = cls.__new__(cls)
+        out._build(partitions_up_to(n))
+        return out
 
     def __contains__(self, p) -> bool:
         return partition(p) in self.index
@@ -146,8 +180,9 @@ class QuiverRep:
         for (i, j), m in arrows.items():
             if i not in vs.index or j not in vs.index:
                 raise VertexMissingError(f"arrow endpoint missing: {(i, j)}")
-            if len(m) != self.dims[j] or any(len(row) != self.dims[i] for row in m):
-                raise ValueError(f"arrow {(i, j)} has wrong shape")
+            fault = _block_fault(m, self.dims[j], self.dims[i])
+            if fault:
+                raise ValueError(f"arrow {(i, j)} has {fault}")
             if not linalg.is_zero(m):
                 self.arrows[(i, j)] = m
         self.validate()
@@ -217,7 +252,7 @@ def injective_sum(
         if common:
             m = linalg.zeros(len(where[j]), len(where[i]))
             for b in common:
-                m[where[j][b]][where[i][b]] = Fraction(1)
+                m[where[j][b]][where[i][b]] = 1
             arrows[(i, j)] = m
     dims = {v: len(at) for v, at in where.items()}
     return QuiverRep(vs, dims, arrows), where
@@ -241,14 +276,14 @@ def hom_space(
     for v in vs.vertices:
         offset[v] = n
         n += r2.dims[v] * r1.dims[v]
-    rows: list[list[Fraction]] = []
+    rows: Matrix = []
     for (i, j) in vs.covering_pairs():
         a1 = r1.arrows.get((i, j))
         a2 = r2.arrows.get((i, j))
         # constraint: phi_j a1 - a2 phi_i = 0, entrywise
         for p in range(r2.dims[j]):
             for q in range(r1.dims[i]):
-                row = [Fraction(0)] * n
+                row = [0] * n
                 if a1 is not None:
                     for s in range(r1.dims[j]):
                         row[offset[j] + p * r1.dims[j] + s] += a1[s][q]
@@ -311,8 +346,9 @@ class RepComplex:
                     raise VertexMissingError(
                         f"map {t} has a block at {v}, outside the vertex set"
                     )
-                if len(m) != dst.dims[v] or any(len(row) != src.dims[v] for row in m):
-                    raise ValueError(f"map {t} has a block of wrong shape at {v}")
+                fault = _block_fault(m, dst.dims[v], src.dims[v])
+                if fault:
+                    raise ValueError(f"map {t} has a block with {fault} at {v}")
                 if not linalg.is_zero(m):
                     kept[v] = m
             for (i, j) in vs.covering_pairs():
@@ -377,7 +413,7 @@ def realize_bgg(lam, vs: VertexSet | None = None) -> RepComplex:
                     if s is not None:
                         if v not in phi:
                             phi[v] = linalg.zeros(dst.dims[v], src.dims[v])
-                        phi[v][row][col] = Fraction(s)
+                        phi[v][row][col] = s
         maps.append(phi)
     return RepComplex([rep for rep, _ in sums], maps)
 
@@ -398,7 +434,7 @@ def kernel_cokernel_constituents(
     src = build_injective(lam, vs)
     dst = build_injective(mu, vs)
     phi = {
-        v: [[Fraction(scale)]] for v in vs.vertices if src.dims[v] and dst.dims[v]
+        v: [[scale]] for v in vs.vertices if src.dims[v] and dst.dims[v]
     }
     h0, h1 = complex_cohomology(RepComplex([src, dst], [phi]))
     ker, coker = set(h0), set(h1)

@@ -324,6 +324,28 @@ def global_relations_hold(vertices, dims, arrows) -> bool:
     return True
 
 
+def vertex_set_by_remove_strips(vertices):
+    """The quiver vertex set as `VertexSet` first tabulated it: canonicalise
+    and sort by size, then lexicographically descending, and take each
+    vertex's one-box removals from `remove_strips(v, 1, HS)`.  Returns
+    (vertices, index, up, covering pairs), or raises ValueError with the
+    library's message for the first vertex whose removal leaves the set."""
+    from tcalab.partitions import HS, partition, remove_strips, size
+
+    vs = sorted({partition(v) for v in vertices},
+                key=lambda p: (size(p), tuple(-x for x in p)))
+    index = {v: i for i, v in enumerate(vs)}
+    up = {v: [] for v in vs}
+    for v in vs:
+        for w in remove_strips(v, 1, HS):
+            if w not in index:
+                raise ValueError(f"vertex set is not downward closed: {v} needs {w}")
+            up[w].append(v)
+    up = {v: tuple(ws) for v, ws in up.items()}
+    covers = tuple((v, w) for v in vs for w in up[v])
+    return tuple(vs), index, up, covers
+
+
 # ---------------------------------------------------------------------------
 # Character polynomials by polynomial products
 

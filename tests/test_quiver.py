@@ -9,7 +9,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 
 from conftest import partitions_st
-from oracles import global_relations_hold
+from oracles import (
+    global_relations_hold,
+    sub_partitions,
+    vertex_set_by_remove_strips,
+)
 from tcalab import linalg
 from tcalab.ktheory import q_class, q_to_l
 from tcalab.partitions import (
@@ -30,6 +34,7 @@ from tcalab.quiver import (
     VertexMissingError,
     VertexSet,
     ZeroMapError,
+    _corner_removals,
     build_injective,
     build_simple,
     complex_cohomology,
@@ -60,6 +65,49 @@ class TestVertexSet:
         for i, j in vs.covering_pairs():
             assert size(j) == size(i) + 1
             assert is_strip(j, i, HS)
+
+    def test_corner_removals_are_the_one_box_strips(self):
+        for v in partitions_up_to(9):
+            assert _corner_removals(v) == remove_strips(v, 1, HS), v
+
+    @staticmethod
+    def _tables(vs):
+        return (vs.vertices, list(vs.index.items()), list(vs.up.items()),
+                vs.covering_pairs())
+
+    @staticmethod
+    def _oracle_tables(vertices):
+        vs, index, up, covers = vertex_set_by_remove_strips(vertices)
+        return vs, list(index.items()), list(up.items()), covers
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_up_to_size_matches_the_remove_strips_construction(self, n):
+        assert self._tables(VertexSet.up_to_size(n)) == self._oracle_tables(
+            partitions_up_to(n))
+
+    def test_any_input_matches_the_remove_strips_construction(self):
+        # seeded subsets of the partitions up to size 6, half of them
+        # closed downward, given in shuffled order with padding zeros
+        rng = random.Random(6)
+        pool = partitions_up_to(6)
+        verdicts = Counter()
+        for _ in range(400):
+            picked = rng.sample(pool, rng.randint(0, 12))
+            if rng.random() < 0.5:
+                picked = list({mu for lam in picked for mu in sub_partitions(lam)})
+                rng.shuffle(picked)
+            given = [list(v) + [0] * rng.randint(0, 2) for v in picked]
+            try:
+                want = self._oracle_tables(given)
+            except ValueError as exc:
+                with pytest.raises(VertexMissingError) as got:
+                    VertexSet(given)
+                assert str(got.value) == str(exc)
+                verdicts["open"] += 1
+            else:
+                assert self._tables(VertexSet(given)) == want, given
+                verdicts["closed"] += 1
+        assert min(verdicts["open"], verdicts["closed"]) > 150, verdicts
 
 
 class TestOrderTable:
@@ -161,6 +209,17 @@ class TestRepInput:
         one = Fraction(1)
         with pytest.raises(ValueError, match="shape"):
             QuiverRep(self.VS, {(): 1, (1,): 2}, {((), (1,)): [[one], [one, one]]})
+
+    @pytest.mark.parametrize("x", [0.5, True])
+    def test_inexact_arrow_rejected(self, x):
+        with pytest.raises(ValueError, match="inexact"):
+            QuiverRep(self.VS, {(): 1, (1,): 1}, {((), (1,)): [[x]]})
+
+    @pytest.mark.parametrize("x", [0.5, True])
+    def test_inexact_map_block_rejected(self, x):
+        q = build_injective((2,), self.VS)
+        with pytest.raises(ValueError, match="inexact"):
+            RepComplex([q, q], [{v: [[x]] for v in self.VS.vertices if q.dims[v]}])
 
     @pytest.mark.parametrize(
         "phi, error",
