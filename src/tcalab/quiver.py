@@ -26,6 +26,7 @@ injective resolutions of simples, and kernel/cokernel constituents.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from . import linalg
 from .homalg import InjResolution, bgg_resolution
@@ -37,7 +38,6 @@ from .partitions import (
     partition,
     partitions_up_to,
     size,
-    strips_below,
 )
 
 
@@ -90,6 +90,14 @@ def _product(a: Matrix | None, b: Matrix | None) -> Matrix | None:
         return None
     m = linalg.mat_mul(a, b)
     return None if linalg.is_zero(m) else m
+
+
+def _down_set(lam: Partition) -> list[Partition]:
+    """Every mu with lam/mu a horizontal strip, lam included: the
+    interlacing mu_i in [lam_{i+1}, lam_i], where only the last row may
+    drop to 0."""
+    rows = [range(lo, hi + 1) for hi, lo in zip(lam, lam[1:] + (0,))]
+    return [mu[:-1] if mu and not mu[-1] else mu for mu in product(*rows)]
 
 
 def _corner_removals(v: Partition) -> list[Partition]:
@@ -172,7 +180,7 @@ class QuiverRep:
         for v, d in dims.items():
             if v not in vs.index:
                 raise VertexMissingError(f"dimension at {v}, outside the vertex set")
-            if not isinstance(d, int) or d < 0:
+            if type(d) is not int or d < 0:
                 raise ValueError(f"dimension {d!r} at {v} is not a nonnegative integer")
         self.vs = vs
         self.dims = {v: dims.get(v, 0) for v in vs.vertices}
@@ -244,16 +252,22 @@ def injective_sum(
         lam = partition(lam)
         if lam not in vs.index:
             raise TruncationTooSmallError(f"vertex set misses {lam}")
-        for _, mu in strips_below(lam, HS):
+        for mu in _down_set(lam):
             where[mu][b] = len(where[mu])
+    # the covering pairs in their order, restricted to the support
     arrows: dict[tuple[Partition, Partition], Matrix] = {}
-    for (i, j) in vs.covering_pairs():
-        common = where[i].keys() & where[j].keys()
-        if common:
-            m = linalg.zeros(len(where[j]), len(where[i]))
-            for b in common:
-                m[where[j][b]][where[i][b]] = 1
-            arrows[(i, j)] = m
+    for i in vs.vertices:
+        at_i = where[i]
+        if not at_i:
+            continue
+        for j in vs.up[i]:
+            at_j = where[j]
+            common = at_i.keys() & at_j.keys()
+            if common:
+                m = linalg.zeros(len(at_j), len(at_i))
+                for b in common:
+                    m[at_j[b]][at_i[b]] = 1
+                arrows[(i, j)] = m
     dims = {v: len(at) for v, at in where.items()}
     return QuiverRep(vs, dims, arrows), where
 
@@ -352,6 +366,8 @@ class RepComplex:
                 if not linalg.is_zero(m):
                     kept[v] = m
             for (i, j) in vs.covering_pairs():
+                if i not in kept and j not in kept:
+                    continue  # both sides are the zero map
                 lhs = _product(kept.get(j), src.arrows.get((i, j)))
                 if lhs != _product(dst.arrows.get((i, j)), kept.get(i)):
                     raise NotAComplexError(f"map {t} is not a morphism at {(i, j)}")
@@ -438,8 +454,7 @@ def kernel_cokernel_constituents(
     }
     h0, h1 = complex_cohomology(RepComplex([src, dst], [phi]))
     ker, coker = set(h0), set(h1)
-    down_lam = {x for _, x in strips_below(lam, HS)}
-    down_mu = {x for _, x in strips_below(mu, HS)}
+    down_lam, down_mu = set(_down_set(lam)), set(_down_set(mu))
     if ker != down_lam - down_mu or coker != down_mu - down_lam:
         raise RelationError("rank computation disagrees with down-set difference")
     return ker, coker
@@ -454,7 +469,7 @@ def tau_contractibility_check(vs: VertexSet) -> bool:
     x <= y forces tau(y) <= x, and tau iterates any vertex to empty."""
     for y in vs.vertices:
         ty = tau_first_row_deletion(y)
-        for _, x in strips_below(y, HS):
+        for x in _down_set(y):
             if not is_strip(x, ty, HS):
                 return False
     for x in vs.vertices:

@@ -346,6 +346,29 @@ def vertex_set_by_remove_strips(vertices):
     return tuple(vs), index, up, covers
 
 
+def injective_sum_by_scan(lams, vs):
+    """The tables of `injective_sum` as it was first built: each summand's
+    support from `strips_below(lam, HS)`, then a scan of every covering pair
+    of the vertex set.  Returns (arrows, dims, where) with arrows in
+    covering-pair order and every arrow entry the int 1."""
+    from tcalab.partitions import HS, partition, strips_below
+
+    where = {v: {} for v in vs.vertices}
+    for b, lam in enumerate(lams):
+        for _, mu in strips_below(partition(lam), HS):
+            where[mu][b] = len(where[mu])
+    arrows = {}
+    for (i, j) in vs.covering_pairs():
+        common = where[i].keys() & where[j].keys()
+        if common:
+            m = [[0] * len(where[i]) for _ in range(len(where[j]))]
+            for b in common:
+                m[where[j][b]][where[i][b]] = 1
+            arrows[(i, j)] = m
+    dims = {v: len(at) for v, at in where.items()}
+    return arrows, dims, where
+
+
 # ---------------------------------------------------------------------------
 # Character polynomials by polynomial products
 

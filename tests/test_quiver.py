@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from conftest import partitions_st
 from oracles import (
     global_relations_hold,
+    injective_sum_by_scan,
     sub_partitions,
     vertex_set_by_remove_strips,
 )
@@ -118,7 +119,7 @@ class TestOrderTable:
         VertexSet([(), (1,), (2,), (1, 1), (3,), (2, 1), (3, 1), (1, 1, 1)]),
     )
 
-    @pytest.mark.parametrize("vs", SETS)
+    @pytest.mark.parametrize("vs", SETS + (VertexSet.up_to_size(8),))
     def test_injective_support_is_the_strip_down_set(self, vs):
         for v in vs.vertices:
             support = {mu for mu in vs.vertices if build_injective(v, vs).dims[mu]}
@@ -201,6 +202,10 @@ class TestRepInput:
         with pytest.raises(ValueError, match="nonnegative"):
             QuiverRep(self.VS, {(1,): -2}, {})
 
+    def test_bool_dimension_rejected(self):
+        with pytest.raises(ValueError, match="not a nonnegative integer"):
+            QuiverRep(self.VS, {(): True, (1,): 1}, {((), (1,)): [[1]]})
+
     def test_dimension_outside_the_vertex_set_rejected(self):
         with pytest.raises(VertexMissingError):
             QuiverRep(self.VS, {(5,): 3}, {})
@@ -227,11 +232,16 @@ class TestRepInput:
             ({(1,): [[Fraction(1), Fraction(0)]]}, "shape"),
             ({(1,): [[Fraction(1)], [Fraction(0)]]}, "shape"),
             ({(5,): [[Fraction(1)]]}, "outside the vertex set"),
+            # a block at (1,) and none at (): the arrow () -> (1,) breaks it
+            ({(1,): [[1]]}, "not a morphism"),
+            # blocks everywhere, but the one at (2,) does not commute
+            ({(): [[1]], (1,): [[1]], (2,): [[-1]]}, "not a morphism"),
         ],
     )
     def test_map_blocks_are_checked(self, phi, error):
         q = build_injective((2,), self.VS)
-        with pytest.raises(ValueError, match=error):
+        kind = NotAComplexError if error == "not a morphism" else ValueError
+        with pytest.raises(kind, match=error):
             RepComplex([q, q], [phi])
 
 
@@ -264,6 +274,17 @@ class TestInjectiveSum:
     def test_socle_is_the_summand_multiset(self):
         for lams in self.LISTS:
             assert socle(injective_sum(lams, self.VS)[0]) == Counter(lams), lams
+
+    def test_matches_the_covering_pair_scan(self):
+        seven = VertexSet.up_to_size(7)
+        cases = [(lams, self.VS) for lams in self.LISTS]
+        cases += [([v], seven) for v in seven.vertices]
+        for lams, vs in cases:
+            rep, where = injective_sum(lams, vs)
+            arrows, dims, want = injective_sum_by_scan(lams, vs)
+            assert list(rep.arrows.items()) == list(arrows.items()), lams
+            assert rep.dims == dims, lams
+            assert where == want, lams
 
 
 class TestBuilders:
