@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_quiver)
 
     p = sub.add_parser("selftest", help="cross-module invariant suite")
-    p.add_argument("--size", type=int, default=5)
+    p.add_argument("--size", type=_nonneg_int, default=5)
     p.set_defaults(fn=_cmd_selftest)
 
     return ap

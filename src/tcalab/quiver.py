@@ -16,7 +16,9 @@ of every block and drop the zero ones, and a product of blocks that
 vanishes is again absent, so no zero matrix is built to stand for a
 missing one.  Every sum of indecomposable injectives, a single one
 included, comes from `injective_sum`, which also says where each summand
-sits in the basis.
+sits in the basis and checks the relations on those summand tables
+instead of multiplying matrices; every other representation is checked
+by `QuiverRep.validate`.
 
 This module machine-checks what the rest of the package computes by
 formula: hom dimensions between injectives, socles, exactness of the
@@ -246,7 +248,13 @@ def injective_sum(
     """The direct sum of the indecomposable injectives at lams, in order.
     The injective at lam is one-dimensional on the down-set of lam, with
     every internal covering arrow the scalar one; where[v][b] is the basis
-    position at v of summand b, present when v lies below lams[b]."""
+    position at v of summand b, present when v lies below lams[b].
+
+    The local relations are checked on these tables while the arrows are
+    built, not by matrix products: the composite i -> j -> k is the partial
+    identity on the summands present at i, j and k, so it vanishes exactly
+    when that set is empty, and two middles agree exactly when their sets
+    do.  The representation is then stored without `QuiverRep.validate`."""
     where: dict[Partition, dict[int, int]] = {v: {} for v in vs.vertices}
     for b, lam in enumerate(lams):
         lam = partition(lam)
@@ -260,6 +268,7 @@ def injective_sum(
         at_i = where[i]
         if not at_i:
             continue
+        paths: dict[Partition, set[int]] = {}
         for j in vs.up[i]:
             at_j = where[j]
             common = at_i.keys() & at_j.keys()
@@ -268,8 +277,28 @@ def injective_sum(
                 for b in common:
                     m[at_j[b]][at_i[b]] = 1
                 arrows[(i, j)] = m
-    dims = {v: len(at) for v, at in where.items()}
-    return QuiverRep(vs, dims, arrows), where
+            for k in vs.up[j]:
+                at_k = where[k]
+                if not at_k:
+                    continue
+                # an empty set is the zero composite; it is kept, since a
+                # strip's other middles must then be zero too
+                via = common & at_k.keys()
+                if via and not is_strip(k, i, HS):
+                    raise RelationError(
+                        f"nonzero composite through {j} on non-strip {(i, k)}"
+                    )
+                if paths.setdefault(k, via) != via:
+                    raise RelationError(
+                        f"composite through {j} disagrees on {(i, k)}"
+                    )
+    # stored as the constructor would store them, without its checks: the
+    # dims cover vs in vertex order, the arrows are nonzero 0/1 blocks of
+    # the right shapes, and the relations hold
+    rep = QuiverRep.__new__(QuiverRep)
+    rep.vs, rep.arrows = vs, arrows
+    rep.dims = {v: len(at) for v, at in where.items()}
+    return rep, where
 
 
 def build_injective(lam, vs: VertexSet) -> QuiverRep:

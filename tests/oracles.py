@@ -346,16 +346,15 @@ def vertex_set_by_remove_strips(vertices):
     return tuple(vs), index, up, covers
 
 
-def injective_sum_by_scan(lams, vs):
-    """The tables of `injective_sum` as it was first built: each summand's
-    support from `strips_below(lam, HS)`, then a scan of every covering pair
-    of the vertex set.  Returns (arrows, dims, where) with arrows in
-    covering-pair order and every arrow entry the int 1."""
-    from tcalab.partitions import HS, partition, strips_below
-
+def sum_tables_on_supports(supports, vs):
+    """The tables of a sum whose summand b is one-dimensional on the
+    vertices supports[b], in that order, with the arrow between two of them
+    the scalar one: each summand's basis positions, then a scan of every
+    covering pair of the vertex set.  Returns (arrows, dims, where) with
+    arrows in covering-pair order and every arrow entry the int 1."""
     where = {v: {} for v in vs.vertices}
-    for b, lam in enumerate(lams):
-        for _, mu in strips_below(partition(lam), HS):
+    for b, support in enumerate(supports):
+        for mu in support:
             where[mu][b] = len(where[mu])
     arrows = {}
     for (i, j) in vs.covering_pairs():
@@ -367,6 +366,15 @@ def injective_sum_by_scan(lams, vs):
             arrows[(i, j)] = m
     dims = {v: len(at) for v, at in where.items()}
     return arrows, dims, where
+
+
+def injective_sum_by_scan(lams, vs):
+    """The tables of `injective_sum` as it was first built: each summand's
+    support from `strips_below(lam, HS)`, then `sum_tables_on_supports`."""
+    from tcalab.partitions import HS, partition, strips_below
+
+    return sum_tables_on_supports(
+        [[mu for _, mu in strips_below(partition(lam), HS)] for lam in lams], vs)
 
 
 # ---------------------------------------------------------------------------

@@ -180,7 +180,7 @@ def _refused(capsys, argv) -> str:
 
 
 class TestInputContract:
-    @pytest.mark.parametrize("size", ["0", "-1"])
+    @pytest.mark.parametrize("size", ["0", "-1", "1_0"])
     def test_selftest_refuses_sizes_below_one(self, capsys, monkeypatch, size):
         import tcalab.selftest as selftest_mod
 

@@ -13,9 +13,10 @@ from oracles import (
     global_relations_hold,
     injective_sum_by_scan,
     sub_partitions,
+    sum_tables_on_supports,
     vertex_set_by_remove_strips,
 )
-from tcalab import linalg
+from tcalab import linalg, quiver
 from tcalab.ktheory import q_class, q_to_l
 from tcalab.partitions import (
     HS,
@@ -285,6 +286,38 @@ class TestInjectiveSum:
             assert list(rep.arrows.items()) == list(arrows.items()), lams
             assert rep.dims == dims, lams
             assert where == want, lams
+            # the public constructor accepts the tables and stores them alike
+            public = QuiverRep(vs, rep.dims, rep.arrows)
+            assert list(public.dims.items()) == list(rep.dims.items()), lams
+            assert list(public.arrows.items()) == list(rep.arrows.items()), lams
+
+    def test_relations_are_checked_on_corrupted_supports(self, monkeypatch):
+        # every summand's down-set loses or gains seeded vertices; the sum
+        # must be refused exactly when the global scan refuses the matrices
+        # built on the same supports, and both local relations must refuse
+        down_set, vs, rng = quiver._down_set, self.VS, random.Random(9)
+        supports = {}
+        monkeypatch.setattr(quiver, "_down_set", lambda lam: supports[lam])
+        verdicts = Counter()
+        for lams in seeded_lists(vs, 9, 1000):
+            supports.clear()
+            for lam in dict.fromkeys(lams):
+                down = down_set(lam)
+                outside = [v for v in vs.vertices if v not in down]
+                supports[lam] = [mu for mu in down if rng.random() > 0.15]
+                supports[lam] += rng.sample(outside, min(len(outside), rng.randint(0, 2)))
+            arrows, dims, _ = sum_tables_on_supports([supports[lam] for lam in lams], vs)
+            want = global_relations_hold(vs.vertices, dims, arrows)
+            try:
+                injective_sum(lams, vs)
+            except RelationError as exc:
+                assert not want, lams
+                verdicts[str(exc).split(" through")[0]] += 1
+            else:
+                assert want, lams
+                verdicts["accepted"] += 1
+        assert verdicts.keys() == {"accepted", "nonzero composite", "composite"}
+        assert min(verdicts.values()) > 100, verdicts
 
 
 class TestBuilders:
