@@ -76,6 +76,33 @@ def brute_remove_strips(lam, d, kind) -> set[tuple[int, ...]]:
     }
 
 
+def bgg_signs_by_profile(lam) -> dict:
+    """The signs of the injective resolution of the simple at lam, by the
+    rule `homalg` first used: every vertical-strip removal mu of lam (from
+    cell sets) has a profile, the number of rows of each part value k that
+    lost a box; a cover mu -> mup that takes one more box from a row of
+    value k has sign (-1)^(boxes of mu taken from part values below k)."""
+    def profile(mu):
+        prof = {}
+        for r, k in enumerate(lam):
+            if (mu[r] if r < len(mu) else 0) == k - 1:
+                prof[k] = prof.get(k, 0) + 1
+        return prof
+
+    removals = [mu for d in range(len(lam) + 1)
+                for mu in brute_remove_strips(lam, d, "VS")]
+    signs = {}
+    for mu in removals:
+        for mup in removals:
+            if sum(mu) - sum(mup) != 1 or not cells(mup) <= cells(mu):
+                continue
+            prof, profp = profile(mu), profile(mup)
+            (k,) = [k for k in set(prof) | set(profp)
+                    if prof.get(k, 0) != profp.get(k, 0)]
+            signs[(mu, mup)] = (-1) ** sum(c for i, c in prof.items() if i < k)
+    return signs
+
+
 def brute_transpose(lam) -> tuple[int, ...]:
     cs = cells(lam)
     flipped = {(c, r) for r, c in cs}
@@ -99,17 +126,19 @@ def brute_standard_tableaux_count(lam) -> int:
     return total
 
 
-def brute_aligned_strips(shape) -> list[tuple[int, int, tuple[int, ...]]]:
-    """All (size, height, result) for connected border strips containing the
-    last box of the first row, enumerated on raw cell sets."""
-    base = cells(shape)
-    if not base:
+def brute_border_strips(shape, row) -> list[tuple[int, int, tuple[int, ...]]]:
+    """All (size, height, result) for connected border strips whose highest
+    box is the last box of the given row, enumerated on raw cell sets."""
+    if row >= len(shape):
         return []
-    anchor = (0, shape[0] - 1)
+    base = cells(shape)
+    anchor = (row, shape[row] - 1)
     out = []
     for s in range(1, sum(shape) + 1):
         found = []
         for combo in _connected_subsets(base, anchor, s):
+            if min(r for r, _ in combo) < row:
+                continue
             rest = base - combo
             res = cells_to_partition(rest) if rest else ()
             if res is None:
@@ -118,9 +147,15 @@ def brute_aligned_strips(shape) -> list[tuple[int, int, tuple[int, ...]]]:
                 continue
             height = len({r for r, _ in combo})
             found.append((s, height, res))
-        assert len(found) <= 1, f"aligned strip of size {s} not unique on {shape}"
+        assert len(found) <= 1, f"strip of size {s} from row {row} not unique on {shape}"
         out.extend(found)
     return out
+
+
+def brute_aligned_strips(shape) -> list[tuple[int, int, tuple[int, ...]]]:
+    """All (size, height, result) for connected border strips containing the
+    last box of the first row: the row-0 case of `brute_border_strips`."""
+    return brute_border_strips(shape, 0)
 
 
 def _has_2x2(cs: set[Cell]) -> bool:

@@ -26,6 +26,66 @@ def run_cli(args, env=None, flags=()):
     )
 
 
+# stdout of each argv, recorded once; a change between versions shows here
+STABLE_STDOUT = (
+    (["charpoly", "2,1"],
+     '{"char_poly": [{"den": 3, "exponents": {"1": 1}, "num": 8}, '
+     '{"den": 1, "exponents": {"1": 2}, "num": -2}, {"den": 3, '
+     '"exponents": {"1": 3}, "num": 1}, {"den": 1, '
+     '"exponents": {"3": 1}, "num": -1}], "command": "charpoly", '
+     '"partition": [2, 1], "schema": "tcalab/1"}' "\n"),
+    (["hilbert", "P[2,1]-S[1]"],
+     '{"command": "hilbert", "p": [{"den": 3, "exponents": {"1": 3}, '
+     '"num": 1}, {"den": 1, "exponents": {"3": 1}, "num": -1}], '
+     '"q": [{"den": 1, "exponents": {"1": 1}, "num": -1}], '
+     '"schema": "tcalab/1"}' "\n"),
+    (["bgg", "2,2,1"],
+     '{"command": "bgg", "partition": [2, 2, 1], '
+     '"schema": "tcalab/1", "signs": [{"from": [1, 1, 1], "sign": 1, '
+     '"to": [1, 1]}, {"from": [2, 1], "sign": -1, "to": [1, 1]}, '
+     '{"from": [2, 1, 1], "sign": 1, "to": [1, 1, 1]}, {"from": [2, '
+     '1, 1], "sign": 1, "to": [2, 1]}, {"from": [2, 2], "sign": -1, '
+     '"to": [2, 1]}, {"from": [2, 2, 1], "sign": 1, "to": [2, 1, 1]}, '
+     '{"from": [2, 2, 1], "sign": 1, "to": [2, 2]}], "terms": [[[2, '
+     '2, 1]], [[2, 2], [2, 1, 1]], [[2, 1], [1, 1, 1]], [[1, 1]]]}' "\n"),
+    (["localcoh", "2,1", "3"],
+     '{"command": "localcoh", "d": 3, "partition": [2, 1], '
+     '"rows": {"1": {"generator": [2, 2, 1], "partitions": [[2, 2, '
+     '1]]}, "2": {"generator": [1, 1, 1], "partitions": [[1, 1, 1]]}, '
+     '"3": {"generator": [1], "partitions": [[1]]}}, '
+     '"schema": "tcalab/1"}' "\n"),
+    (["poincare", "1", "2", "--trunc", "6"],
+     '{"alpha": [1], "coefficients": [{"den": 1, "num": 1, "q": 0, '
+     '"t": 1}, {"den": 6, "num": -1, "q": 1, "t": 3}, {"den": 24, '
+     '"num": 1, "q": 2, "t": 5}, {"den": 45, "num": -1, "q": 3, '
+     '"t": 6}], "command": "poincare", "e": 2, "schema": "tcalab/1", '
+     '"trunc": 6}' "\n"),
+    (["bgg", "3,3,1,1"],
+     '{"command": "bgg", "partition": [3, 3, 1, 1], '
+     '"schema": "tcalab/1", "signs": [{"from": [2, 2, 1], "sign": 1, '
+     '"to": [2, 2]}, {"from": [2, 2, 1, 1], "sign": 1, "to": [2, 2, '
+     '1]}, {"from": [3, 2], "sign": 1, "to": [2, 2]}, {"from": [3, 2, '
+     '1], "sign": -1, "to": [2, 2, 1]}, {"from": [3, 2, 1], '
+     '"sign": 1, "to": [3, 2]}, {"from": [3, 2, 1, 1], "sign": 1, '
+     '"to": [2, 2, 1, 1]}, {"from": [3, 2, 1, 1], "sign": 1, '
+     '"to": [3, 2, 1]}, {"from": [3, 3], "sign": 1, "to": [3, 2]}, '
+     '{"from": [3, 3, 1], "sign": -1, "to": [3, 2, 1]}, {"from": [3, '
+     '3, 1], "sign": 1, "to": [3, 3]}, {"from": [3, 3, 1, 1], '
+     '"sign": 1, "to": [3, 2, 1, 1]}, {"from": [3, 3, 1, 1], '
+     '"sign": 1, "to": [3, 3, 1]}], "terms": [[[3, 3, 1, 1]], [[3, 3, '
+     '1], [3, 2, 1, 1]], [[3, 3], [3, 2, 1], [2, 2, 1, 1]], [[3, 2], '
+     '[2, 2, 1]], [[2, 2]]]}' "\n"),
+    (["localcoh", "3,1", "3"],
+     '{"command": "localcoh", "d": 3, "partition": [3, 1], '
+     '"rows": {"2": {"generator": [2, 1, 1], "partitions": [[2, 1, '
+     '1], [2, 2, 1]]}, "3": {"generator": [2], "partitions": [[2]]}}, '
+     '"schema": "tcalab/1"}' "\n"),
+    (["modify", "2,1", "2"],
+     '{"command": "modify", "n": 2, "partition": [2, 1], '
+     '"result": "zero", "schema": "tcalab/1"}' "\n"),
+)
+
+
 class TestClassSpec:
     def test_module_classes(self):
         cls = parse_class_spec("P[2,1]-S[1]")
@@ -128,16 +188,8 @@ class TestCommands:
         assert max(c["t"] for c in doc["coefficients"]) <= 4
 
     def test_byte_stability(self):
-        for args in (
-            ["charpoly", "2,1"],
-            ["hilbert", "P[2,1]-S[1]"],
-            ["bgg", "2,2,1"],
-            ["localcoh", "2,1", "3"],
-            ["poincare", "1", "2", "--trunc", "6"],
-        ):
-            a = run_cli(args).stdout
-            b = run_cli(args).stdout
-            assert a == b and a.strip()
+        for args, expected in STABLE_STDOUT:
+            assert run_cli(args).stdout == expected, args
 
     def test_table_format(self):
         out = run_cli(["--format", "table", "depth", "3", "3"])

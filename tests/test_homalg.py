@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import partitions_st
+from oracles import bgg_signs_by_profile
 from tcalab.hilbert import enhanced_of_simple
 from tcalab.homalg import (
     FreeResShape,
@@ -59,6 +60,12 @@ class TestBGGResolution:
         assert r.length() == len(lam)
         for j, term in enumerate(r.terms):
             assert list(term) == remove_strips(lam, j, VS)
+
+    def test_signs_match_the_profile_rule(self):
+        # anticommutation alone would admit other sign conventions, which
+        # change `tcalab bgg` output; pin the values themselves
+        for lam in partitions_up_to(8):
+            assert bgg_resolution(lam).signs == bgg_signs_by_profile(lam), lam
 
     @given(partitions_st(max_part=4, max_rows=4))
     def test_every_square_anticommutes(self, lam):

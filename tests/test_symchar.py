@@ -5,19 +5,26 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import partitions_st
-from oracles import brute_lr_via_characters, centralizer_order, s3_class_traces
+from oracles import (
+    brute_border_strips,
+    brute_lr_via_characters,
+    centralizer_order,
+    s3_class_traces,
+)
 from tcalab.partitions import (
     HS,
     VS,
     hook_dimension,
     partitions_of,
     partitions_up_to,
+    size,
     transpose,
 )
 from tcalab.ktheory import k_product
 from tcalab.symchar import (
     SizeMismatchError,
     VClass,
+    _rim_hook_removals,
     lr_coefficient,
     mn_trace,
     pieri_class,
@@ -63,6 +70,22 @@ class TestTraces:
                 eps = (-1) ** sum(1 for x in mu if x % 2 == 0)
                 for lam in partitions_of(n):
                     assert mn_trace(mu, transpose(lam)) == eps * mn_trace(mu, lam)
+
+
+class TestRimHooks:
+    def test_match_the_cell_oracle_on_every_row(self):
+        # the rim hooks of size s, row by row: each is the connected border
+        # strip of that size whose highest box ends its row
+        for lam in partitions_up_to(7):
+            per_row = [brute_border_strips(lam, r) for r in range(len(lam))]
+            for s in range(1, size(lam) + 1):
+                expected = [
+                    (res, height)
+                    for strips in per_row
+                    for z, height, res in strips
+                    if z == s
+                ]
+                assert list(_rim_hook_removals(lam, s)) == expected, (lam, s)
 
 
 class TestLR:
