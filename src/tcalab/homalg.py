@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 from math import factorial
 from typing import NamedTuple
 
@@ -24,12 +25,11 @@ from .partitions import (
     Partition,
     VS,
     aligned_border_strips,
-    contains,
     hook_dimension,
     is_strip,
+    multiplicities,
     partition,
     prefixed_to_partition,
-    remove_strips,
     size,
     transpose,
 )
@@ -65,47 +65,33 @@ class InjResolution(NamedTuple):
         return len(self.terms) - 1
 
 
-def _removal_profile(lam: Partition, mu: Partition) -> dict[int, int]:
-    """For each part value k of lam, how many rows of that value lost a box
-    in the vertical-strip removal mu."""
-    prof: dict[int, int] = {}
-    for r, k in enumerate(lam):
-        mu_r = mu[r] if r < len(mu) else 0
-        if mu_r == k - 1:
-            prof[k] = prof.get(k, 0) + 1
-        elif mu_r != k:
-            raise ValueError(f"{mu} is not a vertical-strip removal of {lam}")
-    return prof
-
-
-def _cover_sign(lam: Partition, mu: Partition, mup: Partition) -> int:
-    """Sign of the covering map between removals mu -> mup (one extra box
-    taken from a row of value k): parity of boxes already removed from
-    strictly smaller part values."""
-    prof = _removal_profile(lam, mu)
-    profp = _removal_profile(lam, mup)
-    diff = [k for k in set(prof) | set(profp) if prof.get(k, 0) != profp.get(k, 0)]
-    if len(diff) != 1:
-        raise AssertionError(f"{mu} -> {mup} is not a single-box cover inside {lam}")
-    k = diff[0]
-    exponent = sum(c for i, c in prof.items() if i < k)
-    return (-1) ** exponent
-
-
 def bgg_resolution(lam) -> InjResolution:
     """Term j collects the vertical-strip removals of size j; length equals
-    the number of rows.  Signs make every covering square anticommute, so
-    the induced complex of injectives is exact past degree zero."""
+    the number of rows.  A removal takes the bottom c_k of the m_k rows of
+    each block of equal parts k, so it is a count vector c; each term is
+    ordered lexicographically descending.  The cover taking one more row
+    from block k has sign (-1)^(rows already taken from smaller parts),
+    which makes every covering square anticommute, so the induced complex
+    of injectives is exact past degree zero."""
     lam = partition(lam)
-    terms = tuple(
-        tuple(remove_strips(lam, j, VS)) for j in range(len(lam) + 1)
-    )
+    blocks = list(multiplicities(lam).items())  # (k, m_k), k descending
+    shape: dict[tuple[int, ...], Partition] = {}
+    for c in product(*(range(m + 1) for _, m in blocks)):
+        rows = [x for (k, m), ck in zip(blocks, c)
+                for x in (k,) * (m - ck) + (k - 1,) * ck]
+        shape[c] = tuple(x for x in rows if x)
+    by_term: list[list[tuple[int, ...]]] = [[] for _ in range(len(lam) + 1)]
+    for c in sorted(shape, key=shape.get, reverse=True):
+        by_term[sum(c)].append(c)
     signs: dict[tuple[Partition, Partition], int] = {}
-    for j in range(len(terms) - 1):
-        for mu in terms[j]:
-            for mup in terms[j + 1]:
-                if contains(mu, mup):
-                    signs[(mu, mup)] = _cover_sign(lam, mu, mup)
+    for term in by_term:
+        for c in term:
+            # covers in term order: a row taken from a larger block is later
+            for b in reversed(range(len(blocks))):
+                if c[b] < blocks[b][1]:
+                    cover = c[:b] + (c[b] + 1,) + c[b + 1:]
+                    signs[(shape[c], shape[cover])] = (-1) ** sum(c[b + 1:])
+    terms = tuple(tuple(shape[c] for c in term) for term in by_term)
     return InjResolution(lam, terms, signs)
 
 
@@ -144,18 +130,14 @@ def local_cohomology(lam, D: int) -> LocalCohomologyTable:
     if D < (lam[0] if lam else 0):
         raise InvalidDError(f"need D >= {lam[0] if lam else 0}, got {D}")
     shape = prefixed_to_partition(D, lam)
-    rows: dict[int, list[tuple[int, Partition]]] = {}
+    rows: dict[int, list[Partition]] = {}
+    # one strip per size, ascending, so each row's leftovers arrive by
+    # descending size; it lists them ascending and is generated by the
+    # smallest (the largest strip)
     for strip in aligned_border_strips(shape):
-        rows.setdefault(strip.height, []).append((strip.size, strip.result))
-    table: dict[int, tuple[Partition, ...]] = {}
-    generator: dict[int, Partition] = {}
-    for i, entries in rows.items():
-        entries.sort()  # ascending strip size = descending result size
-        table[i] = tuple(res for _, res in sorted(
-            entries, key=lambda sr: (size(sr[1]), tuple(-x for x in sr[1]))
-        ))
-        # generated by the smallest leftover partition (largest strip)
-        generator[i] = entries[-1][1]
+        rows.setdefault(strip.height, []).append(strip.result)
+    table = {i: tuple(reversed(entries)) for i, entries in rows.items()}
+    generator = {i: entries[-1] for i, entries in rows.items()}
     return LocalCohomologyTable(shape, table, generator)
 
 

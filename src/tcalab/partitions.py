@@ -8,9 +8,14 @@ partitions, and the two strip relations
     HS: lam/mu is a horizontal strip  (at most one box per column),
     VS: lam/mu is a vertical strip    (at most one box per row),
 
-drive all of it.  Border strips are handled through first-column hook
-lengths (beta numbers), which make the "aligned" enumeration and the
-rho-shifted sorting rule two views of the same computation.
+drive all of it.  A vertical-strip removal takes a bottom run of rows
+from each block of equal parts, so it is a vector of row-block counts;
+`homalg.bgg_resolution` builds its terms and signs from those counts.
+
+Border strips are handled through first-column hook lengths (beta
+numbers).  Rim hooks (`symchar`), the aligned border strips and the
+rho-shifted sort are one step, `_move_beta`: move one beta number, sort
+again and count the numbers it passes.
 
 All functions are pure and all values immutable.
 """
@@ -63,10 +68,6 @@ def format_partition(p: Partition) -> str:
 
 def size(p: Partition) -> int:
     return sum(p)
-
-
-def length(p: Partition) -> int:
-    return len(p)
 
 
 def transpose(p: Partition) -> Partition:
@@ -306,38 +307,36 @@ class BorderStripRemoval(NamedTuple):
     result: Partition
 
 
-def _beta_numbers(p: Partition) -> list[int]:
-    n = len(p)
-    return [p[i] + (n - 1 - i) for i in range(n)]
-
-
-def _partition_from_beta(beta: list[int]) -> Partition:
-    beta = sorted(beta, reverse=True)
-    n = len(beta)
-    return partition(beta[i] - (n - 1 - i) for i in range(n))
+def _move_beta(parts, row: int, by: int) -> tuple[int, Partition] | None:
+    """Move the beta number parts[row] + (n-1-row) of the n-term sequence
+    parts by `by` and sort again.  Returns (passed, partition): how many of
+    the other beta numbers the moved one passed, and the partition of the
+    sorted numbers; None when the moved number goes below 0 or lands on
+    another.  The other numbers must stay strictly decreasing (true when
+    parts is weakly decreasing off row), so one pass finds the slot."""
+    n = len(parts)
+    beta = [p + (n - 1 - r) for r, p in enumerate(parts)]
+    moved = beta.pop(row) + by
+    slot = sum(1 for b in beta if b > moved)
+    if moved < 0 or (slot < len(beta) and beta[slot] == moved):
+        return None
+    beta.insert(slot, moved)
+    out = (b - (n - 1 - r) for r, b in enumerate(beta))
+    return abs(slot - row), tuple(x for x in out if x)
 
 
 def aligned_border_strips(shape: Partition) -> list[BorderStripRemoval]:
     """All removable connected border strips containing the last box of the
     first row, one per realizable size, ordered by increasing size.
 
-    In beta-number terms these are exactly the removals lowering the largest
-    beta number; the height is one more than the number of beta numbers
-    jumped over.
+    These are the moves of the first (largest) beta number down by the
+    strip size; the height is one more than the number of beta numbers
+    passed.
     """
     if not shape:
         return []
-    beta = _beta_numbers(shape)
-    rest = set(beta[1:])
-    out: list[BorderStripRemoval] = []
-    for s in range(1, beta[0] + 1):
-        b = beta[0] - s
-        if b in rest:
-            continue
-        height = 1 + sum(1 for x in beta[1:] if x > b)
-        result = _partition_from_beta([b] + beta[1:])
-        out.append(BorderStripRemoval(s, height, result))
-    return out
+    moves = ((s, _move_beta(shape, 0, -s)) for s in range(1, shape[0] + len(shape)))
+    return [BorderStripRemoval(s, m[0] + 1, m[1]) for s, m in moves if m is not None]
 
 
 def border_strip_component_count(outer: Partition, inner: Partition) -> int:
@@ -383,22 +382,12 @@ def shifted_normalize(
 
     Returns None when alpha is singular (alpha+rho has a repeated entry,
     including collisions with the infinite tail of the zero padding), else
-    the pair (sign, normalized) with sign = (-1)^(inversions of w).
+    the pair (sign, normalized) with sign = (-1)^(inversions of w).  Since
+    rest is a partition, this is the move of the first beta number of
+    (rest_1, rest) to first; the inversions are the numbers it passes.
     """
-    alpha = (first,) + rest
-    m = len(alpha)
-    shifted = [alpha[i] - (i + 1) for i in range(m)]
-    if len(set(shifted)) < m:
+    top = rest[0] if rest else 0
+    moved = _move_beta((top,) + rest, 0, first - top)
+    if moved is None:
         return None
-    # zero padding continues alpha; its shifted entries are -(m+1), -(m+2), ...
-    if any(e <= -(m + 1) for e in shifted):
-        return None
-    inversions = sum(
-        1
-        for i in range(m)
-        for j in range(i + 1, m)
-        if shifted[i] < shifted[j]
-    )
-    ordered = sorted(shifted, reverse=True)
-    normalized = partition(ordered[i] + (i + 1) for i in range(m))
-    return ((-1) ** inversions, normalized)
+    return ((-1) ** moved[0], moved[1])

@@ -102,6 +102,14 @@ def _down_set(lam: Partition) -> list[Partition]:
     return [mu[:-1] if mu and not mu[-1] else mu for mu in product(*rows)]
 
 
+def _two_box_is_strip(k: Partition, i: Partition) -> bool:
+    """Whether k/i is a horizontal strip, for i inside k with two boxes
+    between them: it is not exactly when k and i differ in two rows whose
+    parts in k are equal, which puts the two boxes in one column."""
+    rows = [r for r, x in enumerate(k) if r >= len(i) or i[r] != x]
+    return len(rows) == 1 or k[rows[0]] != k[rows[1]]
+
+
 def _corner_removals(v: Partition) -> list[Partition]:
     """The partitions v with one corner box removed, lexicographically
     descending (bottom corner first), as remove_strips(v, 1, HS) lists
@@ -223,7 +231,7 @@ class QuiverRep:
                     if not dims[k]:
                         continue
                     via = _product(arrows.get((j, k)), a)
-                    if not is_strip(k, i, HS):
+                    if not _two_box_is_strip(k, i):
                         if via is not None:
                             raise RelationError(
                                 f"nonzero composite through {j} on non-strip {(i, k)}"
@@ -284,7 +292,7 @@ def injective_sum(
                 # an empty set is the zero composite; it is kept, since a
                 # strip's other middles must then be zero too
                 via = common & at_k.keys()
-                if via and not is_strip(k, i, HS):
+                if via and not _two_box_is_strip(k, i):
                     raise RelationError(
                         f"nonzero composite through {j} on non-strip {(i, k)}"
                     )

@@ -22,8 +22,7 @@ from functools import lru_cache
 from .partitions import (
     HS,
     Partition,
-    _beta_numbers,
-    _partition_from_beta,
+    _move_beta,
     _partitions_cached,
     add_strips,
     contains,
@@ -42,17 +41,11 @@ class BasisMismatchError(ValueError):
 
 @lru_cache(maxsize=None)
 def _rim_hook_removals(lam: Partition, s: int) -> tuple[tuple[Partition, int], ...]:
-    """All (result, height) for removable rim hooks of size s from lam."""
-    beta = _beta_numbers(lam)
-    present = set(beta)
-    out = []
-    for i, b in enumerate(beta):
-        nb = b - s
-        if nb < 0 or nb in present:
-            continue
-        height = 1 + sum(1 for x in beta if nb < x < b)
-        out.append((_partition_from_beta(beta[:i] + [nb] + beta[i + 1 :]), height))
-    return tuple(out)
+    """All (result, height) for removable rim hooks of size s from lam, by
+    the row of their highest box: each moves that row's beta number down by
+    s, and its height is one more than the beta numbers it passes."""
+    moves = (_move_beta(lam, row, -s) for row in range(len(lam) if s > 0 else 0))
+    return tuple((m[1], m[0] + 1) for m in moves if m is not None)
 
 
 @lru_cache(maxsize=None)

@@ -190,6 +190,19 @@ class TestLocalRelations:
             verdicts.add((make, want))
         assert len(verdicts) == 4
 
+    def test_two_box_rule_matches_is_strip(self):
+        # every two-step path i -> j -> k: k/i is no strip exactly when its
+        # boxes sit in two rows of equal length in k
+        vs = VertexSet.up_to_size(8)
+        verdicts = Counter()
+        for i in vs.vertices:
+            for j in vs.up[i]:
+                for k in vs.up[j]:
+                    want = is_strip(k, i, HS)
+                    assert quiver._two_box_is_strip(k, i) == want, (i, k)
+                    verdicts[want] += 1
+        assert verdicts[True] and verdicts[False]
+
     def test_products_through_zero_dimensional_vertices_keep_their_shape(self):
         vs = VertexSet.up_to_size(2)
         RepComplex([build_simple((1,), vs), build_injective((2,), vs)], [{}])
