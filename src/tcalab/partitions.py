@@ -312,8 +312,8 @@ def _move_beta(parts, row: int, by: int) -> tuple[int, Partition] | None:
     parts by `by` and sort again.  Returns (passed, partition): how many of
     the other beta numbers the moved one passed, and the partition of the
     sorted numbers; None when the moved number goes below 0 or lands on
-    another.  The other numbers must stay strictly decreasing (true when
-    parts is weakly decreasing off row), so one pass finds the slot."""
+    another.  parts must be weakly decreasing: its beta numbers then
+    strictly decrease, so one pass finds the slot and the count."""
     n = len(parts)
     beta = [p + (n - 1 - r) for r, p in enumerate(parts)]
     moved = beta.pop(row) + by
@@ -382,10 +382,12 @@ def shifted_normalize(
 
     Returns None when alpha is singular (alpha+rho has a repeated entry,
     including collisions with the infinite tail of the zero padding), else
-    the pair (sign, normalized) with sign = (-1)^(inversions of w).  Since
-    rest is a partition, this is the move of the first beta number of
-    (rest_1, rest) to first; the inversions are the numbers it passes.
+    the pair (sign, normalized) with sign = (-1)^(inversions of w).  rest
+    must be a partition (else PartitionError); then this is the move of the
+    first beta number of (rest_1, rest) to first, and the inversions are
+    the numbers it passes.
     """
+    rest = partition(rest)
     top = rest[0] if rest else 0
     moved = _move_beta((top,) + rest, 0, first - top)
     if moved is None:

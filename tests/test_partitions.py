@@ -236,6 +236,11 @@ class TestShiftedNormalize:
         assert shifted_normalize(1, (2,)) is None
         assert shifted_normalize(0, (2, 1)) == (-1, (1, 1, 1))
 
+    def test_rest_must_be_a_partition(self):
+        # the single beta-number move needs rest weakly decreasing
+        with pytest.raises(PartitionError):
+            shifted_normalize(3, (1, 2))
+
     def test_deep_tail_collision_is_singular(self):
         # the first entry lands on the zero padding: must be singular
         assert shifted_normalize(-3, (3,)) is None
