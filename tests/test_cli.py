@@ -83,6 +83,23 @@ STABLE_STDOUT = (
     (["modify", "2,1", "2"],
      '{"command": "modify", "n": 2, "partition": [2, 1], '
      '"result": "zero", "schema": "tcalab/1"}' "\n"),
+    (["charpoly", "2,2"],
+     '{"char_poly": [{"den": 3, "exponents": {"1": 1}, "num": '
+     '-5}, {"den": 12, "exponents": {"1": 2}, "num": 29}, {"den": '
+     '1, "exponents": {"2": 1}, "num": -2}, {"den": 6, '
+     '"exponents": {"1": 3}, "num": -5}, {"den": 1, "exponents": '
+     '{"3": 1}, "num": 1}, {"den": 1, "exponents": {"1": 1, "3": '
+     '1}, "num": -1}, {"den": 12, "exponents": {"1": 4}, "num": '
+     '1}, {"den": 1, "exponents": {"2": 2}, "num": 1}], '
+     '"command": "charpoly", "partition": [2, 2], "schema": '
+     '"tcalab/1"}' "\n"),
+    (["hilbert", "P[2,2]-S[3]"],
+     '{"command": "hilbert", "p": [{"den": 1, "exponents": {"1": '
+     '1, "3": 1}, "num": -1}, {"den": 12, "exponents": {"1": 4}, '
+     '"num": 1}, {"den": 1, "exponents": {"2": 2}, "num": 1}], '
+     '"q": [{"den": 1, "exponents": {"1": 1, "2": 1}, "num": -1}, '
+     '{"den": 6, "exponents": {"1": 3}, "num": -1}, {"den": 1, '
+     '"exponents": {"3": 1}, "num": -1}], "schema": "tcalab/1"}' "\n"),
 )
 
 
