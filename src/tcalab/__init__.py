@@ -4,8 +4,9 @@ Modules are organized by what they compute:
 
     partitions   partition arithmetic, strips, border strips
     symchar      symmetric group characters, Littlewood-Richardson rule,
-                 the Combination core shared by all partition-indexed classes
-    polynomials  sparse exact multivariate polynomials
+                 the Combination core shared by the S/L/Q classes and the
+                 t/a polynomials
+    polynomials  exact polynomials whose monomials are partitions
     ktheory      Grothendieck group bases, products, pairing, Fourier involution
     hilbert      enhanced Hilbert series and character polynomials
     homalg       injective resolutions, local cohomology, depth, regularity

@@ -38,7 +38,7 @@ from .partitions import (
     size,
     strips_below,
 )
-from .polynomials import MPoly, TermKey, partition_key
+from .polynomials import MPoly
 from .symchar import mn_trace
 
 
@@ -48,7 +48,7 @@ class EnhancedSeries:
     __slots__ = ("p", "q")
 
     def __init__(self, p: MPoly, q: MPoly):
-        if p.family != "t" or q.family != "t":
+        if p.basis != "t" or q.basis != "t":
             raise ValueError("enhanced series parts live in the t family")
         self.p = p
         self.q = q
@@ -66,7 +66,7 @@ def enhanced_of_simple(lam: Partition) -> MPoly:
     trace(c_mu) t^mu / mu!.  Homogeneous of weighted degree |lam|."""
     lam = partition(lam)
     return MPoly("t", {
-        partition_key(mu): Fraction(mn_trace(mu, lam), aut_factor(mu))
+        mu: Fraction(mn_trace(mu, lam), aut_factor(mu))
         for mu in _partitions_cached(size(lam))
     })
 
@@ -74,11 +74,11 @@ def enhanced_of_simple(lam: Partition) -> MPoly:
 def enhanced_sum(terms: Iterable[tuple[Partition, int]]) -> MPoly:
     """Sum of c times the enhanced series of the simple at lam over the
     pairs (lam, c), accumulated in one dict."""
-    out: dict[TermKey, Fraction] = {}
+    out: dict[Partition, Fraction] = {}
     for lam, c in terms:
         if c:
-            for k, v in enhanced_of_simple(lam).terms.items():
-                out[k] = out.get(k, 0) + c * v
+            for mu, v in enhanced_of_simple(lam).coeffs.items():
+                out[mu] = out.get(mu, 0) + c * v
     return MPoly("t", out)
 
 
@@ -110,20 +110,21 @@ def umbral(p: MPoly) -> MPoly:
     prod (a_i)_{d_i}, falling factorials expanded in the monomial basis.
 
     One pass: each (a_i)_{d_i} is expanded by the Stirling row s(d_i, .),
-    the variables of a term are distinct so the expansions multiply by
-    concatenating keys, and every term lands in one accumulating dict."""
-    if p.family != "t":
+    and every term lands in one accumulating dict.  The variables of a term
+    are walked from the largest index down, so concatenating the monomials
+    (i,) * e of their expansions already gives partitions."""
+    if p.basis != "t":
         raise ValueError("umbral substitution consumes the t family")
-    top = max((d for key in p.terms for _, d in key), default=0)
-    stirling = _stirling_rows(top)
-    # (i, d) -> [(((i, e),), s(d, e))], so every key shares its (i, e) pairs
+    # no multiplicity exceeds the number of parts
+    stirling = _stirling_rows(max(map(len, p.coeffs), default=0))
+    # (i, d) -> [((i,) * e, s(d, e))], shared by every term with d parts i
     factors: dict[tuple[int, int], list] = {}
-    out: dict[TermKey, Fraction] = {}
-    for key, c in p.terms.items():
+    out: dict[Partition, Fraction] = {}
+    for mu, c in p.coeffs.items():
         expansion = [((), c)]
-        for i, d in key:
+        for i, d in multiplicities(mu).items():
             if (i, d) not in factors:
-                factors[i, d] = [(((i, e),), s) for e, s in enumerate(stirling[d]) if s]
+                factors[i, d] = [((i,) * e, s) for e, s in enumerate(stirling[d]) if s]
             expansion = [(k + f, v * s) for k, v in expansion for f, s in factors[i, d]]
         for k, v in expansion:
             out[k] = out.get(k, 0) + v
@@ -146,7 +147,7 @@ def char_poly_simple(lam: Partition) -> MPoly:
         for nu in _partitions_cached(size(mu)):
             coeffs[nu] = coeffs.get(nu, 0) + sign * mn_trace(nu, mu)
     return umbral(MPoly("t", {
-        partition_key(nu): Fraction(c, aut_factor(nu)) for nu, c in coeffs.items() if c
+        nu: Fraction(c, aut_factor(nu)) for nu, c in coeffs.items() if c
     }))
 
 
@@ -157,7 +158,7 @@ def char_poly_of_class(x: AClass) -> MPoly:
 
 def eval_char_poly(X: MPoly, mu: Partition) -> Fraction:
     """Evaluate at a_i = m_i(mu); integral on integral classes."""
-    if X.family != "a":
+    if X.basis != "a":
         raise ValueError("character polynomials live in the a family")
     return X.evaluate(multiplicities(partition(mu)))
 
@@ -184,7 +185,7 @@ def character_value(lam: Partition, mu: Partition) -> int:
 def t1_derivative(s: MPoly) -> MPoly:
     """Formal partial derivative in t_1; the series-level shadow of the
     single-box branching operator."""
-    if s.family != "t":
+    if s.basis != "t":
         raise ValueError("t1_derivative consumes the t family")
     return s.partial(1)
 

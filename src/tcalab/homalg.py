@@ -166,12 +166,11 @@ def q_from_local_cohomology(lam, D: int) -> MPoly:
 
 
 class TailRule(NamedTuple):
-    """Past start, each generator gains one box at the bottom of the column
-    per homological step (so generator degree grows by exactly one)."""
+    """Past start, each generator gains one box at the bottom of the first
+    column per homological step (so generator degree grows by exactly one)."""
 
     start: int
     shapes: tuple[Partition, ...]
-    column: int = 1
 
 
 class FreeResShape:
@@ -209,9 +208,7 @@ class FreeResShape:
         if self.tail is None or i < self.tail.start:
             return ()
         steps = i - self.tail.start
-        return tuple(
-            _append_column_boxes(p, self.tail.column, steps) for p in self.tail.shapes
-        )
+        return tuple(p + (1,) * steps for p in self.tail.shapes)
 
     def is_finite(self) -> bool:
         return self.tail is None
@@ -230,23 +227,9 @@ class FreeResShape:
             out["tail"] = {
                 "start": self.tail.start,
                 "shapes": [list(p) for p in self.tail.shapes],
-                "column": self.tail.column,
+                "column": 1,  # every tail grows in the first column
             }
         return out
-
-
-def _append_column_boxes(p: Partition, column: int, count: int) -> Partition:
-    """Add count boxes at the bottom of the given column, one new row each;
-    only column widths >= the current tail width keep the shape valid."""
-    if count == 0:
-        return p
-    if column != 1:
-        q = list(transpose(p))
-        if len(q) < column:
-            raise ValueError(f"column {column} not adjacent to shape {p}")
-        q[column - 1] += count
-        return transpose(partition(sorted(q, reverse=True)))
-    return partition(p + (1,) * count)
 
 
 def efw_shape(alpha: Partition, e: int, i: int) -> Partition:

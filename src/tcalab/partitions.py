@@ -104,18 +104,6 @@ def aut_factor(p: Partition) -> int:
     return out
 
 
-class PartitionStats(NamedTuple):
-    multiplicities: dict[int, int]
-    aut_factor: int
-    length: int
-    size: int
-
-
-def stats(p: Partition) -> PartitionStats:
-    """Multiplicities m_i, lam! = prod m_i!, number of rows, number of boxes."""
-    return PartitionStats(multiplicities(p), aut_factor(p), len(p), sum(p))
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 
@@ -291,12 +279,8 @@ def eval_poly(coeffs: tuple[Fraction, ...], x) -> Fraction:
 # Prefixed shapes, aligned border strips, shifted normalization
 
 
-def prefixed_is_partition(first: int, rest: Partition) -> bool:
-    return first >= (rest[0] if rest else 0)
-
-
 def prefixed_to_partition(first: int, rest: Partition) -> Partition:
-    if not prefixed_is_partition(first, rest) or first < 0:
+    if first < (rest[0] if rest else 0) or first < 0:
         raise PartitionError(f"({first}, {rest}) is not a partition")
     return partition((first,) + rest)
 

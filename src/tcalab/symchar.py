@@ -6,13 +6,15 @@ coefficients are computed by direct enumeration of lattice-word skew
 semistandard tableaux; this is deliberately the slow transparent algorithm,
 because these numbers serve as the oracle for everything else.
 
-The module also holds the one arithmetic core for classes indexed by
-partitions: `Combination`, a finitely supported integer combination tagged
-with its basis.  `VClass` (simples [S_lam]) is its S-basis constructor here;
+The module also holds the one arithmetic core for everything indexed by
+partitions: `Combination`, a finitely supported combination tagged with its
+basis.  `VClass` (simples [S_lam]) is its S-basis constructor here;
 `ktheory.KClassK` (the L and Q bases) and `ktheory.AClass` build on it, and
 `ktheory.k_product` is the Littlewood-Richardson product for all of them.
+`polynomials.MPoly` is a Combination too: its basis is the variable family
+'t' or 'a', its monomials are partitions and its coefficients Fractions.
 
-Everything here is an exact integer.
+Everything else here is an exact integer.
 """
 
 from __future__ import annotations
@@ -143,9 +145,10 @@ def _term_order(p: Partition):
 
 
 class Combination:
-    """Finitely supported integer combination of basis classes indexed by
-    partitions, tagged with the name of the basis.  Zero coefficients are
-    never stored; arithmetic across two bases raises BasisMismatchError."""
+    """Finitely supported combination of basis elements indexed by
+    partitions, tagged with the name of the basis; coefficients are
+    integers (Fractions for polynomials.MPoly).  Zero coefficients are never
+    stored; arithmetic across two bases raises BasisMismatchError."""
 
     __slots__ = ("basis", "coeffs")
 

@@ -434,10 +434,10 @@ def umbral_by_products(p):
     from tcalab.polynomials import MPoly
 
     out = MPoly.zero("a")
-    for key, c in p.terms.items():
+    for mu, c in p.terms.items():
         term = MPoly.const(c, "a")
-        for i, d in key:
-            term = term * falling_factorial_poly(i, d)
+        for i in set(mu):
+            term = term * falling_factorial_poly(i, mu.count(i))
         out = out + term
     return out
 

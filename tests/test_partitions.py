@@ -21,11 +21,13 @@ from tcalab.partitions import (
     PartitionError,
     add_strips,
     aligned_border_strips,
+    aut_factor,
     border_strip_component_count,
     contains,
     eval_poly,
     hook_dimension,
     is_strip,
+    multiplicities,
     parse_partition,
     partition,
     partitions_of,
@@ -34,7 +36,6 @@ from tcalab.partitions import (
     shifted_normalize,
     size,
     stable_dimension_poly,
-    stats,
     strips_below,
     transpose,
 )
@@ -67,15 +68,13 @@ class TestPartitionBasics:
         assert size(transpose(lam)) == size(lam)
         assert transpose(lam) == brute_transpose(lam)
 
-    def test_stats_examples(self):
-        s = stats((2, 1, 1, 1))
-        assert s.multiplicities == {1: 3, 2: 1}
-        assert s.aut_factor == 6
-        assert stats(()).aut_factor == 1
-        assert stats(()).length == 0
-        s = stats((3, 3, 2))
-        assert s.multiplicities == {3: 2, 2: 1}
-        assert s.aut_factor == 2
+    def test_multiplicities_and_aut_factor_examples(self):
+        assert multiplicities((2, 1, 1, 1)) == {1: 3, 2: 1}
+        assert aut_factor((2, 1, 1, 1)) == 6
+        assert multiplicities(()) == {}
+        assert aut_factor(()) == 1
+        assert multiplicities((3, 3, 2)) == {3: 2, 2: 1}
+        assert aut_factor((3, 3, 2)) == 2
 
     def test_partitions_of_enumeration(self):
         assert partitions_of(0) == [()]

@@ -26,9 +26,9 @@ def small_polys():
 def term_by_term(p, values):
     """p at the given values, unlisted variables zero, one term at a time."""
     total = Fraction(0)
-    for key, c in p.terms.items():
-        for i, d in key:
-            c *= Fraction(values.get(i, 0)) ** d
+    for mu, c in p.terms.items():
+        for i in mu:
+            c *= Fraction(values.get(i, 0))
         total += c
     return total
 
