@@ -114,10 +114,13 @@ def _aclass_json(x: AClass) -> dict:
 def _emit(doc: dict, table: bool = False) -> None:
     doc = {"schema": SCHEMA, **doc}
     if table:
-        for key, value in doc.items():
-            print(f"{key}: {json.dumps(value, sort_keys=True, allow_nan=False)}")
+        text = "\n".join(
+            f"{key}: {json.dumps(value, sort_keys=True, allow_nan=False)}"
+            for key, value in doc.items()
+        )
     else:
-        print(json.dumps(doc, sort_keys=True, allow_nan=False))
+        text = json.dumps(doc, sort_keys=True, allow_nan=False)
+    print(text)  # formatted whole first, so a failure writes nothing
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:  # --help and --version
             return exc.code if isinstance(exc.code, int) else 2
-        doc = args.fn(args)
+        _emit(args.fn(args), table=(args.format == "table"))
     except internal as exc:
         print(
             json.dumps({"schema": SCHEMA, "invariant_violation": str(exc)}),
@@ -423,7 +426,13 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, ValueError) as exc:
         print(json.dumps({"schema": SCHEMA, "error": str(exc)}), file=sys.stderr)
         return 2
-    _emit(doc, table=(args.format == "table"))
+    except Exception as exc:  # any other failure is reported, never a traceback
+        print(
+            json.dumps({"schema": SCHEMA, "internal_error": type(exc).__name__,
+                        "message": str(exc)}),
+            file=sys.stderr,
+        )
+        return 3
     return 0
 
 

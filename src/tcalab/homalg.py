@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
 from math import factorial
 from typing import NamedTuple
 
@@ -32,6 +31,7 @@ from .partitions import (
     prefixed_to_partition,
     size,
     transpose,
+    vertical_strips,
 )
 from .polynomials import MPoly, exp_t0_truncated, mul_truncated
 from .symchar import VClass
@@ -67,32 +67,25 @@ class InjResolution(NamedTuple):
 
 def bgg_resolution(lam) -> InjResolution:
     """Term j collects the vertical-strip removals of size j; length equals
-    the number of rows.  A removal takes the bottom c_k of the m_k rows of
-    each block of equal parts k, so it is a count vector c; each term is
-    ordered lexicographically descending.  The cover taking one more row
-    from block k has sign (-1)^(rows already taken from smaller parts),
-    which makes every covering square anticommute, so the induced complex
-    of injectives is exact past degree zero."""
+    the number of rows.  `vertical_strips` lists each removal with its
+    row-block counts c, in term order.  The cover taking one more row from
+    block k has sign (-1)^(rows already taken from smaller parts), which
+    makes every covering square anticommute, so the induced complex of
+    injectives is exact past degree zero."""
     lam = partition(lam)
-    blocks = list(multiplicities(lam).items())  # (k, m_k), k descending
-    shape: dict[tuple[int, ...], Partition] = {}
-    for c in product(*(range(m + 1) for _, m in blocks)):
-        rows = [x for (k, m), ck in zip(blocks, c)
-                for x in (k,) * (m - ck) + (k - 1,) * ck]
-        shape[c] = tuple(x for x in rows if x)
-    by_term: list[list[tuple[int, ...]]] = [[] for _ in range(len(lam) + 1)]
-    for c in sorted(shape, key=shape.get, reverse=True):
-        by_term[sum(c)].append(c)
+    strips = vertical_strips(lam)
+    shape = dict(strips)
+    blocks = list(multiplicities(lam).values())
+    terms: list[list[Partition]] = [[] for _ in range(len(lam) + 1)]
     signs: dict[tuple[Partition, Partition], int] = {}
-    for term in by_term:
-        for c in term:
-            # covers in term order: a row taken from a larger block is later
-            for b in reversed(range(len(blocks))):
-                if c[b] < blocks[b][1]:
-                    cover = c[:b] + (c[b] + 1,) + c[b + 1:]
-                    signs[(shape[c], shape[cover])] = (-1) ** sum(c[b + 1:])
-    terms = tuple(tuple(shape[c] for c in term) for term in by_term)
-    return InjResolution(lam, terms, signs)
+    for c, mu in strips:
+        terms[sum(c)].append(mu)
+        # covers in term order: a row taken from a larger block is later
+        for b in reversed(range(len(blocks))):
+            if c[b] < blocks[b]:
+                cover = c[:b] + (c[b] + 1,) + c[b + 1:]
+                signs[(mu, shape[cover])] = (-1) ** sum(c[b + 1:])
+    return InjResolution(lam, tuple(tuple(t) for t in terms), signs)
 
 
 def ext_simples(lam, mu) -> dict[int, int]:
@@ -382,34 +375,20 @@ class PoincareTruncation:
 
 def poincare_truncated(shape: FreeResShape, bound: int) -> PoincareTruncation:
     """Coefficient of t^d q^n is (-1)^n (sum of dims of degree-d generators
-    in homological degree n) / d!."""
+    in homological degree n) / d!.  Past the tail start every generator
+    gains one box per degree, so no degree after `last` reaches the bound."""
+    last = shape.max_explicit()
+    if shape.tail is not None:
+        smallest = min((size(p) for p in shape.tail.shapes), default=bound + 1)
+        last = max(last, shape.tail.start + bound - smallest)
     coeffs: dict[tuple[int, int], Fraction] = {}
-    n = 0
-    while True:
-        gens = shape.generators_at(n)
-        if not gens:
-            if shape.is_finite():
-                if n > shape.max_explicit():
-                    break
-            elif n > shape.tail.start:
-                break
-            n += 1
-            continue
-        if min(size(g) for g in gens) > bound and (
-            shape.tail is not None and n >= shape.tail.start
-        ):
-            break  # tail degrees only grow past the bound
-        for g in gens:
+    for n in range(last + 1):
+        for g in shape.generators_at(n):
             d = size(g)
-            if d > bound:
-                continue
-            key = (d, n)
-            c = Fraction((-1) ** n * hook_dimension(g), factorial(d))
-            coeffs[key] = coeffs.get(key, Fraction(0)) + c
-            if coeffs[key] == 0:
-                del coeffs[key]
-        n += 1
-    return PoincareTruncation(bound, coeffs)
+            if d <= bound:
+                c = Fraction((-1) ** n * hook_dimension(g), factorial(d))
+                coeffs[(d, n)] = coeffs.get((d, n), 0) + c
+    return PoincareTruncation(bound, {k: c for k, c in coeffs.items() if c})
 
 
 def closed_form_m0e(e: int, bound: int) -> PoincareTruncation:

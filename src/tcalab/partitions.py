@@ -10,7 +10,8 @@ partitions, and the two strip relations
 
 drive all of it.  A vertical-strip removal takes a bottom run of rows
 from each block of equal parts, so it is a vector of row-block counts;
-`homalg.bgg_resolution` builds its terms and signs from those counts.
+`vertical_strips` is the one enumeration of them, and `remove_strips`,
+`strips_below` and `homalg.bgg_resolution` all read its list.
 
 Border strips are handled through first-column hook lengths (beta
 numbers).  Rim hooks (`symchar`), the aligned border strips and the
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import factorial
 from typing import Iterator, NamedTuple
 
@@ -158,13 +160,28 @@ def is_strip(lam: Partition, mu: Partition, kind: str) -> bool:
     return True
 
 
+def vertical_strips(lam: Partition) -> list[tuple[tuple[int, ...], Partition]]:
+    """Every vertical-strip removal from lam as a pair (c, mu): mu takes one
+    box from each of the bottom c_k rows of the k-th block of equal parts
+    (blocks by descending part, 0 <= c_k <= m_k), so |lam/mu| = sum(c).
+    Ordered by sum(c) and then mu lexicographically descending: counts
+    ascending take rows from later blocks first, which leaves mu larger, so
+    a stable sort by size of the product order is that order."""
+    blocks = list(multiplicities(lam).items())  # (k, m_k), k descending
+    out = []
+    for c in product(*(range(m + 1) for _, m in blocks)):
+        rows = [x for (k, m), ck in zip(blocks, c)
+                for x in (k,) * (m - ck) + (k - 1,) * ck]
+        out.append((c, tuple(x for x in rows if x)))
+    return sorted(out, key=lambda cm: sum(cm[0]))
+
+
 def remove_strips(lam: Partition, d: int, kind: str) -> list[Partition]:
     """All mu with lam/mu a strip of size d, lexicographically descending."""
     if d < 0:
         raise ValueError("strip size must be nonnegative")
     if kind == VS:
-        inner = remove_strips(transpose(lam), d, HS)
-        return sorted((transpose(m) for m in inner), reverse=True)
+        return [mu for c, mu in vertical_strips(lam) if sum(c) == d]
     if kind != HS:
         raise ValueError(f"kind must be 'HS' or 'VS', got {kind!r}")
     results: list[Partition] = []
@@ -189,6 +206,8 @@ def remove_strips(lam: Partition, d: int, kind: str) -> list[Partition]:
 def strips_below(lam: Partition, kind: str) -> list[tuple[int, Partition]]:
     """Every (d, mu) with lam/mu a strip of the kind and size d, by d
     ascending and then as remove_strips orders them."""
+    if kind == VS:
+        return [(sum(c), mu) for c, mu in vertical_strips(lam)]
     return [(d, mu) for d in range(size(lam) + 1) for mu in remove_strips(lam, d, kind)]
 
 

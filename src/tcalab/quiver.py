@@ -424,22 +424,16 @@ class RepComplex:
 
 def complex_cohomology(cx: RepComplex) -> list[dict[Partition, int]]:
     """Per-degree constituent multiplicities, vertexwise:
-    dim ker(d_t) - rank(d_{t-1})."""
+    dim ker(d_t) - rank(d_{t-1}).  Every block of every map is ranked once."""
     vs = cx.reps[0].vs
+    ranks = [{v: linalg.rank(m) for v, m in phi.items()} for phi in cx.maps]
     out: list[dict[Partition, int]] = []
     for t, rep in enumerate(cx.reps):
+        out_rank = ranks[t] if t < len(ranks) else {}
+        in_rank = ranks[t - 1] if t > 0 else {}
         table: dict[Partition, int] = {}
         for v in vs.vertices:
-            d = rep.dims[v]
-            if d == 0:
-                continue
-            out_rank = 0
-            if t < len(cx.maps):
-                out_rank = linalg.rank(cx.maps[t].get(v, []))
-            in_rank = 0
-            if t > 0:
-                in_rank = linalg.rank(cx.maps[t - 1].get(v, []))
-            h = d - out_rank - in_rank
+            h = rep.dims[v] - out_rank.get(v, 0) - in_rank.get(v, 0)
             if h:
                 table[v] = h
         out.append(table)
