@@ -114,13 +114,10 @@ def _aclass_json(x: AClass) -> dict:
 def _emit(doc: dict, table: bool = False) -> None:
     doc = {"schema": SCHEMA, **doc}
     if table:
-        text = "\n".join(
-            f"{key}: {json.dumps(value, sort_keys=True, allow_nan=False)}"
-            for key, value in doc.items()
-        )
+        for key, value in doc.items():
+            print(f"{key}: {json.dumps(value, sort_keys=True, allow_nan=False)}")
     else:
-        text = json.dumps(doc, sort_keys=True, allow_nan=False)
-    print(text)  # formatted whole first, so a failure writes nothing
+        print(json.dumps(doc, sort_keys=True, allow_nan=False))
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +424,8 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"schema": SCHEMA, "error": str(exc)}), file=sys.stderr)
         return 2
     except Exception as exc:  # any other failure is reported, never a traceback
-        print(
-            json.dumps({"schema": SCHEMA, "internal_error": type(exc).__name__,
-                        "message": str(exc)}),
-            file=sys.stderr,
-        )
+        fault = {"schema": SCHEMA, "internal_error": type(exc).__name__, "message": str(exc)}
+        print(json.dumps(fault), file=sys.stderr)
         return 3
     return 0
 

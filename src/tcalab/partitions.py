@@ -164,9 +164,8 @@ def vertical_strips(lam: Partition) -> list[tuple[tuple[int, ...], Partition]]:
     """Every vertical-strip removal from lam as a pair (c, mu): mu takes one
     box from each of the bottom c_k rows of the k-th block of equal parts
     (blocks by descending part, 0 <= c_k <= m_k), so |lam/mu| = sum(c).
-    Ordered by sum(c) and then mu lexicographically descending: counts
-    ascending take rows from later blocks first, which leaves mu larger, so
-    a stable sort by size of the product order is that order."""
+    Ordered by sum(c), then mu descending, which is the product order of
+    c within one size: a larger c_k at the first difference leaves mu smaller."""
     blocks = list(multiplicities(lam).items())  # (k, m_k), k descending
     out = []
     for c in product(*(range(m + 1) for _, m in blocks)):

@@ -76,6 +76,16 @@ def brute_remove_strips(lam, d, kind) -> set[tuple[int, ...]]:
     }
 
 
+def vs_removals_by_transpose(lam, d) -> list[tuple[int, ...]]:
+    """The vertical-strip removals of size d as `remove_strips` first listed
+    them: the horizontal-strip removals of the transpose, transposed back
+    and sorted lexicographically descending."""
+    from tcalab.partitions import HS, remove_strips, transpose
+
+    return sorted((transpose(m) for m in remove_strips(transpose(lam), d, HS)),
+                  reverse=True)
+
+
 def bgg_signs_by_profile(lam) -> dict:
     """The signs of the injective resolution of the simple at lam, by the
     rule `homalg` first used: every vertical-strip removal mu of lam (from
@@ -459,3 +469,47 @@ def char_poly_by_products(lam):
                 {i: nu.count(i) for i in set(nu)}, c, "t"
             )
     return umbral_by_products(series)
+
+
+# ---------------------------------------------------------------------------
+# Poincare series by the first degree walk
+
+
+def poincare_by_break_conditions(shape, bound):
+    """`homalg.poincare_truncated` as it was first written: walk the
+    homological degrees until one of three break conditions holds (past a
+    finite shape, past an empty tail start, or a tail degree whose smallest
+    generator exceeds the bound), dropping each coefficient as it sums to
+    zero."""
+    from math import factorial
+
+    from tcalab.homalg import PoincareTruncation
+    from tcalab.partitions import hook_dimension, size
+
+    coeffs = {}
+    n = 0
+    while True:
+        gens = shape.generators_at(n)
+        if not gens:
+            if shape.is_finite():
+                if n > shape.max_explicit():
+                    break
+            elif n > shape.tail.start:
+                break
+            n += 1
+            continue
+        if min(size(g) for g in gens) > bound and (
+            shape.tail is not None and n >= shape.tail.start
+        ):
+            break  # tail degrees only grow past the bound
+        for g in gens:
+            d = size(g)
+            if d > bound:
+                continue
+            key = (d, n)
+            c = Fraction((-1) ** n * hook_dimension(g), factorial(d))
+            coeffs[key] = coeffs.get(key, Fraction(0)) + c
+            if coeffs[key] == 0:
+                del coeffs[key]
+        n += 1
+    return PoincareTruncation(bound, coeffs)

@@ -276,6 +276,23 @@ class TestInputContract:
     def test_quiver_has_no_size_option(self, capsys):
         _refused(capsys, ["quiver", "hom", "2", "1", "--size", "3"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fourier", "S[99999999999999999999]"],
+            ["ktheory", "pair", "L[99999999999999999999]", "L[1]"],
+        ],
+    )
+    def test_overflow_is_one_json_line(self, capsys, argv):
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        assert main(argv) in (2, 3)
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
+        json.loads(err, parse_constant=reject)
+
     def test_infinite_depth_is_strict_json(self, capsys):
         def reject(name):
             raise ValueError(f"non-standard JSON constant {name}")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import partitions_st
-from oracles import bgg_signs_by_profile
+from oracles import bgg_signs_by_profile, poincare_by_break_conditions
 from tcalab.hilbert import enhanced_of_simple
 from tcalab.homalg import (
     FreeResShape,
@@ -259,6 +259,28 @@ class TestPoincare:
 
         for n in range(11):
             assert series.coefficient(n, n) == Fraction((-1) ** n, _m.factorial(n))
+
+    def test_matches_the_break_condition_walk(self):
+        shapes = [
+            efw_resolution(alpha, e, b)
+            for alpha in partitions_up_to(4) for e in range(1, 5) for b in range(8)
+        ]
+        shapes += [
+            syzygy_shape_ln(n, D, b)
+            for n in range(1, 4) for D in range(n + 1, 6) for b in range(5)
+        ]
+        shapes += [
+            FreeResShape({0: ((),)}),
+            FreeResShape({0: ((1,),), 1: (), 2: ((2, 1), (1, 1, 1))}),
+            FreeResShape({0: ((2,),), 1: ((3,),)}),
+            FreeResShape({0: ((1,),)}, TailRule(start=1, shapes=())),
+            FreeResShape({0: ((5,),), 1: ()}, TailRule(start=2, shapes=((),))),
+            FreeResShape({0: ((2,),)}, TailRule(start=1, shapes=((3, 1), (1,)))),
+        ]
+        for shape in shapes:
+            for bound in range(16):
+                got = poincare_truncated(shape, bound)
+                assert got == poincare_by_break_conditions(shape, bound), (shape, bound)
 
 
 class TestFourier:

@@ -13,6 +13,7 @@ from oracles import (
     skew_is_hs,
     skew_is_vs,
     sub_partitions,
+    vs_removals_by_transpose,
 )
 from tcalab.partitions import (
     HS,
@@ -38,6 +39,7 @@ from tcalab.partitions import (
     stable_dimension_poly,
     strips_below,
     transpose,
+    vertical_strips,
 )
 
 
@@ -136,6 +138,25 @@ class TestStrips:
                     transpose(mu) for mu in remove_strips(transpose(lam), d, HS)
                 }
                 assert set(remove_strips(lam, d, VS)) == via_transpose
+
+    def test_vs_order_matches_the_transpose_route(self):
+        for lam in partitions_up_to(9):
+            for d in range(size(lam) + 2):
+                assert remove_strips(lam, d, VS) == vs_removals_by_transpose(lam, d)
+            assert strips_below(lam, VS) == [
+                (d, mu) for d in range(size(lam) + 1)
+                for mu in vs_removals_by_transpose(lam, d)
+            ], lam
+
+    def test_vertical_strips_are_row_block_counts(self):
+        for lam in partitions_up_to(9):
+            blocks = list(multiplicities(lam).values())
+            strips = vertical_strips(lam)
+            assert len({mu for _, mu in strips}) == len(strips), lam
+            for c, mu in strips:
+                assert len(c) == len(blocks)
+                assert all(0 <= ck <= m for ck, m in zip(c, blocks)), (lam, c)
+                assert sum(c) == size(lam) - size(mu), (lam, c, mu)
 
     def test_add_strip_duality(self):
         for lam in partitions_up_to(4):

@@ -1,4 +1,5 @@
-"""The names the benchmark tracer reads from the package still resolve.
+"""The names the benchmark tracer reads from the package still resolve,
+and every cache in the package is among them.
 
 `perfbench/spans.py` (standard library only) looks up every lru_cache by
 module and name and meters `.terms` on each `MPoly` product; a rename
@@ -6,9 +7,12 @@ there would crash or silently zero every traced benchmark run.
 """
 
 import functools
+import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
+import tcalab
 from tcalab.polynomials import MPoly
 
 
@@ -28,6 +32,20 @@ def test_every_named_cache_is_an_lru_cache():
     assert set(caches) == set(spans.LRU_CACHES)
     for key, fn in caches.items():
         assert isinstance(fn, functools._lru_cache_wrapper), key
+
+
+def test_every_package_cache_is_named():
+    """An lru_cache missing from LRU_CACHES is not cleared between the
+    benchmark's cold rounds, so it would stay warm and hide first-call cost."""
+    defined = set()
+    for info in pkgutil.iter_modules(tcalab.__path__):
+        module = importlib.import_module(f"tcalab.{info.name}")
+        for name, obj in vars(module).items():
+            if (isinstance(obj, functools._lru_cache_wrapper)
+                    and obj.__module__ == module.__name__):
+                defined.add((info.name, name))
+    assert defined
+    assert defined <= set(spans.LRU_CACHES.values())
 
 
 def test_products_expose_their_terms():
