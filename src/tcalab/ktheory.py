@@ -22,9 +22,9 @@ from .partitions import (
     HS,
     VS,
     Partition,
+    corner_removals,
     is_strip,
     partition,
-    remove_strips,
     size,
     strips_below,
     transpose,
@@ -194,7 +194,7 @@ def schur_derivative(x):
     if isinstance(x, VClass):
         out: dict[Partition, int] = {}
         for lam, c in x.coeffs.items():
-            for mu in remove_strips(lam, 1, HS):
+            for mu in corner_removals(lam):
                 out[mu] = out.get(mu, 0) + c
         return VClass(out)
     if isinstance(x, AClass):

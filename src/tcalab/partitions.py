@@ -8,10 +8,12 @@ partitions, and the two strip relations
     HS: lam/mu is a horizontal strip  (at most one box per column),
     VS: lam/mu is a vertical strip    (at most one box per row),
 
-drive all of it.  A vertical-strip removal takes a bottom run of rows
-from each block of equal parts, so it is a vector of row-block counts;
-`vertical_strips` is the one enumeration of them, and `remove_strips`,
-`strips_below` and `homalg.bgg_resolution` all read its list.
+drive all of it.  A horizontal-strip removal is an interlacing sequence
+mu_i in [lam_{i+1}, lam_i] (Macdonald, I.5), which `strips_below` lists
+directly; `corner_removals` lists the one-box ones.  A vertical-strip
+removal takes a bottom run of rows from each block of equal parts, so it
+is a vector of row-block counts; `vertical_strips` is the one enumeration
+of them, and `strips_below` and `homalg.bgg_resolution` both read its list.
 
 Border strips are handled through first-column hook lengths (beta
 numbers).  Rim hooks (`symchar`), the aligned border strips and the
@@ -175,39 +177,34 @@ def vertical_strips(lam: Partition) -> list[tuple[tuple[int, ...], Partition]]:
     return sorted(out, key=lambda cm: sum(cm[0]))
 
 
-def remove_strips(lam: Partition, d: int, kind: str) -> list[Partition]:
-    """All mu with lam/mu a strip of size d, lexicographically descending."""
-    if d < 0:
-        raise ValueError("strip size must be nonnegative")
-    if kind == VS:
-        return [mu for c, mu in vertical_strips(lam) if sum(c) == d]
-    if kind != HS:
-        raise ValueError(f"kind must be 'HS' or 'VS', got {kind!r}")
-    results: list[Partition] = []
-
-    def rec(i: int, budget: int, acc: list[int]) -> None:
-        if i == len(lam):
-            if budget == 0:
-                results.append(partition(acc))
-            return
-        nxt = lam[i + 1] if i + 1 < len(lam) else 0
-        # mu_i ranges over [lam_{i+1}, lam_i]; spend lam_i - mu_i boxes
-        for mu_i in range(lam[i], nxt - 1, -1):
-            spent = lam[i] - mu_i
-            if spent > budget:
-                break
-            rec(i + 1, budget - spent, acc + [mu_i])
-
-    rec(0, d, [])
-    return sorted(results, reverse=True)
-
-
 def strips_below(lam: Partition, kind: str) -> list[tuple[int, Partition]]:
     """Every (d, mu) with lam/mu a strip of the kind and size d, by d
-    ascending and then as remove_strips orders them."""
+    ascending and then mu lexicographically descending; lam must be
+    canonical.  A horizontal strip is the interlacing mu_i in
+    [lam_{i+1}, lam_i], where only the last row may drop to 0; the product
+    of those ranges, each descending, lists mu descending within one size,
+    so one stable sort by size orders them.  Vertical strips come from
+    `vertical_strips`."""
     if kind == VS:
         return [(sum(c), mu) for c, mu in vertical_strips(lam)]
-    return [(d, mu) for d in range(size(lam) + 1) for mu in remove_strips(lam, d, kind)]
+    if kind != HS:
+        raise ValueError(f"kind must be 'HS' or 'VS', got {kind!r}")
+    n = size(lam)
+    rows = [range(hi, lo - 1, -1) for hi, lo in zip(lam, lam[1:] + (0,))]
+    out = [(n - sum(mu), mu[:-1] if mu and not mu[-1] else mu)
+           for mu in product(*rows)]
+    return sorted(out, key=lambda dm: dm[0])
+
+
+def corner_removals(v: Partition) -> list[Partition]:
+    """The partitions v with one corner box removed, lexicographically
+    descending (bottom corner first): the one-box horizontal strips, the
+    d = 1 slice of strips_below(v, HS)."""
+    out = []
+    for i in range(len(v) - 1, -1, -1):
+        if i + 1 == len(v) or v[i] > v[i + 1]:
+            out.append(v[:i] + (v[i] - 1,) + v[i + 1:] if v[i] > 1 else v[:i])
+    return out
 
 
 def add_strips(lam: Partition, d: int, kind: str) -> list[Partition]:

@@ -18,7 +18,9 @@ missing one.  Every sum of indecomposable injectives, a single one
 included, comes from `injective_sum`, which also says where each summand
 sits in the basis and checks the relations on those summand tables
 instead of multiplying matrices; every other representation is checked
-by `QuiverRep.validate`.
+by `QuiverRep.validate`.  The strip sets come from `partitions`: a vertex
+set's arrows from `corner_removals`, and the support of the injective at
+lam, its horizontal-strip down-set, from `strips_below(lam, HS)`.
 
 This module machine-checks what the rest of the package computes by
 formula: hom dimensions between injectives, socles, exactness of the
@@ -28,7 +30,6 @@ injective resolutions of simples, and kernel/cokernel constituents.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 from . import linalg
 from .homalg import InjResolution, bgg_resolution
@@ -36,10 +37,12 @@ from .linalg import Matrix
 from .partitions import (
     HS,
     Partition,
+    corner_removals,
     is_strip,
     partition,
     partitions_up_to,
     size,
+    strips_below,
 )
 
 
@@ -94,31 +97,12 @@ def _product(a: Matrix | None, b: Matrix | None) -> Matrix | None:
     return None if linalg.is_zero(m) else m
 
 
-def _down_set(lam: Partition) -> list[Partition]:
-    """Every mu with lam/mu a horizontal strip, lam included: the
-    interlacing mu_i in [lam_{i+1}, lam_i], where only the last row may
-    drop to 0."""
-    rows = [range(lo, hi + 1) for hi, lo in zip(lam, lam[1:] + (0,))]
-    return [mu[:-1] if mu and not mu[-1] else mu for mu in product(*rows)]
-
-
 def _two_box_is_strip(k: Partition, i: Partition) -> bool:
     """Whether k/i is a horizontal strip, for i inside k with two boxes
     between them: it is not exactly when k and i differ in two rows whose
     parts in k are equal, which puts the two boxes in one column."""
     rows = [r for r, x in enumerate(k) if r >= len(i) or i[r] != x]
     return len(rows) == 1 or k[rows[0]] != k[rows[1]]
-
-
-def _corner_removals(v: Partition) -> list[Partition]:
-    """The partitions v with one corner box removed, lexicographically
-    descending (bottom corner first), as remove_strips(v, 1, HS) lists
-    them."""
-    out = []
-    for i in range(len(v) - 1, -1, -1):
-        if i + 1 == len(v) or v[i] > v[i + 1]:
-            out.append(v[:i] + (v[i] - 1,) + v[i + 1:] if v[i] > 1 else v[:i])
-    return out
 
 
 class VertexSet:
@@ -139,7 +123,7 @@ class VertexSet:
         self.index = {v: i for i, v in enumerate(vs)}
         up: dict[Partition, list[Partition]] = {v: [] for v in vs}
         for v in vs:
-            for w in _corner_removals(v):
+            for w in corner_removals(v):
                 covers = up.get(w)
                 if covers is None:
                     raise VertexMissingError(
@@ -268,7 +252,7 @@ def injective_sum(
         lam = partition(lam)
         if lam not in vs.index:
             raise TruncationTooSmallError(f"vertex set misses {lam}")
-        for mu in _down_set(lam):
+        for _, mu in strips_below(lam, HS):
             where[mu][b] = len(where[mu])
     # the covering pairs in their order, restricted to the support
     arrows: dict[tuple[Partition, Partition], Matrix] = {}
@@ -485,7 +469,8 @@ def kernel_cokernel_constituents(
     }
     h0, h1 = complex_cohomology(RepComplex([src, dst], [phi]))
     ker, coker = set(h0), set(h1)
-    down_lam, down_mu = set(_down_set(lam)), set(_down_set(mu))
+    down_lam = {x for _, x in strips_below(lam, HS)}
+    down_mu = {x for _, x in strips_below(mu, HS)}
     if ker != down_lam - down_mu or coker != down_mu - down_lam:
         raise RelationError("rank computation disagrees with down-set difference")
     return ker, coker
@@ -500,7 +485,7 @@ def tau_contractibility_check(vs: VertexSet) -> bool:
     x <= y forces tau(y) <= x, and tau iterates any vertex to empty."""
     for y in vs.vertices:
         ty = tau_first_row_deletion(y)
-        for x in _down_set(y):
+        for _, x in strips_below(y, HS):
             if not is_strip(x, ty, HS):
                 return False
     for x in vs.vertices:

@@ -76,14 +76,35 @@ def brute_remove_strips(lam, d, kind) -> set[tuple[int, ...]]:
     }
 
 
-def vs_removals_by_transpose(lam, d) -> list[tuple[int, ...]]:
-    """The vertical-strip removals of size d as `remove_strips` first listed
-    them: the horizontal-strip removals of the transpose, transposed back
-    and sorted lexicographically descending."""
-    from tcalab.partitions import HS, remove_strips, transpose
+def remove_strips(lam, d, kind) -> list[tuple[int, ...]]:
+    """All mu with lam/mu a strip of size d, lexicographically descending,
+    by the routes `partitions` first took: for horizontal strips a
+    recursion over the rows, each mu_i in [lam_{i+1}, lam_i] spending
+    lam_i - mu_i boxes of the budget; for vertical strips the
+    horizontal-strip removals of the transpose, transposed back."""
+    from tcalab.partitions import partition, transpose
 
-    return sorted((transpose(m) for m in remove_strips(transpose(lam), d, HS)),
-                  reverse=True)
+    if kind == "VS":
+        return sorted((transpose(m) for m in remove_strips(transpose(lam), d, "HS")),
+                      reverse=True)
+    if kind != "HS":
+        raise ValueError(f"kind must be 'HS' or 'VS', got {kind!r}")
+    results = []
+
+    def rec(i, budget, acc):
+        if i == len(lam):
+            if budget == 0:
+                results.append(partition(acc))
+            return
+        nxt = lam[i + 1] if i + 1 < len(lam) else 0
+        for mu_i in range(lam[i], nxt - 1, -1):
+            spent = lam[i] - mu_i
+            if spent > budget:
+                break
+            rec(i + 1, budget - spent, acc + [mu_i])
+
+    rec(0, d, [])
+    return sorted(results, reverse=True)
 
 
 def bgg_signs_by_profile(lam) -> dict:
@@ -372,17 +393,17 @@ def global_relations_hold(vertices, dims, arrows) -> bool:
 def vertex_set_by_remove_strips(vertices):
     """The quiver vertex set as `VertexSet` first tabulated it: canonicalise
     and sort by size, then lexicographically descending, and take each
-    vertex's one-box removals from `remove_strips(v, 1, HS)`.  Returns
+    vertex's one-box removals from `remove_strips(v, 1, "HS")`.  Returns
     (vertices, index, up, covering pairs), or raises ValueError with the
     library's message for the first vertex whose removal leaves the set."""
-    from tcalab.partitions import HS, partition, remove_strips, size
+    from tcalab.partitions import partition, size
 
     vs = sorted({partition(v) for v in vertices},
                 key=lambda p: (size(p), tuple(-x for x in p)))
     index = {v: i for i, v in enumerate(vs)}
     up = {v: [] for v in vs}
     for v in vs:
-        for w in remove_strips(v, 1, HS):
+        for w in remove_strips(v, 1, "HS"):
             if w not in index:
                 raise ValueError(f"vertex set is not downward closed: {v} needs {w}")
             up[w].append(v)

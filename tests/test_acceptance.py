@@ -49,7 +49,6 @@ from tcalab.partitions import (
     partition,
     partitions_of,
     partitions_up_to,
-    remove_strips,
     size,
     transpose,
 )
@@ -64,7 +63,7 @@ from tcalab.quiver import (
     tau_contractibility_check,
 )
 from tcalab.symchar import VClass, lr_coefficient, mn_trace
-from oracles import centralizer_order
+from oracles import centralizer_order, remove_strips
 
 
 @contextmanager

@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from conftest import partitions_st
-from oracles import char_poly_by_products, umbral_by_products
+from oracles import char_poly_by_products, remove_strips, umbral_by_products
 from tcalab.hilbert import (
     EnhancedSeries,
     char_poly_of_class,
@@ -239,8 +239,6 @@ class TestTruncationConsistency:
             total = total.truncate(bound)
             p = MPoly.zero("t")
             for dd in range(size(lam) + 1):
-                from tcalab.partitions import remove_strips
-
                 for mu in remove_strips(lam, dd, "VS"):
                     p = p + enhanced_of_simple(mu).scale((-1) ** dd)
             q = q_from_local_cohomology(lam, top)

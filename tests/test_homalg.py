@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import partitions_st
-from oracles import bgg_signs_by_profile, poincare_by_break_conditions
+from oracles import bgg_signs_by_profile, poincare_by_break_conditions, remove_strips
 from tcalab.hilbert import enhanced_of_simple
 from tcalab.homalg import (
     FreeResShape,
@@ -38,7 +38,6 @@ from tcalab.partitions import (
     contains,
     partition,
     partitions_up_to,
-    remove_strips,
     size,
 )
 from tcalab.polynomials import MPoly

@@ -12,8 +12,8 @@ from oracles import (
     brute_transpose,
     skew_is_hs,
     skew_is_vs,
+    remove_strips,
     sub_partitions,
-    vs_removals_by_transpose,
 )
 from tcalab.partitions import (
     HS,
@@ -25,6 +25,7 @@ from tcalab.partitions import (
     aut_factor,
     border_strip_component_count,
     contains,
+    corner_removals,
     eval_poly,
     hook_dimension,
     is_strip,
@@ -33,7 +34,6 @@ from tcalab.partitions import (
     partition,
     partitions_of,
     partitions_up_to,
-    remove_strips,
     shifted_normalize,
     size,
     stable_dimension_poly,
@@ -105,20 +105,25 @@ class TestStrips:
         assert remove_strips((1, 1), 1, HS) == [(1,)]
         assert remove_strips((2, 1), 0, HS) == [(2, 1)]
         assert remove_strips((), 0, VS) == [()]
+        assert strips_below((2, 1), HS) == [(0, (2, 1)), (1, (2,)), (1, (1, 1)), (2, (1,))]
+        assert strips_below((1, 1), HS) == [(0, (1, 1)), (1, (1,))]
+        assert strips_below((), HS) == strips_below((), VS) == [(0, ())]
 
     def test_strip_order_is_lex_descending(self):
-        assert remove_strips((2, 1), 1, HS) == [(2,), (1, 1)]
+        assert corner_removals((2, 1)) == [(2,), (1, 1)]
+        assert [mu for d, mu in strips_below((3, 1), HS) if d == 1] == [(3,), (2, 1)]
         assert add_strips((2,), 2, HS) == [(4,), (3, 1), (2, 2)]
         assert add_strips((1,), 1, HS) == [(2,), (1, 1)]
         assert add_strips((), 3, VS) == [(1, 1, 1)]
 
     @given(partitions_st(max_part=4, max_rows=3))
     def test_remove_strips_matches_oracle(self, lam):
-        for d in range(size(lam) + 1):
-            for kind in (HS, VS):
-                assert set(remove_strips(lam, d, kind)) == brute_remove_strips(
-                    lam, d, kind
-                )
+        for kind in (HS, VS):
+            below = strips_below(lam, kind)
+            for d in range(size(lam) + 1):
+                want = brute_remove_strips(lam, d, kind)
+                assert set(remove_strips(lam, d, kind)) == want
+                assert {mu for e, mu in below if e == d} == want
 
     def test_strips_below_matches_oracle(self):
         for lam in partitions_up_to(6):
@@ -133,20 +138,37 @@ class TestStrips:
 
     def test_vs_is_hs_on_transposes(self):
         for lam in partitions_up_to(8):
-            for d in range(size(lam) + 1):
-                via_transpose = {
-                    transpose(mu) for mu in remove_strips(transpose(lam), d, HS)
-                }
-                assert set(remove_strips(lam, d, VS)) == via_transpose
+            via_transpose = {
+                (d, transpose(mu)) for d, mu in strips_below(transpose(lam), HS)
+            }
+            assert set(strips_below(lam, VS)) == via_transpose, lam
 
     def test_vs_order_matches_the_transpose_route(self):
         for lam in partitions_up_to(9):
+            strips = vertical_strips(lam)
             for d in range(size(lam) + 2):
-                assert remove_strips(lam, d, VS) == vs_removals_by_transpose(lam, d)
+                assert [mu for c, mu in strips if sum(c) == d] == remove_strips(
+                    lam, d, VS), (lam, d)
             assert strips_below(lam, VS) == [
                 (d, mu) for d in range(size(lam) + 1)
-                for mu in vs_removals_by_transpose(lam, d)
+                for mu in remove_strips(lam, d, VS)
             ], lam
+
+    def test_hs_order_matches_the_recursion(self):
+        for lam in partitions_up_to(9):
+            assert strips_below(lam, HS) == [
+                (d, mu) for d in range(size(lam) + 1)
+                for mu in remove_strips(lam, d, HS)
+            ], lam
+        for lam in ((), (2, 1)):
+            with pytest.raises(ValueError):
+                strips_below(lam, "XX")
+
+    def test_corner_removals_are_the_one_box_strips(self):
+        for v in partitions_up_to(9):
+            assert corner_removals(v) == remove_strips(v, 1, HS), v
+            assert corner_removals(v) == [
+                mu for d, mu in strips_below(v, HS) if d == 1], v
 
     def test_vertical_strips_are_row_block_counts(self):
         for lam in partitions_up_to(9):
@@ -164,17 +186,16 @@ class TestStrips:
                 for kind in (HS, VS):
                     added = add_strips(lam, d, kind)
                     for mu in added:
-                        assert lam in remove_strips(mu, d, kind)
+                        assert (d, lam) in strips_below(mu, kind)
 
     def test_strip_identity(self):
         # alternating count of mid shapes between nested partitions
         for lam in partitions_up_to(8):
             for nu in sub_partitions(lam):
                 total = 0
-                for d in range(size(lam) - size(nu) + 1):
-                    for mu in remove_strips(lam, d, HS):
-                        if is_strip(mu, nu, VS):
-                            total += (-1) ** (size(mu) - size(nu))
+                for _, mu in strips_below(lam, HS):
+                    if is_strip(mu, nu, VS):
+                        total += (-1) ** (size(mu) - size(nu))
                 assert total == (1 if lam == nu else 0), (lam, nu)
 
 

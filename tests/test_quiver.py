@@ -12,6 +12,7 @@ from conftest import partitions_st
 from oracles import (
     global_relations_hold,
     injective_sum_by_scan,
+    remove_strips,
     sub_partitions,
     sum_tables_on_supports,
     vertex_set_by_remove_strips,
@@ -23,8 +24,8 @@ from tcalab.partitions import (
     add_strips,
     is_strip,
     partitions_up_to,
-    remove_strips,
     size,
+    strips_below,
 )
 from tcalab.quiver import (
     NotAComplexError,
@@ -36,7 +37,6 @@ from tcalab.quiver import (
     VertexMissingError,
     VertexSet,
     ZeroMapError,
-    _corner_removals,
     build_injective,
     build_simple,
     complex_cohomology,
@@ -67,10 +67,6 @@ class TestVertexSet:
         for i, j in vs.covering_pairs():
             assert size(j) == size(i) + 1
             assert is_strip(j, i, HS)
-
-    def test_corner_removals_are_the_one_box_strips(self):
-        for v in partitions_up_to(9):
-            assert _corner_removals(v) == remove_strips(v, 1, HS), v
 
     @staticmethod
     def _tables(vs):
@@ -308,14 +304,16 @@ class TestInjectiveSum:
         # every summand's down-set loses or gains seeded vertices; the sum
         # must be refused exactly when the global scan refuses the matrices
         # built on the same supports, and both local relations must refuse
-        down_set, vs, rng = quiver._down_set, self.VS, random.Random(9)
+        vs, rng = self.VS, random.Random(9)
         supports = {}
-        monkeypatch.setattr(quiver, "_down_set", lambda lam: supports[lam])
+        monkeypatch.setattr(quiver, "strips_below", lambda lam, kind: [
+            (size(lam) - size(mu), mu) for mu in supports[lam]])
         verdicts = Counter()
         for lams in seeded_lists(vs, 9, 1000):
             supports.clear()
             for lam in dict.fromkeys(lams):
-                down = down_set(lam)
+                # sorted, so the seeded draws do not hang on the enumeration order
+                down = sorted(mu for _, mu in strips_below(lam, HS))
                 outside = [v for v in vs.vertices if v not in down]
                 supports[lam] = [mu for mu in down if rng.random() > 0.15]
                 supports[lam] += rng.sample(outside, min(len(outside), rng.randint(0, 2)))
