@@ -10,9 +10,9 @@ from oracles import (
     brute_shifted_sort,
     brute_standard_tableaux_count,
     brute_transpose,
+    remove_strips,
     skew_is_hs,
     skew_is_vs,
-    remove_strips,
     sub_partitions,
 )
 from tcalab.partitions import (
