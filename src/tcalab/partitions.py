@@ -9,11 +9,12 @@ partitions, and the two strip relations
     VS: lam/mu is a vertical strip    (at most one box per row),
 
 drive all of it.  A horizontal-strip removal is an interlacing sequence
-mu_i in [lam_{i+1}, lam_i] (Macdonald, I.5), which `strips_below` lists
-directly; `corner_removals` lists the one-box ones.  A vertical-strip
-removal takes a bottom run of rows from each block of equal parts, so it
-is a vector of row-block counts; `vertical_strips` is the one enumeration
-of them, and `strips_below` and `homalg.bgg_resolution` both read its list.
+mu_i in [lam_{i+1}, lam_i] (Macdonald, I.5): `down_set` lists the product
+of those ranges, `strips_below` sorts that list by strip size, and
+`corner_removals` lists the one-box removals.  A vertical-strip removal
+takes a bottom run of rows from each block of equal parts, so it is a
+vector of row-block counts; `vertical_strips` is the one enumeration of
+them, and `strips_below` and `homalg.bgg_resolution` both read its list.
 
 Border strips are handled through first-column hook lengths (beta
 numbers).  Rim hooks (`symchar`), the aligned border strips and the
@@ -177,23 +178,27 @@ def vertical_strips(lam: Partition) -> list[tuple[tuple[int, ...], Partition]]:
     return sorted(out, key=lambda cm: sum(cm[0]))
 
 
+def down_set(lam: Partition) -> list[Partition]:
+    """Every mu with lam/mu a horizontal strip, lexicographically descending
+    but not grouped by size; lam must be canonical.  Such a mu is the
+    interlacing mu_i in [lam_{i+1}, lam_i], where only the last row may drop
+    to 0, so this is the product of those ranges, each descending."""
+    rows = [range(hi, lo - 1, -1) for hi, lo in zip(lam, lam[1:] + (0,))]
+    return [mu[:-1] if mu and not mu[-1] else mu for mu in product(*rows)]
+
+
 def strips_below(lam: Partition, kind: str) -> list[tuple[int, Partition]]:
     """Every (d, mu) with lam/mu a strip of the kind and size d, by d
     ascending and then mu lexicographically descending; lam must be
-    canonical.  A horizontal strip is the interlacing mu_i in
-    [lam_{i+1}, lam_i], where only the last row may drop to 0; the product
-    of those ranges, each descending, lists mu descending within one size,
-    so one stable sort by size orders them.  Vertical strips come from
-    `vertical_strips`."""
+    canonical.  Horizontal strips are `down_set` stably sorted by size;
+    vertical strips come from `vertical_strips`."""
     if kind == VS:
         return [(sum(c), mu) for c, mu in vertical_strips(lam)]
     if kind != HS:
         raise ValueError(f"kind must be 'HS' or 'VS', got {kind!r}")
     n = size(lam)
-    rows = [range(hi, lo - 1, -1) for hi, lo in zip(lam, lam[1:] + (0,))]
-    out = [(n - sum(mu), mu[:-1] if mu and not mu[-1] else mu)
-           for mu in product(*rows)]
-    return sorted(out, key=lambda dm: dm[0])
+    return sorted(((n - sum(mu), mu) for mu in down_set(lam)),
+                  key=lambda dm: dm[0])
 
 
 def corner_removals(v: Partition) -> list[Partition]:

@@ -14,13 +14,18 @@ One convention holds throughout: an arrow matrix or a map block that is
 not stored is the zero map.  Constructors check the shape and the entries
 of every block and drop the zero ones, and a product of blocks that
 vanishes is again absent, so no zero matrix is built to stand for a
-missing one.  Every sum of indecomposable injectives, a single one
-included, comes from `injective_sum`, which also says where each summand
-sits in the basis and checks the relations on those summand tables
-instead of multiplying matrices; every other representation is checked
-by `QuiverRep.validate`.  The strip sets come from `partitions`: a vertex
+missing one.
+
+Two builders are certified on tables instead of by matrix products.
+Every sum of indecomposable injectives, a single one included, comes from
+`injective_sum`, which also says where each summand sits in the basis and
+checks the relations on those summand tables; every other representation
+is checked by `QuiverRep.validate`.  `realize_bgg` builds the resolution's
+maps from those tables and the resolution's signs and checks the morphism
+and d^2 = 0 conditions on them; every other complex is checked by the
+`RepComplex` constructor.  The strip sets come from `partitions`: a vertex
 set's arrows from `corner_removals`, and the support of the injective at
-lam, its horizontal-strip down-set, from `strips_below(lam, HS)`.
+lam, its horizontal-strip down-set, from `down_set(lam)`.
 
 This module machine-checks what the rest of the package computes by
 formula: hom dimensions between injectives, socles, exactness of the
@@ -38,11 +43,11 @@ from .partitions import (
     HS,
     Partition,
     corner_removals,
+    down_set,
     is_strip,
     partition,
     partitions_up_to,
     size,
-    strips_below,
 )
 
 
@@ -252,7 +257,7 @@ def injective_sum(
         lam = partition(lam)
         if lam not in vs.index:
             raise TruncationTooSmallError(f"vertex set misses {lam}")
-        for _, mu in strips_below(lam, HS):
+        for mu in down_set(lam):
             where[mu][b] = len(where[mu])
     # the covering pairs in their order, restricted to the support
     arrows: dict[tuple[Partition, Partition], Matrix] = {}
@@ -360,7 +365,9 @@ def socle(rep: QuiverRep) -> dict[Partition, int]:
 class RepComplex:
     """Consecutive representations with intertwiner matrices; construction
     checks the shape of every map block, drops the zero ones, and verifies
-    the morphism property and that consecutive composites vanish."""
+    the morphism property and that consecutive composites vanish by block
+    products.  It guards every complex but those of `realize_bgg`, which
+    certifies its sign maps on the summand tables instead."""
 
     __slots__ = ("reps", "maps")
 
@@ -426,27 +433,74 @@ def complex_cohomology(cx: RepComplex) -> list[dict[Partition, int]]:
 
 def realize_bgg(lam, vs: VertexSet | None = None) -> RepComplex:
     """Realize the injective resolution of the simple at lam as an explicit
-    complex of quiver representations; the constructor certifies d^2 = 0."""
+    complex of quiver representations.  Map t is the signed canonical map
+    between the injective sums of terms t and t+1: at v it sends summand b
+    to summand a with the sign s(b, a) of the resolution, wherever v lies
+    below both.
+
+    The complex is certified on the `where` tables and the signs, not by
+    matrix products.  At a covering pair (i, j) with i below b and j below
+    a, the two sides of the morphism square for (b -> a) are the sign
+    times [j below b] and times [i below a], so the map is a morphism
+    exactly when those agree; and the composite at v sends b to c with the
+    sum of s(b, a) s(a, c) over the middles a above v, so d^2 = 0 exactly
+    when every such sum vanishes.  A failure raises the `NotAComplexError`
+    that `RepComplex` would raise, with the same message, and the complex
+    is then stored without the constructor's checks."""
     lam = partition(lam)
     if vs is None:
         vs = VertexSet.up_to_size(size(lam))
     res: InjResolution = bgg_resolution(lam)
     sums = [injective_sum(term, vs) for term in res.terms]
+    wheres = [where for _, where in sums]
+    # signed[t][b] lists (a, s(b, a)) over the summands a of term t+1
+    signed = [
+        [[(a, s) for a, mu in enumerate(nxt) if (s := res.signs.get((nu, mu)))]
+         for nu in term]
+        for term, nxt in zip(res.terms, res.terms[1:])
+    ]
     maps: list[dict[Partition, Matrix]] = []
-    for t in range(len(res.terms) - 1):
-        (src, at), (dst, to) = sums[t], sums[t + 1]
+    for t, out in enumerate(signed):
+        at, to = wheres[t], wheres[t + 1]
         phi: dict[Partition, Matrix] = {}
-        for v in vs.vertices:
-            # the canonical map is one on the common down-set
-            for b, col in at[v].items():
-                for a, row in to[v].items():
-                    s = res.signs.get((res.terms[t][b], res.terms[t + 1][a]))
-                    if s is not None:
-                        if v not in phi:
-                            phi[v] = linalg.zeros(dst.dims[v], src.dims[v])
-                        phi[v][row][col] = s
+        for i in vs.vertices:
+            at_i, to_i = at[i], to[i]
+            if not at_i:
+                continue
+            block = None
+            for b, col in at_i.items():
+                for a, s in out[b]:
+                    row = to_i.get(a)
+                    if row is not None:
+                        if block is None:
+                            block = phi[i] = linalg.zeros(len(to_i), len(at_i))
+                        block[row][col] = s
+            for j in vs.up[i]:
+                at_j, to_j = at[j], to[j]
+                for b in at_i:
+                    for a, _ in out[b]:
+                        if a in to_j and (b in at_j) != (a in to_i):
+                            raise NotAComplexError(
+                                f"map {t} is not a morphism at {(i, j)}"
+                            )
         maps.append(phi)
-    return RepComplex([rep for rep, _ in sums], maps)
+    for t in range(len(maps) - 1):
+        at, mid, to = wheres[t], wheres[t + 1], wheres[t + 2]
+        for v in maps[t]:
+            for b in at[v]:
+                composite: dict[int, int] = {}
+                for a, s in signed[t][b]:
+                    if a in mid[v]:
+                        for c, r in signed[t + 1][a]:
+                            if c in to[v]:
+                                composite[c] = composite.get(c, 0) + s * r
+                if any(composite.values()):
+                    raise NotAComplexError(f"composite {t},{t+1} nonzero at {v}")
+    # stored as the constructor would store them: one vs, one map between
+    # consecutive terms, nonzero int blocks of the right shapes
+    cx = RepComplex.__new__(RepComplex)
+    cx.reps, cx.maps = [rep for rep, _ in sums], maps
+    return cx
 
 
 def kernel_cokernel_constituents(
@@ -469,8 +523,7 @@ def kernel_cokernel_constituents(
     }
     h0, h1 = complex_cohomology(RepComplex([src, dst], [phi]))
     ker, coker = set(h0), set(h1)
-    down_lam = {x for _, x in strips_below(lam, HS)}
-    down_mu = {x for _, x in strips_below(mu, HS)}
+    down_lam, down_mu = set(down_set(lam)), set(down_set(mu))
     if ker != down_lam - down_mu or coker != down_mu - down_lam:
         raise RelationError("rank computation disagrees with down-set difference")
     return ker, coker
@@ -485,7 +538,7 @@ def tau_contractibility_check(vs: VertexSet) -> bool:
     x <= y forces tau(y) <= x, and tau iterates any vertex to empty."""
     for y in vs.vertices:
         ty = tau_first_row_deletion(y)
-        for _, x in strips_below(y, HS):
+        for x in down_set(y):
             if not is_strip(x, ty, HS):
                 return False
     for x in vs.vertices:

@@ -443,6 +443,36 @@ def injective_sum_by_scan(lams, vs):
         [[mu for _, mu in strips_below(partition(lam), HS)] for lam in lams], vs)
 
 
+def realize_bgg_by_constructor(lam, vs=None):
+    """`realize_bgg` as it was first built: the signed canonical maps as
+    dense blocks, checked by the `RepComplex` constructor's block products.
+    The resolution is read through `quiver.bgg_resolution` at call time, so
+    a test that replaces it there corrupts this route and the library's
+    alike."""
+    from tcalab import linalg, quiver
+    from tcalab.partitions import partition, size
+
+    lam = partition(lam)
+    if vs is None:
+        vs = quiver.VertexSet.up_to_size(size(lam))
+    res = quiver.bgg_resolution(lam)
+    sums = [quiver.injective_sum(term, vs) for term in res.terms]
+    maps = []
+    for t in range(len(res.terms) - 1):
+        (src, at), (dst, to) = sums[t], sums[t + 1]
+        phi = {}
+        for v in vs.vertices:
+            for b, col in at[v].items():
+                for a, row in to[v].items():
+                    s = res.signs.get((res.terms[t][b], res.terms[t + 1][a]))
+                    if s is not None:
+                        if v not in phi:
+                            phi[v] = linalg.zeros(dst.dims[v], src.dims[v])
+                        phi[v][row][col] = s
+        maps.append(phi)
+    return quiver.RepComplex([rep for rep, _ in sums], maps)
+
+
 # ---------------------------------------------------------------------------
 # Character polynomials by polynomial products
 

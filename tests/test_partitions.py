@@ -26,6 +26,7 @@ from tcalab.partitions import (
     border_strip_component_count,
     contains,
     corner_removals,
+    down_set,
     eval_poly,
     hook_dimension,
     is_strip,
@@ -163,6 +164,12 @@ class TestStrips:
         for lam in ((), (2, 1)):
             with pytest.raises(ValueError):
                 strips_below(lam, "XX")
+
+    def test_down_set_is_the_horizontal_strips_below(self):
+        for lam in partitions_up_to(9):
+            down = down_set(lam)
+            assert len(down) == len(set(down)), lam
+            assert set(down) == {mu for _, mu in strips_below(lam, HS)}, lam
 
     def test_corner_removals_are_the_one_box_strips(self):
         for v in partitions_up_to(9):

@@ -12,16 +12,19 @@ from conftest import partitions_st
 from oracles import (
     global_relations_hold,
     injective_sum_by_scan,
+    realize_bgg_by_constructor,
     remove_strips,
     sub_partitions,
     sum_tables_on_supports,
     vertex_set_by_remove_strips,
 )
 from tcalab import linalg, quiver
+from tcalab.homalg import InjResolution, bgg_resolution
 from tcalab.ktheory import q_class, q_to_l
 from tcalab.partitions import (
     HS,
     add_strips,
+    down_set,
     is_strip,
     partitions_up_to,
     size,
@@ -306,8 +309,7 @@ class TestInjectiveSum:
         # built on the same supports, and both local relations must refuse
         vs, rng = self.VS, random.Random(9)
         supports = {}
-        monkeypatch.setattr(quiver, "strips_below", lambda lam, kind: [
-            (size(lam) - size(mu), mu) for mu in supports[lam]])
+        monkeypatch.setattr(quiver, "down_set", lambda lam: supports[lam])
         verdicts = Counter()
         for lams in seeded_lists(vs, 9, 1000):
             supports.clear()
@@ -491,6 +493,78 @@ class TestRealizedResolutions:
         }
         cx = RepComplex([q, q], [ident])
         assert all(not h for h in complex_cohomology(cx))
+
+    def test_matches_the_constructor_route(self):
+        for lam in partitions_up_to(9):
+            cx, want = realize_bgg(lam), realize_bgg_by_constructor(lam)
+            assert [r.dims for r in cx.reps] == [r.dims for r in want.reps], lam
+            assert [list(phi.items()) for phi in cx.maps] == [
+                list(phi.items()) for phi in want.maps], lam
+
+    def test_no_matrix_product_is_made(self, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("matrix product")
+
+        monkeypatch.setattr(linalg, "mat_mul", refuse)
+        for lam in partitions_up_to(7):
+            cohom = complex_cohomology(realize_bgg(lam))
+            assert cohom[0] == {lam: 1} and not any(cohom[1:]), lam
+        # vertices outside every summand's support carry nothing
+        for lam in [(1,), (2, 1), (3, 1, 1), (2, 2, 1, 1)]:
+            vs = VertexSet.up_to_size(size(lam) + 1)
+            cohom = complex_cohomology(realize_bgg(lam, vs))
+            assert cohom[0] == {lam: 1} and not any(cohom[1:]), lam
+
+    def test_table_check_refuses_exactly_when_the_constructor_does(
+        self, monkeypatch
+    ):
+        # one sign of the resolution is flipped, dropped or doubled, or one
+        # summand's down-set loses a vertex below its top or gains one
+        # outside it; the table check must refuse exactly when the
+        # constructor does, with the same message, and otherwise store the
+        # same maps
+        rng = random.Random(14)
+        lams = [lam for lam in partitions_up_to(6) if lam]
+        resolution, supports = [], {}
+        monkeypatch.setattr(quiver, "bgg_resolution", lambda lam: resolution[0])
+        monkeypatch.setattr(quiver, "down_set",
+                            lambda lam: supports.get(lam) or down_set(lam))
+        verdicts = Counter()
+        for _ in range(1200):
+            lam = rng.choice(lams)
+            res = bgg_resolution(lam)
+            vs = VertexSet.up_to_size(size(lam) + rng.randint(0, 1))
+            signs, supports = dict(res.signs), {}
+            kind = rng.choice(["flip", "drop", "double", "support"])
+            if kind == "support":
+                nu = rng.choice([mu for term in res.terms for mu in term])
+                down = down_set(nu)
+                outside = [v for v in vs.vertices if v not in down]
+                if len(down) > 1 and (not outside or rng.random() < 0.5):
+                    down.remove(rng.choice(down[1:]))
+                else:
+                    down.append(rng.choice(outside))
+                supports[nu] = down
+            else:
+                pair = rng.choice(sorted(signs))
+                if kind == "drop":
+                    del signs[pair]
+                else:
+                    signs[pair] *= -1 if kind == "flip" else 2
+            resolution[:] = [InjResolution(res.top, res.terms, signs)]
+            try:
+                want = realize_bgg_by_constructor(lam, vs)
+            except (NotAComplexError, RelationError) as exc:
+                with pytest.raises(type(exc)) as got:
+                    realize_bgg(lam, vs)
+                assert str(got.value) == str(exc), (lam, kind)
+                verdicts[str(exc).split(" ")[0]] += 1
+            else:
+                assert realize_bgg(lam, vs).maps == want.maps, (lam, kind)
+                verdicts["accepted"] += 1
+        # "nonzero" is `injective_sum` refusing a support, on both routes
+        assert verdicts.keys() == {"accepted", "map", "composite", "nonzero"}
+        assert min(verdicts[k] for k in ("accepted", "map", "composite")) > 40, verdicts
 
     def test_non_complex_rejected(self):
         vs = VertexSet.up_to_size(2)
