@@ -77,6 +77,9 @@ def _rref(a: Matrix) -> tuple[Matrix, list[int]]:
 def rank(a: Matrix) -> int:
     if not a or not a[0]:
         return 0
+    if len(a) == 1 or len(a[0]) == 1:
+        # one row or one column: rank 1 unless every entry is zero
+        return int(any(x != 0 for row in a for x in row))
     return len(_rref(a)[1])
 
 

@@ -23,9 +23,13 @@ checks the relations on those summand tables; every other representation
 is checked by `QuiverRep.validate`.  `realize_bgg` builds the resolution's
 maps from those tables and the resolution's signs and checks the morphism
 and d^2 = 0 conditions on them; every other complex is checked by the
-`RepComplex` constructor.  The strip sets come from `partitions`: a vertex
-set's arrows from `corner_removals`, and the support of the injective at
-lam, its horizontal-strip down-set, from `down_set(lam)`.
+`RepComplex` constructor.  The strip sets come from `partitions`: the
+support of the injective at lam, its horizontal-strip down-set, from
+`down_set(lam)`, and a vertex set's arrows, in the general `VertexSet`
+constructor only, from `corner_removals`, which also checks that the set
+is downward closed.  `VertexSet.up_to_size`, whose set is closed by
+construction, lists the arrows by adding boxes.  The builders and the
+checks walk `up` from the vertices of nonzero dimension only.
 
 This module machine-checks what the rest of the package computes by
 formula: hom dimensions between injectives, socles, exactness of the
@@ -113,17 +117,16 @@ def _two_box_is_strip(k: Partition, i: Partition) -> bool:
 class VertexSet:
     """Finite set of partitions closed under removing a box, validated at
     construction; `up[v]` holds the one-box successors of v in the set,
-    which are the targets of the quiver's arrows out of v."""
+    lexicographically descending, which are the targets of the quiver's
+    arrows out of v."""
 
-    __slots__ = ("vertices", "index", "up", "_covers")
+    __slots__ = ("vertices", "index", "up")
 
     def __init__(self, vertices):
-        self._build(sorted({partition(v) for v in vertices},
-                           key=lambda p: (size(p), tuple(-x for x in p))))
-
-    def _build(self, vs: list[Partition]) -> None:
-        """Tabulate canonical partitions given by size, then lexicographically
+        """Tabulate the canonical partitions by size, then lexicographically
         descending; raise if a corner removal leaves the set."""
+        vs = sorted({partition(v) for v in vertices},
+                    key=lambda p: (size(p), tuple(-x for x in p)))
         self.vertices = tuple(vs)
         self.index = {v: i for i, v in enumerate(vs)}
         up: dict[Partition, list[Partition]] = {v: [] for v in vs}
@@ -136,14 +139,27 @@ class VertexSet:
                     )
                 covers.append(v)
         self.up = {v: tuple(ws) for v, ws in up.items()}
-        self._covers = tuple((v, w) for v in vs for w in self.up[v])
 
     @classmethod
     def up_to_size(cls, n: int) -> "VertexSet":
         """All partitions of size at most n, which partitions_up_to already
-        lists canonical and in vertex order."""
+        lists canonical and in vertex order.  The set is downward closed, so
+        the covers of a vertex below size n are all its one-box additions:
+        a box on each row that can take one, in row order, then a new row,
+        which is lexicographically descending."""
+        vs = partitions_up_to(n)
         out = cls.__new__(cls)
-        out._build(partitions_up_to(n))
+        out.vertices = tuple(vs)
+        out.index = {v: i for i, v in enumerate(vs)}
+        out.up = {}
+        for v in vs:
+            if sum(v) == n:
+                out.up[v] = ()
+                continue
+            out.up[v] = tuple(
+                v[:r] + (x + 1,) + v[r + 1:]
+                for r, x in enumerate(v) if r == 0 or v[r - 1] > x
+            ) + (v + (1,),)
         return out
 
     def __contains__(self, p) -> bool:
@@ -159,8 +175,9 @@ class VertexSet:
         return hash(self.vertices)
 
     def covering_pairs(self) -> tuple[tuple[Partition, Partition], ...]:
-        """All (i, j) in the set with j obtained from i by adding one box."""
-        return self._covers
+        """All (i, j) in the set with j obtained from i by adding one box,
+        by i in vertex order and then j as in `up[i]`."""
+        return tuple((i, j) for i in self.vertices for j in self.up[i])
 
 
 class QuiverRep:
@@ -261,10 +278,12 @@ def injective_sum(
             where[mu][b] = len(where[mu])
     # the covering pairs in their order, restricted to the support
     arrows: dict[tuple[Partition, Partition], Matrix] = {}
+    dims = dict.fromkeys(vs.vertices, 0)
     for i in vs.vertices:
         at_i = where[i]
         if not at_i:
             continue
+        dims[i] = len(at_i)
         paths: dict[Partition, set[int]] = {}
         for j in vs.up[i]:
             at_j = where[j]
@@ -281,11 +300,16 @@ def injective_sum(
                 # an empty set is the zero composite; it is kept, since a
                 # strip's other middles must then be zero too
                 via = common & at_k.keys()
-                if via and not _two_box_is_strip(k, i):
-                    raise RelationError(
-                        f"nonzero composite through {j} on non-strip {(i, k)}"
-                    )
-                if paths.setdefault(k, via) != via:
+                first = paths.get(k)
+                if first is None:
+                    # a vertical domino k/i has this one middle only, so
+                    # the strip test is made once for each (i, k)
+                    if via and not _two_box_is_strip(k, i):
+                        raise RelationError(
+                            f"nonzero composite through {j} on non-strip {(i, k)}"
+                        )
+                    paths[k] = via
+                elif first != via:
                     raise RelationError(
                         f"composite through {j} disagrees on {(i, k)}"
                     )
@@ -293,8 +317,7 @@ def injective_sum(
     # dims cover vs in vertex order, the arrows are nonzero 0/1 blocks of
     # the right shapes, and the relations hold
     rep = QuiverRep.__new__(QuiverRep)
-    rep.vs, rep.arrows = vs, arrows
-    rep.dims = {v: len(at) for v, at in where.items()}
+    rep.vs, rep.dims, rep.arrows = vs, dims, arrows
     return rep, where
 
 
@@ -311,37 +334,45 @@ def hom_space(
     if r1.vs != r2.vs:
         raise VertexSetMismatchError("hom requires a common vertex set")
     vs = r1.vs
+    d1, d2 = r1.dims, r2.dims
+    # only vertices where both sides are nonzero carry unknowns, and only
+    # arrows (i, j) with d1[i] and d2[j] nonzero give constraints
     offset: dict[Partition, int] = {}
     n = 0
     for v in vs.vertices:
-        offset[v] = n
-        n += r2.dims[v] * r1.dims[v]
+        if d1[v] and d2[v]:
+            offset[v] = n
+            n += d2[v] * d1[v]
     rows: Matrix = []
-    for (i, j) in vs.covering_pairs():
-        a1 = r1.arrows.get((i, j))
-        a2 = r2.arrows.get((i, j))
-        # constraint: phi_j a1 - a2 phi_i = 0, entrywise
-        for p in range(r2.dims[j]):
-            for q in range(r1.dims[i]):
-                row = [0] * n
-                if a1 is not None:
-                    for s in range(r1.dims[j]):
-                        row[offset[j] + p * r1.dims[j] + s] += a1[s][q]
-                if a2 is not None:
-                    for s in range(r2.dims[i]):
-                        row[offset[i] + s * r1.dims[i] + q] -= a2[p][s]
-                if any(x != 0 for x in row):
-                    rows.append(row)
+    for i in vs.vertices:
+        if not d1[i]:
+            continue
+        for j in vs.up[i]:
+            if not d2[j]:
+                continue
+            a1 = r1.arrows.get((i, j))
+            a2 = r2.arrows.get((i, j))
+            # constraint: phi_j a1 - a2 phi_i = 0, entrywise
+            for p in range(d2[j]):
+                for q in range(d1[i]):
+                    row = [0] * n
+                    if a1 is not None:
+                        for s in range(d1[j]):
+                            row[offset[j] + p * d1[j] + s] += a1[s][q]
+                    if a2 is not None:
+                        for s in range(d2[i]):
+                            row[offset[i] + s * d1[i] + q] -= a2[p][s]
+                    if any(x != 0 for x in row):
+                        rows.append(row)
     basis_vecs = linalg.nullspace(rows, n)
     basis = []
     for vec in basis_vecs:
         phi: dict[Partition, Matrix] = {}
-        for v in vs.vertices:
-            if r2.dims[v] and r1.dims[v]:
-                phi[v] = [
-                    [vec[offset[v] + a * r1.dims[v] + b] for b in range(r1.dims[v])]
-                    for a in range(r2.dims[v])
-                ]
+        for v, o in offset.items():
+            phi[v] = [
+                [vec[o + a * d1[v] + b] for b in range(d1[v])]
+                for a in range(d2[v])
+            ]
         basis.append(phi)
     return len(basis_vecs), basis
 
@@ -393,12 +424,15 @@ class RepComplex:
                     raise ValueError(f"map {t} has a block with {fault} at {v}")
                 if not linalg.is_zero(m):
                     kept[v] = m
-            for (i, j) in vs.covering_pairs():
-                if i not in kept and j not in kept:
-                    continue  # both sides are the zero map
-                lhs = _product(kept.get(j), src.arrows.get((i, j)))
-                if lhs != _product(dst.arrows.get((i, j)), kept.get(i)):
-                    raise NotAComplexError(f"map {t} is not a morphism at {(i, j)}")
+            for i in vs.vertices:
+                for j in vs.up[i]:
+                    if i not in kept and j not in kept:
+                        continue  # both sides are the zero map
+                    lhs = _product(kept.get(j), src.arrows.get((i, j)))
+                    if lhs != _product(dst.arrows.get((i, j)), kept.get(i)):
+                        raise NotAComplexError(
+                            f"map {t} is not a morphism at {(i, j)}"
+                        )
             self.maps.append(kept)
         for t in range(len(self.maps) - 1):
             for v, m in self.maps[t].items():
@@ -415,18 +449,20 @@ class RepComplex:
 
 def complex_cohomology(cx: RepComplex) -> list[dict[Partition, int]]:
     """Per-degree constituent multiplicities, vertexwise:
-    dim ker(d_t) - rank(d_{t-1}).  Every block of every map is ranked once."""
-    vs = cx.reps[0].vs
+    dim ker(d_t) - rank(d_{t-1}).  Every block of every map is ranked once,
+    and only vertices of nonzero dimension are read: a map has no block at
+    the others."""
     ranks = [{v: linalg.rank(m) for v, m in phi.items()} for phi in cx.maps]
     out: list[dict[Partition, int]] = []
     for t, rep in enumerate(cx.reps):
         out_rank = ranks[t] if t < len(ranks) else {}
         in_rank = ranks[t - 1] if t > 0 else {}
         table: dict[Partition, int] = {}
-        for v in vs.vertices:
-            h = rep.dims[v] - out_rank.get(v, 0) - in_rank.get(v, 0)
-            if h:
-                table[v] = h
+        for v, d in rep.dims.items():
+            if d:
+                h = d - out_rank.get(v, 0) - in_rank.get(v, 0)
+                if h:
+                    table[v] = h
         out.append(table)
     return out
 

@@ -473,6 +473,69 @@ def realize_bgg_by_constructor(lam, vs=None):
     return quiver.RepComplex([rep for rep, _ in sums], maps)
 
 
+def hom_space_all_pairs(r1, r2):
+    """`hom_space` as it was first built: the unknowns laid out over every
+    vertex, and the commuting constraints written for every covering pair of
+    the vertex set, the all-zero rows dropped."""
+    from tcalab import linalg
+
+    vs = r1.vs
+    offset = {}
+    n = 0
+    for v in vs.vertices:
+        offset[v] = n
+        n += r2.dims[v] * r1.dims[v]
+    rows = []
+    for (i, j) in vs.covering_pairs():
+        a1 = r1.arrows.get((i, j))
+        a2 = r2.arrows.get((i, j))
+        # constraint: phi_j a1 - a2 phi_i = 0, entrywise
+        for p in range(r2.dims[j]):
+            for q in range(r1.dims[i]):
+                row = [0] * n
+                if a1 is not None:
+                    for s in range(r1.dims[j]):
+                        row[offset[j] + p * r1.dims[j] + s] += a1[s][q]
+                if a2 is not None:
+                    for s in range(r2.dims[i]):
+                        row[offset[i] + s * r1.dims[i] + q] -= a2[p][s]
+                if any(x != 0 for x in row):
+                    rows.append(row)
+    basis_vecs = linalg.nullspace(rows, n)
+    basis = []
+    for vec in basis_vecs:
+        phi = {}
+        for v in vs.vertices:
+            if r2.dims[v] and r1.dims[v]:
+                phi[v] = [
+                    [vec[offset[v] + a * r1.dims[v] + b] for b in range(r1.dims[v])]
+                    for a in range(r2.dims[v])
+                ]
+        basis.append(phi)
+    return len(basis_vecs), basis
+
+
+def complex_cohomology_all_vertices(cx):
+    """`complex_cohomology` as it was first built: dim ker(d_t) -
+    rank(d_{t-1}) evaluated at every vertex of the vertex set, zero
+    dimensions included."""
+    from tcalab import linalg
+
+    vs = cx.reps[0].vs
+    ranks = [{v: linalg.rank(m) for v, m in phi.items()} for phi in cx.maps]
+    out = []
+    for t, rep in enumerate(cx.reps):
+        out_rank = ranks[t] if t < len(ranks) else {}
+        in_rank = ranks[t - 1] if t > 0 else {}
+        table = {}
+        for v in vs.vertices:
+            h = rep.dims[v] - out_rank.get(v, 0) - in_rank.get(v, 0)
+            if h:
+                table[v] = h
+        out.append(table)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Character polynomials by polynomial products
 

@@ -64,3 +64,26 @@ class TestAgainstFractionCopies:
             b = [row[:] for row in b[:1]] * len(a[0])
             prod = linalg.mat_mul(a, b)
             assert all(type(x) is int for row in prod for x in row)
+
+
+class TestRankOfOneRowOrColumn:
+    def test_equals_the_elimination(self):
+        # seeded 1 x k and k x 1 matrices of ints and Fractions, a third of
+        # them all zero; rank answers these without elimination
+        rng = random.Random(15)
+        seen = set()
+        for _ in range(600):
+            k, shape = rng.randint(1, 4), rng.choice(("row", "column"))
+            entries = [0] * k if rng.random() < 1 / 3 else [
+                rng.choice((-2, -1, 0, 0, 1, 2, Fraction(1, 3), Fraction(-5, 2)))
+                for _ in range(k)]
+            if rng.random() < 0.5:
+                entries = [Fraction(x) for x in entries]
+            a = [entries] if shape == "row" else [[x] for x in entries]
+            want = len(linalg._rref(a)[1])
+            assert linalg.rank(a) == want, a
+            seen.add((shape, k, want, type(entries[0])))
+        assert {(s, r) for s, _, r, _ in seen} == {
+            (s, r) for s in ("row", "column") for r in (0, 1)}
+        assert {k for _, k, _, _ in seen} == {1, 2, 3, 4}
+        assert {t for *_, t in seen} == {int, Fraction}

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 
 from conftest import partitions_st
 from oracles import (
+    complex_cohomology_all_vertices,
     global_relations_hold,
+    hom_space_all_pairs,
     injective_sum_by_scan,
     realize_bgg_by_constructor,
     remove_strips,
@@ -81,7 +83,7 @@ class TestVertexSet:
         vs, index, up, covers = vertex_set_by_remove_strips(vertices)
         return vs, list(index.items()), list(up.items()), covers
 
-    @pytest.mark.parametrize("n", range(9))
+    @pytest.mark.parametrize("n", range(11))
     def test_up_to_size_matches_the_remove_strips_construction(self, n):
         assert self._tables(VertexSet.up_to_size(n)) == self._oracle_tables(
             partitions_up_to(n))
@@ -306,7 +308,8 @@ class TestInjectiveSum:
     def test_relations_are_checked_on_corrupted_supports(self, monkeypatch):
         # every summand's down-set loses or gains seeded vertices; the sum
         # must be refused exactly when the global scan refuses the matrices
-        # built on the same supports, and both local relations must refuse
+        # built on the same supports, with the message the public
+        # constructor gives them, and both local relations must refuse
         vs, rng = self.VS, random.Random(9)
         supports = {}
         monkeypatch.setattr(quiver, "down_set", lambda lam: supports[lam])
@@ -325,6 +328,11 @@ class TestInjectiveSum:
                 injective_sum(lams, vs)
             except RelationError as exc:
                 assert not want, lams
+                # the same relation, at the same interval and middle, as
+                # the validator of the public constructor reports
+                with pytest.raises(RelationError) as public:
+                    QuiverRep(vs, dims, arrows)
+                assert str(exc) == str(public.value), lams
                 verdicts[str(exc).split(" through")[0]] += 1
             else:
                 assert want, lams
@@ -401,6 +409,17 @@ class TestHomSocle:
                 assert hom_space(ql, qm)[0] == expected, (lam, mu)
                 simple = build_simple(lam, vs)
                 assert hom_space(simple, qm)[0] == (1 if lam == mu else 0)
+
+    @pytest.mark.parametrize(
+        "vs", (VertexSet.up_to_size(5), TestOrderTable.SETS[1]))
+    def test_matches_the_all_pairs_route(self, vs):
+        # constraints only where both sides can be nonzero: the same
+        # dimension and the same basis, Fraction for Fraction
+        for build in (build_injective, build_simple):
+            reps = [build(v, vs) for v in vs.vertices]
+            for r1 in reps:
+                for r2 in reps:
+                    assert hom_space(r1, r2) == hom_space_all_pairs(r1, r2)
 
     def test_hom_basis_is_intertwiner(self):
         vs = VertexSet.up_to_size(3)
@@ -501,6 +520,30 @@ class TestRealizedResolutions:
             assert [list(phi.items()) for phi in cx.maps] == [
                 list(phi.items()) for phi in want.maps], lam
 
+    def test_cohomology_matches_the_all_vertex_formula(self):
+        # the realized resolutions, including on a larger vertex set, and
+        # hand-built complexes through the constructor: the identity, a zero
+        # map between disjoint supports, the maps of the kernel/cokernel
+        # check, and a non-exact two-term complex
+        vs2, vs4 = VertexSet.up_to_size(2), VertexSet.up_to_size(4)
+        q2 = build_injective((2,), vs2)
+        complexes = [realize_bgg(lam) for lam in partitions_up_to(8)]
+        complexes += [realize_bgg(lam, vs4) for lam in partitions_up_to(3)]
+        complexes += [
+            RepComplex([q2, q2], [{v: [[Fraction(1)]] for v in vs2.vertices
+                                  if q2.dims[v]}]),
+            RepComplex([build_simple((1,), vs2), q2], [{}]),
+        ]
+        for lam, mu, scale in [((2, 1), (1,), 3), ((3, 1), (2,), -1),
+                               ((2, 2), (2,), 1)]:
+            src, dst = build_injective(lam, vs4), build_injective(mu, vs4)
+            phi = {v: [[scale]] for v in vs4.vertices
+                   if src.dims[v] and dst.dims[v]}
+            complexes.append(RepComplex([src, dst], [phi]))
+        for cx in complexes:
+            assert complex_cohomology(cx) == complex_cohomology_all_vertices(cx)
+        assert any(len(h) > 1 for h in complex_cohomology(complexes[-1]))
+
     def test_no_matrix_product_is_made(self, monkeypatch):
         def refuse(a, b):
             raise AssertionError("matrix product")
@@ -513,6 +556,26 @@ class TestRealizedResolutions:
         for lam in [(1,), (2, 1), (3, 1, 1), (2, 2, 1, 1)]:
             vs = VertexSet.up_to_size(size(lam) + 1)
             cohom = complex_cohomology(realize_bgg(lam, vs))
+            assert cohom[0] == {lam: 1} and not any(cohom[1:]), lam
+
+    def test_benchmark_operations_read_no_removal_or_pair_list(
+        self, monkeypatch
+    ):
+        # up_to_size adds boxes instead of removing corners, and hom_space,
+        # socle, injective_sum and realize_bgg walk `up` on the support
+        def refuse(*args):
+            raise AssertionError("full table scan")
+
+        monkeypatch.setattr(quiver, "corner_removals", refuse)
+        monkeypatch.setattr(VertexSet, "covering_pairs", refuse)
+        for lam in partitions_up_to(7):
+            vs = VertexSet.up_to_size(size(lam))
+            q = build_injective(lam, vs)
+            assert socle(q) == {lam: 1}, lam
+            for mu in vs.vertices:
+                want = int(is_strip(lam, mu, HS))
+                assert hom_space(q, build_injective(mu, vs))[0] == want, (lam, mu)
+            cohom = complex_cohomology(realize_bgg(lam))
             assert cohom[0] == {lam: 1} and not any(cohom[1:]), lam
 
     def test_table_check_refuses_exactly_when_the_constructor_does(
