@@ -424,15 +424,12 @@ class RepComplex:
                     raise ValueError(f"map {t} has a block with {fault} at {v}")
                 if not linalg.is_zero(m):
                     kept[v] = m
-            for i in vs.vertices:
-                for j in vs.up[i]:
-                    if i not in kept and j not in kept:
-                        continue  # both sides are the zero map
-                    lhs = _product(kept.get(j), src.arrows.get((i, j)))
-                    if lhs != _product(dst.arrows.get((i, j)), kept.get(i)):
-                        raise NotAComplexError(
-                            f"map {t} is not a morphism at {(i, j)}"
-                        )
+            for (i, j) in vs.covering_pairs():
+                if i not in kept and j not in kept:
+                    continue  # both sides are the zero map
+                lhs = _product(kept.get(j), src.arrows.get((i, j)))
+                if lhs != _product(dst.arrows.get((i, j)), kept.get(i)):
+                    raise NotAComplexError(f"map {t} is not a morphism at {(i, j)}")
             self.maps.append(kept)
         for t in range(len(self.maps) - 1):
             for v, m in self.maps[t].items():

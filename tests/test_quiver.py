@@ -522,9 +522,10 @@ class TestRealizedResolutions:
 
     def test_cohomology_matches_the_all_vertex_formula(self):
         # the realized resolutions, including on a larger vertex set, and
-        # hand-built complexes through the constructor: the identity, a zero
-        # map between disjoint supports, the maps of the kernel/cokernel
-        # check, and a non-exact two-term complex
+        # complexes built through the constructor: the identity, the zero
+        # map from a simple into an injective, and scaled canonical maps as
+        # in the kernel/cokernel check, whose cohomology is spread over
+        # vertices
         vs2, vs4 = VertexSet.up_to_size(2), VertexSet.up_to_size(4)
         q2 = build_injective((2,), vs2)
         complexes = [realize_bgg(lam) for lam in partitions_up_to(8)]
