@@ -100,6 +100,27 @@ STABLE_STDOUT = (
      '"q": [{"den": 1, "exponents": {"1": 1, "2": 1}, "num": -1}, '
      '{"den": 6, "exponents": {"1": 3}, "num": -1}, {"den": 1, '
      '"exponents": {"3": 1}, "num": -1}], "schema": "tcalab/1"}' "\n"),
+    (["ktheory", "conv", "Q[3,1,1]"],
+     '{"command": "ktheory.conv", "result": {"basis": "L", "terms": '
+     '[{"coeff": 1, "partition": [1, 1]}, {"coeff": 1, "partition": '
+     '[2, 1]}, {"coeff": 1, "partition": [1, 1, 1]}, {"coeff": 1, '
+     '"partition": [3, 1]}, {"coeff": 1, "partition": [2, 1, 1]}, '
+     '{"coeff": 1, "partition": [3, 1, 1]}]}, "schema": "tcalab/1"}' "\n"),
+    (["ktheory", "conv", "L[2,2,1]"],
+     '{"command": "ktheory.conv", "result": {"basis": "Q", "terms": '
+     '[{"coeff": -1, "partition": [1, 1]}, {"coeff": 1, "partition": '
+     '[2, 1]}, {"coeff": 1, "partition": [1, 1, 1]}, {"coeff": -1, '
+     '"partition": [2, 2]}, {"coeff": -1, "partition": [2, 1, 1]}, '
+     '{"coeff": 1, "partition": [2, 2, 1]}]}, "schema": "tcalab/1"}' "\n"),
+    (["ktheory", "pair", "Q[3,1]", "L[2,1,1]"],
+     '{"command": "ktheory.pair", "schema": "tcalab/1", "value": 0}' "\n"),
+    (["ktheory", "pair", "L[1]", "L[2,1]"],
+     '{"command": "ktheory.pair", "schema": "tcalab/1", "value": 1}' "\n"),
+    (["ktheory", "mult", "L[2,1]", "L[1]"],
+     '{"command": "ktheory.mult", "result": {"basis": "L", "terms": '
+     '[{"coeff": 1, "partition": [3, 1]}, {"coeff": 1, "partition": '
+     '[2, 2]}, {"coeff": 1, "partition": [2, 1, 1]}]}, '
+     '"schema": "tcalab/1"}' "\n"),
 )
 
 
