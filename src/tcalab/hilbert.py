@@ -28,7 +28,6 @@ from typing import Iterable
 
 from .ktheory import AClass, KClassK, Q_BASIS, q_to_l
 from .partitions import (
-    VS,
     Partition,
     _partitions_cached,
     aut_factor,
@@ -36,7 +35,7 @@ from .partitions import (
     partition,
     shifted_normalize,
     size,
-    strips_below,
+    vertical_strips,
 )
 from .polynomials import MPoly
 from .symchar import mn_trace
@@ -142,8 +141,8 @@ def char_poly_simple(lam: Partition) -> MPoly:
     t^nu / nu!, taken once at the end."""
     lam = partition(lam)
     coeffs: dict[Partition, int] = {}
-    for d, mu in strips_below(lam, VS):
-        sign = -1 if d % 2 else 1
+    for c, mu in vertical_strips(lam):
+        sign = -1 if sum(c) % 2 else 1
         for nu in _partitions_cached(size(mu)):
             coeffs[nu] = coeffs.get(nu, 0) + sign * mn_trace(nu, mu)
     return umbral(MPoly("t", {

@@ -23,11 +23,12 @@ from .partitions import (
     VS,
     Partition,
     corner_removals,
+    down_set,
     is_strip,
     partition,
     size,
-    strips_below,
     transpose,
+    vertical_strips,
 )
 from .symchar import S_BASIS, BasisMismatchError, Combination, VClass, lr_expand
 
@@ -65,7 +66,7 @@ def q_to_l(x: KClassK) -> KClassK:
         raise BasisMismatchError("q_to_l expects a Q-basis class")
     out: dict[Partition, int] = {}
     for lam, c in x.coeffs.items():
-        for _, mu in strips_below(lam, HS):
+        for mu in down_set(lam):
             out[mu] = out.get(mu, 0) + c
     return KClassK(L_BASIS, out)
 
@@ -75,9 +76,9 @@ def l_to_q(x: KClassK) -> KClassK:
     if x.basis != L_BASIS:
         raise BasisMismatchError("l_to_q expects an L-basis class")
     out: dict[Partition, int] = {}
-    for mu, c in x.coeffs.items():
-        for d, nu in strips_below(mu, VS):
-            out[nu] = out.get(nu, 0) + (-1) ** d * c
+    for mu, a in x.coeffs.items():
+        for c, nu in vertical_strips(mu):
+            out[nu] = out.get(nu, 0) + (-1) ** sum(c) * a
     return KClassK(Q_BASIS, out)
 
 
@@ -102,7 +103,7 @@ def _pair_basis(b1: str, lam: Partition, b2: str, mu: Partition) -> int:
         return (-1) ** (size(mu) - size(lam)) if is_strip(mu, lam, VS) else 0
     # Q against L: signed count over common removals
     total = 0
-    for _, nu in strips_below(lam, HS):
+    for nu in down_set(lam):
         if is_strip(mu, nu, VS):
             total += (-1) ** (size(mu) - size(nu))
     return total

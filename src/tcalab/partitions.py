@@ -8,13 +8,13 @@ partitions, and the two strip relations
     HS: lam/mu is a horizontal strip  (at most one box per column),
     VS: lam/mu is a vertical strip    (at most one box per row),
 
-drive all of it.  A horizontal-strip removal is an interlacing sequence
-mu_i in [lam_{i+1}, lam_i] (Macdonald, I.5): `down_set` lists the product
-of those ranges, `strips_below` sorts that list by strip size, and
-`corner_removals` lists the one-box removals.  A vertical-strip removal
-takes a bottom run of rows from each block of equal parts, so it is a
-vector of row-block counts; `vertical_strips` is the one enumeration of
-them, and `strips_below` and `homalg.bgg_resolution` both read its list.
+drive all of it.  `is_strip` tests either relation row by row.  A
+horizontal-strip removal is an interlacing sequence mu_i in
+[lam_{i+1}, lam_i] (Macdonald, I.5): `down_set` is the one enumeration,
+the product of those ranges, and `corner_removals` lists the one-box
+removals.  A vertical-strip removal takes a bottom run of rows from each
+block of equal parts, so it is a vector of row-block counts;
+`vertical_strips` is the one enumeration of them.
 
 Border strips are handled through first-column hook lengths (beta
 numbers).  Rim hooks (`symchar`), the aligned border strips and the
@@ -26,7 +26,6 @@ All functions are pure and all values immutable.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial
@@ -149,7 +148,9 @@ def partitions_up_to(n: int) -> list[Partition]:
 def is_strip(lam: Partition, mu: Partition, kind: str) -> bool:
     """True iff mu is contained in lam and lam/mu is a strip of the kind."""
     if kind == VS:
-        return is_strip(transpose(lam), transpose(mu), HS)
+        # at most one box per row: lam_i - mu_i <= 1
+        padded = mu + (0,) * (len(lam) - len(mu))
+        return contains(lam, mu) and all(x - y <= 1 for x, y in zip(lam, padded))
     if kind != HS:
         raise ValueError(f"kind must be 'HS' or 'VS', got {kind!r}")
     if not contains(lam, mu):
@@ -187,56 +188,15 @@ def down_set(lam: Partition) -> list[Partition]:
     return [mu[:-1] if mu and not mu[-1] else mu for mu in product(*rows)]
 
 
-def strips_below(lam: Partition, kind: str) -> list[tuple[int, Partition]]:
-    """Every (d, mu) with lam/mu a strip of the kind and size d, by d
-    ascending and then mu lexicographically descending; lam must be
-    canonical.  Horizontal strips are `down_set` stably sorted by size;
-    vertical strips come from `vertical_strips`."""
-    if kind == VS:
-        return [(sum(c), mu) for c, mu in vertical_strips(lam)]
-    if kind != HS:
-        raise ValueError(f"kind must be 'HS' or 'VS', got {kind!r}")
-    n = size(lam)
-    return sorted(((n - sum(mu), mu) for mu in down_set(lam)),
-                  key=lambda dm: dm[0])
-
-
 def corner_removals(v: Partition) -> list[Partition]:
     """The partitions v with one corner box removed, lexicographically
     descending (bottom corner first): the one-box horizontal strips, the
-    d = 1 slice of strips_below(v, HS)."""
+    mu of `down_set(v)` with |mu| = |v| - 1."""
     out = []
     for i in range(len(v) - 1, -1, -1):
         if i + 1 == len(v) or v[i] > v[i + 1]:
             out.append(v[:i] + (v[i] - 1,) + v[i + 1:] if v[i] > 1 else v[:i])
     return out
-
-
-def add_strips(lam: Partition, d: int, kind: str) -> list[Partition]:
-    """All mu with mu/lam a strip of size d, lexicographically descending."""
-    if d < 0:
-        raise ValueError("strip size must be nonnegative")
-    if kind == VS:
-        inner = add_strips(transpose(lam), d, HS)
-        return sorted((transpose(m) for m in inner), reverse=True)
-    if kind != HS:
-        raise ValueError(f"kind must be 'HS' or 'VS', got {kind!r}")
-    rows = len(lam) + 1
-    results: list[Partition] = []
-
-    def rec(i: int, budget: int, acc: list[int]) -> None:
-        if i == rows:
-            if budget == 0:
-                results.append(partition(acc))
-            return
-        lo = lam[i] if i < len(lam) else 0
-        hi = lam[i - 1] if i > 0 else lo + budget
-        hi = min(hi, lo + budget)
-        for mu_i in range(hi, lo - 1, -1):
-            rec(i + 1, budget - (mu_i - lo), acc + [mu_i])
-
-    rec(0, d, [])
-    return sorted(results, reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -260,39 +220,6 @@ def hook_dimension(p: Partition) -> int:
         for h in row:
             denom *= h
     return factorial(size(p)) // denom
-
-
-def stable_dimension_poly(mu: Partition) -> tuple[Fraction, ...]:
-    """Coefficients (degree-ascending) of the polynomial in N whose value is
-    the dimension of the irreducible indexed by (mu_1+1, ..., mu_l+1, 1^N).
-
-    Degree is |mu|.  Built from the hook length formula: the quotient of
-    consecutive-factor products below is exact.
-    """
-    l, n = len(mu), size(mu)
-    skip = {l + mu[i] - i for i in range(l)}  # offsets l + mu_i - (i+1) + 1
-    poly = [Fraction(1)]
-    for j in range(1, l + n + 1):
-        if j in skip:
-            continue
-        # multiply by (N + j)
-        nxt = [Fraction(0)] * (len(poly) + 1)
-        for k, c in enumerate(poly):
-            nxt[k] += c * j
-            nxt[k + 1] += c
-        poly = nxt
-    denom = 1
-    for row in hook_lengths(mu):
-        for h in row:
-            denom *= h
-    return tuple(c / denom for c in poly)
-
-
-def eval_poly(coeffs: tuple[Fraction, ...], x) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -341,41 +268,6 @@ def aligned_border_strips(shape: Partition) -> list[BorderStripRemoval]:
         return []
     moves = ((s, _move_beta(shape, 0, -s)) for s in range(1, shape[0] + len(shape)))
     return [BorderStripRemoval(s, m[0] + 1, m[1]) for s, m in moves if m is not None]
-
-
-def border_strip_component_count(outer: Partition, inner: Partition) -> int:
-    """Number of connected components of the skew shape outer/inner, which
-    must be a border strip (contain no 2x2 square).
-
-    Exposed for the general, possibly disconnected notion; only the aligned
-    (connected) enumeration feeds local cohomology.
-    """
-    if not contains(outer, inner):
-        raise PartitionError("inner must be contained in outer")
-    cells = set()
-    for i, row in enumerate(outer):
-        lo = inner[i] if i < len(inner) else 0
-        for j in range(lo, row):
-            cells.add((i, j))
-    for (i, j) in cells:
-        if {(i + 1, j), (i, j + 1), (i + 1, j + 1)} <= cells:
-            raise PartitionError("skew shape contains a 2x2 square")
-    comps = 0
-    seen: set[tuple[int, int]] = set()
-    for cell in cells:
-        if cell in seen:
-            continue
-        comps += 1
-        stack = [cell]
-        while stack:
-            i, j = stack.pop()
-            if (i, j) in seen:
-                continue
-            seen.add((i, j))
-            for nb in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
-                if nb in cells and nb not in seen:
-                    stack.append(nb)
-    return comps
 
 
 def shifted_normalize(

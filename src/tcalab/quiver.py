@@ -214,9 +214,6 @@ class QuiverRep:
     def dim(self, v) -> int:
         return self.dims.get(partition(v), 0)
 
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
     def validate(self) -> None:
         """Check the local relations on every two-box path i -> j -> k with
         nonzero dimension at i and k: when k/i is a horizontal strip the
@@ -562,22 +559,18 @@ def kernel_cokernel_constituents(
     return ker, coker
 
 
-def tau_first_row_deletion(p: Partition) -> Partition:
-    return p[1:]
-
-
 def tau_contractibility_check(vs: VertexSet) -> bool:
     """Verify the two contraction conditions for the first-row deletion:
     x <= y forces tau(y) <= x, and tau iterates any vertex to empty."""
     for y in vs.vertices:
-        ty = tau_first_row_deletion(y)
+        ty = y[1:]
         for x in down_set(y):
             if not is_strip(x, ty, HS):
                 return False
     for x in vs.vertices:
         p = x
         for _ in range(len(x) + 1):
-            p = tau_first_row_deletion(p)
+            p = p[1:]
         if p != ():
             return False
     return True

@@ -16,25 +16,24 @@ from typing import Callable, TextIO
 from . import hilbert, homalg, ktheory, quiver
 from .ktheory import AClass, l_class, l_to_q, q_class, q_to_l
 from .partitions import (
-    HS,
     VS,
     _partitions_cached,
     contains,
+    down_set,
     is_strip,
     partitions_up_to,
     size,
-    strips_below,
     transpose,
 )
 
 def _check_strip_identity(cap: int) -> str | None:
     for lam in partitions_up_to(cap):
-        below = strips_below(lam, HS)
+        below = down_set(lam)
         for nu in partitions_up_to(size(lam)):
             if not contains(lam, nu):
                 continue
             total = 0
-            for _, mu in below:
+            for mu in below:
                 if is_strip(mu, nu, VS):
                     total += (-1) ** (size(mu) - size(nu))
             expected = 1 if lam == nu else 0

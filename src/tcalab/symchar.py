@@ -22,11 +22,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .partitions import (
-    HS,
     Partition,
     _move_beta,
     _partitions_cached,
-    add_strips,
     contains,
     partition,
     size,
@@ -230,8 +228,3 @@ class VClass(Combination):
     @classmethod
     def simple(cls, lam) -> "VClass":
         return cls({partition(lam): 1})
-
-
-def pieri_class(lam: Partition, d: int, kind: str = HS) -> VClass:
-    """Sum of [S_mu] over strips mu/lam of size d, all coefficients one."""
-    return VClass({mu: 1 for mu in add_strips(lam, d, kind)})

@@ -107,6 +107,44 @@ def remove_strips(lam, d, kind) -> list[tuple[int, ...]]:
     return sorted(results, reverse=True)
 
 
+def add_strips(lam, d, kind) -> list[tuple[int, ...]]:
+    """All mu with mu/lam a strip of size d, lexicographically descending,
+    by the route `partitions` first took: for horizontal strips a recursion
+    over len(lam) + 1 rows, each mu_i in [lam_i, mu_{i-1}] spending
+    mu_i - lam_i boxes of the budget; for vertical strips the
+    horizontal-strip additions to the transpose, transposed back."""
+    from tcalab.partitions import partition, transpose
+
+    if d < 0:
+        raise ValueError("strip size must be nonnegative")
+    if kind == "VS":
+        return sorted((transpose(m) for m in add_strips(transpose(lam), d, "HS")),
+                      reverse=True)
+    if kind != "HS":
+        raise ValueError(f"kind must be 'HS' or 'VS', got {kind!r}")
+    rows = len(lam) + 1
+    results = []
+
+    def rec(i, budget, acc):
+        if i == rows:
+            if budget == 0:
+                results.append(partition(acc))
+            return
+        lo = lam[i] if i < len(lam) else 0
+        hi = min(lam[i - 1] if i > 0 else lo + budget, lo + budget)
+        for mu_i in range(hi, lo - 1, -1):
+            rec(i + 1, budget - (mu_i - lo), acc + [mu_i])
+
+    rec(0, d, [])
+    return sorted(results, reverse=True)
+
+
+def pieri_sum(lam, d, kind) -> dict[tuple[int, ...], int]:
+    """The Pieri rule: coefficient one on every mu with mu/lam a strip of the
+    kind and size d, the product of lam with a row (HS) or a column (VS)."""
+    return dict.fromkeys(add_strips(lam, d, kind), 1)
+
+
 def bgg_signs_by_profile(lam) -> dict:
     """The signs of the injective resolution of the simple at lam, by the
     rule `homalg` first used: every vertical-strip removal mu of lam (from
@@ -195,6 +233,36 @@ def _has_2x2(cs: set[Cell]) -> bool:
     )
 
 
+def border_strip_component_count(outer, inner) -> int:
+    """Number of connected components of the skew shape outer/inner, which
+    must be a border strip (contain no 2x2 square), by a flood fill of its
+    cells.  Raises PartitionError when inner is not inside outer or the
+    shape has a 2x2 square."""
+    from tcalab.partitions import PartitionError
+
+    if not cells(inner) <= cells(outer):
+        raise PartitionError("inner must be contained in outer")
+    skew = cells(outer) - cells(inner)
+    if _has_2x2(skew):
+        raise PartitionError("skew shape contains a 2x2 square")
+    comps = 0
+    seen: set[Cell] = set()
+    for cell in skew:
+        if cell in seen:
+            continue
+        comps += 1
+        stack = [cell]
+        while stack:
+            r, c = stack.pop()
+            if (r, c) in seen:
+                continue
+            seen.add((r, c))
+            for nb in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
+                if nb in skew and nb not in seen:
+                    stack.append(nb)
+    return comps
+
+
 def _connected_subsets(base: set[Cell], anchor: Cell, s: int):
     """All connected subsets of base of size s containing anchor."""
     results: set[frozenset] = set()
@@ -217,6 +285,42 @@ def _connected_subsets(base: set[Cell], anchor: Cell, s: int):
     if anchor in base:
         extend(frozenset([anchor]), {x for x in neighbors(anchor) if x in base})
     return [set(r) for r in results]
+
+
+def stable_dimension_poly(mu) -> tuple[Fraction, ...]:
+    """Coefficients (degree-ascending) of the polynomial in N whose value is
+    the dimension of the irreducible indexed by (mu_1+1, ..., mu_l+1, 1^N).
+
+    Degree is |mu|.  From the hook length formula: the hooks of the first
+    column are N + j for j = 1..l+|mu| except the offsets l + mu_i - i, and
+    the other hooks are those of mu, counted on cells."""
+    l, n = len(mu), sum(mu)
+    skip = {l + mu[i] - i for i in range(l)}
+    poly = [Fraction(1)]
+    for j in range(1, l + n + 1):
+        if j in skip:
+            continue
+        # multiply by (N + j)
+        nxt = [Fraction(0)] * (len(poly) + 1)
+        for k, c in enumerate(poly):
+            nxt[k] += c * j
+            nxt[k + 1] += c
+        poly = nxt
+    cs = cells(mu)
+    denom = 1
+    for r, c in cs:
+        arm = sum(1 for x in cs if x[0] == r and x[1] > c)
+        leg = sum(1 for x in cs if x[1] == c and x[0] > r)
+        denom *= arm + leg + 1
+    return tuple(c / denom for c in poly)
+
+
+def eval_poly(coeffs, x) -> Fraction:
+    """Horner evaluation of degree-ascending coefficients at x."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def brute_shifted_sort(alpha: tuple[int, ...], padding: int):
@@ -436,11 +540,11 @@ def sum_tables_on_supports(supports, vs):
 
 def injective_sum_by_scan(lams, vs):
     """The tables of `injective_sum` as it was first built: each summand's
-    support from `strips_below(lam, HS)`, then `sum_tables_on_supports`."""
-    from tcalab.partitions import HS, partition, strips_below
-
+    support is every horizontal-strip removal from lam (on cell sets), then
+    `sum_tables_on_supports`."""
     return sum_tables_on_supports(
-        [[mu for _, mu in strips_below(partition(lam), HS)] for lam in lams], vs)
+        [[mu for d in range(sum(lam) + 1) for mu in brute_remove_strips(lam, d, "HS")]
+         for lam in lams], vs)
 
 
 def realize_bgg_by_constructor(lam, vs=None):
@@ -571,17 +675,18 @@ def char_poly_by_products(lam):
     alternating sum, over vertical-strip removals lam/mu of size d, of the
     enhanced series sum_nu chi^mu(nu) t^nu / nu!, all built from MPoly sums
     and products of Fractions."""
-    from tcalab.partitions import VS, aut_factor, partitions_of, strips_below
+    from tcalab.partitions import aut_factor, partitions_of
     from tcalab.polynomials import MPoly
     from tcalab.symchar import mn_trace
 
     series = MPoly.zero("t")
-    for d, mu in strips_below(lam, VS):
-        for nu in partitions_of(sum(mu)):
-            c = Fraction((-1) ** d * mn_trace(nu, mu), aut_factor(nu))
-            series = series + MPoly.monomial(
-                {i: nu.count(i) for i in set(nu)}, c, "t"
-            )
+    for d in range(len(lam) + 1):
+        for mu in remove_strips(lam, d, "VS"):
+            for nu in partitions_of(sum(mu)):
+                c = Fraction((-1) ** d * mn_trace(nu, mu), aut_factor(nu))
+                series = series + MPoly.monomial(
+                    {i: nu.count(i) for i in set(nu)}, c, "t"
+                )
     return umbral_by_products(series)
 
 

@@ -8,7 +8,13 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from conftest import partitions_st
-from oracles import char_poly_by_products, remove_strips, umbral_by_products
+from oracles import (
+    char_poly_by_products,
+    eval_poly,
+    remove_strips,
+    stable_dimension_poly,
+    umbral_by_products,
+)
 from tcalab.hilbert import (
     EnhancedSeries,
     char_poly_of_class,
@@ -30,6 +36,7 @@ from tcalab.partitions import (
     partitions_of,
     partitions_up_to,
     size,
+    transpose,
 )
 from tcalab.polynomials import MPoly, exp_t0_truncated, mul_truncated
 from tcalab.symchar import VClass, mn_trace
@@ -169,6 +176,18 @@ class TestCharacterPolynomials:
         assert eval_char_poly(X1, (1, 1, 1)) == 2
         X21 = char_poly_simple((2, 1))
         assert eval_char_poly(X21, (5,)) == character_value((2, 1), (5,))
+
+    def test_dimension_is_the_stable_dimension_polynomial(self):
+        # at the identity of S_n the simple at mu' is the irreducible
+        # (n - |mu|, mu'), whose transpose is (mu_1+1, ..., mu_l+1, 1^N)
+        for mu in partitions_up_to(5):
+            X = char_poly_simple(transpose(mu))
+            coeffs = stable_dimension_poly(mu)
+            for N in range(7):
+                identity = (1,) * (N + len(mu) + size(mu))
+                dim = eval_poly(coeffs, N)
+                assert character_value(transpose(mu), identity) == dim, (mu, N)
+                assert eval_char_poly(X, identity) == dim, (mu, N)
 
     def test_class_linearity(self):
         x = AClass.free((2,)) - AClass.free((1,))

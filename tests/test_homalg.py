@@ -97,6 +97,13 @@ class TestExt:
         assert ext_simples((2,), (2, 2)) == {}
         assert ext_simples((2, 1), (2, 1)) == {0: 1}
 
+    def test_huge_parts(self):
+        big = 10**20
+        assert ext_simples((big - 1,), (big,)) == {1: 1}
+        assert ext_simples((big,), (1,)) == {}
+        assert ext_simples((1,), (big,)) == {}
+        assert ext_simples((big,), (big, 1)) == {1: 1}
+
     def test_matches_strip_oracle(self):
         from tcalab.partitions import is_strip
 

@@ -5,14 +5,18 @@ from hypothesis import given, settings
 
 from conftest import partitions_st
 from oracles import (
+    add_strips,
+    border_strip_component_count,
     brute_aligned_strips,
     brute_remove_strips,
     brute_shifted_sort,
     brute_standard_tableaux_count,
     brute_transpose,
+    eval_poly,
     remove_strips,
     skew_is_hs,
     skew_is_vs,
+    stable_dimension_poly,
     sub_partitions,
 )
 from tcalab.partitions import (
@@ -20,14 +24,11 @@ from tcalab.partitions import (
     VS,
     BorderStripRemoval,
     PartitionError,
-    add_strips,
     aligned_border_strips,
     aut_factor,
-    border_strip_component_count,
     contains,
     corner_removals,
     down_set,
-    eval_poly,
     hook_dimension,
     is_strip,
     multiplicities,
@@ -37,11 +38,17 @@ from tcalab.partitions import (
     partitions_up_to,
     shifted_normalize,
     size,
-    stable_dimension_poly,
-    strips_below,
     transpose,
     vertical_strips,
 )
+
+
+def strips_of_size(lam, d, kind):
+    """The mu with lam/mu a strip of the kind and size d, in the order of
+    `down_set` (HS) or `vertical_strips` (VS)."""
+    if kind == HS:
+        return [mu for mu in down_set(lam) if size(lam) - size(mu) == d]
+    return [mu for c, mu in vertical_strips(lam) if sum(c) == d]
 
 
 class TestPartitionBasics:
@@ -93,6 +100,21 @@ class TestStrips:
         assert not is_strip((2, 2), (1,), HS)
         assert is_strip((2, 1), (1,), VS)
 
+    def test_is_strip_on_huge_parts(self):
+        # both relations are tested row by row, so a part of 10^20 boxes
+        # is never expanded into its columns
+        big = 10**20
+        for kind in (HS, VS):
+            assert is_strip((big,), (big - 1,), kind)
+            assert is_strip((big, 1), (big,), kind)
+            assert not is_strip((1,), (big,), kind)
+            assert not is_strip((big - 1,), (big,), kind)
+        assert is_strip((big,), (1,), HS)
+        assert not is_strip((big,), (big - 2,), VS)
+        assert is_strip((big, big), (big - 1, big - 1), VS)
+        assert not is_strip((big, big), (big - 1, big - 1), HS)
+        assert not is_strip((big, big), (big - 1,), VS)
+
     @given(partitions_st(max_part=4, max_rows=4))
     def test_is_strip_matches_cells(self, lam):
         for mu in sub_partitions(lam):
@@ -106,13 +128,14 @@ class TestStrips:
         assert remove_strips((1, 1), 1, HS) == [(1,)]
         assert remove_strips((2, 1), 0, HS) == [(2, 1)]
         assert remove_strips((), 0, VS) == [()]
-        assert strips_below((2, 1), HS) == [(0, (2, 1)), (1, (2,)), (1, (1, 1)), (2, (1,))]
-        assert strips_below((1, 1), HS) == [(0, (1, 1)), (1, (1,))]
-        assert strips_below((), HS) == strips_below((), VS) == [(0, ())]
+        assert down_set((2, 1)) == [(2, 1), (2,), (1, 1), (1,)]
+        assert down_set((1, 1)) == [(1, 1), (1,)]
+        assert down_set(()) == [()]
+        assert vertical_strips(()) == [((), ())]
 
     def test_strip_order_is_lex_descending(self):
         assert corner_removals((2, 1)) == [(2,), (1, 1)]
-        assert [mu for d, mu in strips_below((3, 1), HS) if d == 1] == [(3,), (2, 1)]
+        assert strips_of_size((3, 1), 1, HS) == [(3,), (2, 1)]
         assert add_strips((2,), 2, HS) == [(4,), (3, 1), (2, 2)]
         assert add_strips((1,), 1, HS) == [(2,), (1, 1)]
         assert add_strips((), 3, VS) == [(1, 1, 1)]
@@ -120,29 +143,32 @@ class TestStrips:
     @given(partitions_st(max_part=4, max_rows=3))
     def test_remove_strips_matches_oracle(self, lam):
         for kind in (HS, VS):
-            below = strips_below(lam, kind)
             for d in range(size(lam) + 1):
                 want = brute_remove_strips(lam, d, kind)
                 assert set(remove_strips(lam, d, kind)) == want
-                assert {mu for e, mu in below if e == d} == want
+                assert set(strips_of_size(lam, d, kind)) == want
 
     def test_strips_below_matches_oracle(self):
+        # the strips below lam: `down_set` and `vertical_strips` list each
+        # once, and `vertical_strips` by size
         for lam in partitions_up_to(6):
+            sizes = [sum(c) for c, _ in vertical_strips(lam)]
+            assert sizes == sorted(sizes), lam
             for kind in (HS, VS):
-                got = strips_below(lam, kind)
-                assert [d for d, _ in got] == sorted(d for d, _ in got)
+                got = [mu for d in range(size(lam) + 1)
+                       for mu in strips_of_size(lam, d, kind)]
                 assert len(set(got)) == len(got)
                 for d in range(size(lam) + 1):
-                    assert {mu for e, mu in got if e == d} == brute_remove_strips(
+                    assert set(strips_of_size(lam, d, kind)) == brute_remove_strips(
                         lam, d, kind
                     ), (lam, kind, d)
 
     def test_vs_is_hs_on_transposes(self):
         for lam in partitions_up_to(8):
             via_transpose = {
-                (d, transpose(mu)) for d, mu in strips_below(transpose(lam), HS)
+                (size(lam) - size(mu), transpose(mu)) for mu in down_set(transpose(lam))
             }
-            assert set(strips_below(lam, VS)) == via_transpose, lam
+            assert {(sum(c), mu) for c, mu in vertical_strips(lam)} == via_transpose, lam
 
     def test_vs_order_matches_the_transpose_route(self):
         for lam in partitions_up_to(9):
@@ -150,32 +176,33 @@ class TestStrips:
             for d in range(size(lam) + 2):
                 assert [mu for c, mu in strips if sum(c) == d] == remove_strips(
                     lam, d, VS), (lam, d)
-            assert strips_below(lam, VS) == [
+            assert [(sum(c), mu) for c, mu in vertical_strips(lam)] == [
                 (d, mu) for d in range(size(lam) + 1)
                 for mu in remove_strips(lam, d, VS)
             ], lam
 
     def test_hs_order_matches_the_recursion(self):
+        # down_set is lexicographically descending, so each size keeps the
+        # recursion's order
         for lam in partitions_up_to(9):
-            assert strips_below(lam, HS) == [
-                (d, mu) for d in range(size(lam) + 1)
-                for mu in remove_strips(lam, d, HS)
-            ], lam
+            for d in range(size(lam) + 1):
+                assert strips_of_size(lam, d, HS) == remove_strips(lam, d, HS), (lam, d)
         for lam in ((), (2, 1)):
             with pytest.raises(ValueError):
-                strips_below(lam, "XX")
+                is_strip(lam, lam, "XX")
 
     def test_down_set_is_the_horizontal_strips_below(self):
         for lam in partitions_up_to(9):
             down = down_set(lam)
             assert len(down) == len(set(down)), lam
-            assert set(down) == {mu for _, mu in strips_below(lam, HS)}, lam
+            assert set(down) == {
+                mu for d in range(size(lam) + 1) for mu in remove_strips(lam, d, HS)
+            }, lam
 
     def test_corner_removals_are_the_one_box_strips(self):
         for v in partitions_up_to(9):
             assert corner_removals(v) == remove_strips(v, 1, HS), v
-            assert corner_removals(v) == [
-                mu for d, mu in strips_below(v, HS) if d == 1], v
+            assert corner_removals(v) == strips_of_size(v, 1, HS), v
 
     def test_vertical_strips_are_row_block_counts(self):
         for lam in partitions_up_to(9):
@@ -193,14 +220,14 @@ class TestStrips:
                 for kind in (HS, VS):
                     added = add_strips(lam, d, kind)
                     for mu in added:
-                        assert (d, lam) in strips_below(mu, kind)
+                        assert lam in strips_of_size(mu, d, kind)
 
     def test_strip_identity(self):
         # alternating count of mid shapes between nested partitions
         for lam in partitions_up_to(8):
             for nu in sub_partitions(lam):
                 total = 0
-                for _, mu in strips_below(lam, HS):
+                for mu in down_set(lam):
                     if is_strip(mu, nu, VS):
                         total += (-1) ** (size(mu) - size(nu))
                 assert total == (1 if lam == nu else 0), (lam, nu)
@@ -273,6 +300,11 @@ class TestBorderStrips:
         assert border_strip_component_count((7, 5, 3, 3, 2), (4, 3, 3, 3, 2)) == 1
         with pytest.raises(PartitionError):
             border_strip_component_count((2, 2), ())  # contains a 2x2 square
+
+    def test_aligned_strips_are_connected(self):
+        for shape in partitions_up_to(9):
+            for b in aligned_border_strips(shape):
+                assert border_strip_component_count(shape, b.result) == 1, (shape, b)
 
 
 class TestShiftedNormalize:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 from conftest import partitions_st
 from oracles import (
+    add_strips,
     complex_cohomology_all_vertices,
     global_relations_hold,
     hom_space_all_pairs,
@@ -25,12 +26,10 @@ from tcalab.homalg import InjResolution, bgg_resolution
 from tcalab.ktheory import q_class, q_to_l
 from tcalab.partitions import (
     HS,
-    add_strips,
     down_set,
     is_strip,
     partitions_up_to,
     size,
-    strips_below,
 )
 from tcalab.quiver import (
     NotAComplexError,
@@ -318,7 +317,7 @@ class TestInjectiveSum:
             supports.clear()
             for lam in dict.fromkeys(lams):
                 # sorted, so the seeded draws do not hang on the enumeration order
-                down = sorted(mu for _, mu in strips_below(lam, HS))
+                down = sorted(down_set(lam))
                 outside = [v for v in vs.vertices if v not in down]
                 supports[lam] = [mu for mu in down if rng.random() > 0.15]
                 supports[lam] += rng.sample(outside, min(len(outside), rng.randint(0, 2)))
@@ -345,7 +344,7 @@ class TestBuilders:
     def test_simple(self):
         vs = VertexSet.up_to_size(3)
         rep = build_simple((2, 1), vs)
-        assert rep.total_dim() == 1
+        assert sum(rep.dims.values()) == 1
         assert rep.dim((2, 1)) == 1
         with pytest.raises(VertexMissingError):
             build_simple((4,), vs)
@@ -359,8 +358,8 @@ class TestBuilders:
             for mu in remove_strips((2, 1), d, HS)
         }
         assert {v for v in vs.vertices if rep.dim(v)} == removals
-        assert rep.total_dim() == len(removals)
-        assert build_injective((), vs).total_dim() == 1
+        assert sum(rep.dims.values()) == len(removals)
+        assert sum(build_injective((), vs).dims.values()) == 1
 
     def test_truncation_guard(self):
         # vertex set without small partitions cannot host the injective

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 
 from conftest import partitions_st
 from oracles import (
+    border_strip_component_count,
     brute_border_strips,
     brute_lr_via_characters,
     centralizer_order,
+    pieri_sum,
     s3_class_traces,
 )
 from tcalab.partitions import (
@@ -27,7 +29,6 @@ from tcalab.symchar import (
     _rim_hook_removals,
     lr_coefficient,
     mn_trace,
-    pieri_class,
 )
 
 
@@ -86,6 +87,12 @@ class TestRimHooks:
                     if z == s
                 ]
                 assert list(_rim_hook_removals(lam, s)) == expected, (lam, s)
+
+    def test_are_connected(self):
+        for lam in partitions_up_to(9):
+            for s in range(1, size(lam) + 1):
+                for result, _ in _rim_hook_removals(lam, s):
+                    assert border_strip_component_count(lam, result) == 1, (lam, s)
 
 
 class TestLR:
@@ -152,19 +159,19 @@ class TestVClass:
         )
 
     def test_pieri_class_examples(self):
-        assert pieri_class((1,), 1, HS) == VClass({(2,): 1, (1, 1): 1})
+        assert VClass(pieri_sum((1,), 1, HS)) == VClass({(2,): 1, (1, 1): 1})
         for k in range(4):
-            assert pieri_class((), k, HS) == VClass({((k,) if k else ()): 1})
-        assert pieri_class((), 3, VS) == VClass({(1, 1, 1): 1})
+            assert VClass(pieri_sum((), k, HS)) == VClass({((k,) if k else ()): 1})
+        assert VClass(pieri_sum((), 3, VS)) == VClass({(1, 1, 1): 1})
 
     def test_pieri_matches_lr_product(self):
         for lam in partitions_up_to(5):
             for d in range(5):
                 row = VClass.simple((d,) if d else ())
                 col = VClass.simple((1,) * d)
-                assert pieri_class(lam, d, HS) == k_product(
+                assert VClass(pieri_sum(lam, d, HS)) == k_product(
                     VClass.simple(lam), row
                 )
-                assert pieri_class(lam, d, VS) == k_product(
+                assert VClass(pieri_sum(lam, d, VS)) == k_product(
                     VClass.simple(lam), col
                 )
