@@ -53,8 +53,8 @@ def families() -> list[list[str]]:
     return argvs
 
 
-def run_family(root: Path, argvs: list[list[str]], jobs: int = 2) -> list[tuple[int, str]]:
-    """(exit code, stdout) of each argv, run on root/src."""
+def run_family(root: Path, argvs: list[list[str]]) -> list[tuple[int, str]]:
+    """(exit code, stdout) of each argv, run on root/src, two at a time."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("TCALAB_")}
     env["PYTHONPATH"] = str(Path(root) / "src")
 
@@ -63,7 +63,7 @@ def run_family(root: Path, argvs: list[list[str]], jobs: int = 2) -> list[tuple[
                               capture_output=True, text=True, env=env, cwd=root)
         return proc.returncode, proc.stdout
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=2) as pool:
         return list(pool.map(run, argvs))
 
 
