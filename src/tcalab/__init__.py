@@ -2,14 +2,15 @@
 
 Modules are organized by what they compute:
 
-    partitions   partition arithmetic, strips, border strips
+    partitions   partition arithmetic, strips, injective resolutions of
+                 simples, border strips
     symchar      symmetric group characters, Littlewood-Richardson rule,
                  the Combination core shared by the S/L/Q classes and the
                  t/a polynomials
     polynomials  exact polynomials whose monomials are partitions
     ktheory      Grothendieck group bases, products, pairing, Fourier involution
     hilbert      enhanced Hilbert series and character polynomials
-    homalg       injective resolutions, local cohomology, depth, regularity
+    homalg       Ext between simples, local cohomology, depth, regularity
     quiver       finite quiver truncations used for machine verification
     cli          the tcalab command line tool
 """

@@ -27,7 +27,7 @@ import sys
 
 from . import __version__, homalg, hilbert, ktheory, quiver
 from .ktheory import AClass, KClassK, L_BASIS, Q_BASIS
-from .partitions import Partition, parse_partition, size
+from .partitions import Partition, bgg_resolution, parse_partition, size
 from .symchar import Combination, VClass
 
 SCHEMA = "tcalab/1"
@@ -196,7 +196,7 @@ def _cmd_depth(args) -> dict:
 
 def _cmd_bgg(args) -> dict:
     lam = parse_partition(args.partition)
-    res = homalg.bgg_resolution(lam)
+    res = bgg_resolution(lam)
     return {
         "command": "bgg",
         "partition": _part_json(lam),

@@ -1,6 +1,7 @@
-"""Homological invariants: injective resolutions of simples, Ext, local
-cohomology of the tail submodules, depth, resolution shapes, regularity,
-Poincare series, and the module-level Fourier transform.
+"""Homological invariants: Ext between simples, local cohomology of the
+tail submodules, depth, resolution shapes, regularity, Poincare series,
+and the module-level Fourier transform.  The injective resolutions of
+simples are vertical-strip combinatorics and live in `partitions`.
 
 Local cohomology of the tail module with first row at least D follows the
 aligned-border-strip rule on the prefixed shape (D, lam): the strip height
@@ -26,12 +27,10 @@ from .partitions import (
     aligned_border_strips,
     hook_dimension,
     is_strip,
-    multiplicities,
     partition,
     prefixed_to_partition,
     size,
     transpose,
-    vertical_strips,
 )
 from .polynomials import MPoly, exp_t0_truncated, mul_truncated
 from .symchar import VClass
@@ -50,42 +49,7 @@ class InsufficientShapeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Injective resolutions of simples
-
-
-class InjResolution(NamedTuple):
-    """Terms of the minimal injective resolution of a simple, with the sign
-    on each single-box covering map between consecutive terms."""
-
-    top: Partition
-    terms: tuple[tuple[Partition, ...], ...]
-    signs: dict[tuple[Partition, Partition], int]
-
-    def length(self) -> int:
-        return len(self.terms) - 1
-
-
-def bgg_resolution(lam) -> InjResolution:
-    """Term j collects the vertical-strip removals of size j; length equals
-    the number of rows.  `vertical_strips` lists each removal with its
-    row-block counts c, in term order.  The cover taking one more row from
-    block k has sign (-1)^(rows already taken from smaller parts), which
-    makes every covering square anticommute, so the induced complex of
-    injectives is exact past degree zero."""
-    lam = partition(lam)
-    strips = vertical_strips(lam)
-    shape = dict(strips)
-    blocks = list(multiplicities(lam).values())
-    terms: list[list[Partition]] = [[] for _ in range(len(lam) + 1)]
-    signs: dict[tuple[Partition, Partition], int] = {}
-    for c, mu in strips:
-        terms[sum(c)].append(mu)
-        # covers in term order: a row taken from a larger block is later
-        for b in reversed(range(len(blocks))):
-            if c[b] < blocks[b]:
-                cover = c[:b] + (c[b] + 1,) + c[b + 1:]
-                signs[(mu, shape[cover])] = (-1) ** sum(c[b + 1:])
-    return InjResolution(lam, tuple(tuple(t) for t in terms), signs)
+# Ext between simples
 
 
 def ext_simples(lam, mu) -> dict[int, int]:

@@ -14,7 +14,8 @@ horizontal-strip removal is an interlacing sequence mu_i in
 the product of those ranges, and `corner_removals` lists the one-box
 removals.  A vertical-strip removal takes a bottom run of rows from each
 block of equal parts, so it is a vector of row-block counts;
-`vertical_strips` is the one enumeration of them.
+`vertical_strips` is the one enumeration of them, and `bgg_resolution`
+reads the injective resolution of a simple, terms and signs, off it.
 
 Border strips are handled through first-column hook lengths (beta
 numbers).  Rim hooks (`symchar`), the aligned border strips and the
@@ -177,6 +178,41 @@ def vertical_strips(lam: Partition) -> list[tuple[tuple[int, ...], Partition]]:
                 for x in (k,) * (m - ck) + (k - 1,) * ck]
         out.append((c, tuple(x for x in rows if x)))
     return sorted(out, key=lambda cm: sum(cm[0]))
+
+
+class InjResolution(NamedTuple):
+    """Terms of the minimal injective resolution of a simple, with the sign
+    on each single-box covering map between consecutive terms."""
+
+    top: Partition
+    terms: tuple[tuple[Partition, ...], ...]
+    signs: dict[tuple[Partition, Partition], int]
+
+    def length(self) -> int:
+        return len(self.terms) - 1
+
+
+def bgg_resolution(lam) -> InjResolution:
+    """Term j collects the vertical-strip removals of size j; length equals
+    the number of rows.  `vertical_strips` lists each removal with its
+    row-block counts c, in term order.  The cover taking one more row from
+    block k has sign (-1)^(rows already taken from smaller parts), which
+    makes every covering square anticommute, so the induced complex of
+    injectives is exact past degree zero."""
+    lam = partition(lam)
+    strips = vertical_strips(lam)
+    shape = dict(strips)
+    blocks = list(multiplicities(lam).values())
+    terms: list[list[Partition]] = [[] for _ in range(len(lam) + 1)]
+    signs: dict[tuple[Partition, Partition], int] = {}
+    for c, mu in strips:
+        terms[sum(c)].append(mu)
+        # covers in term order: a row taken from a larger block is later
+        for b in reversed(range(len(blocks))):
+            if c[b] < blocks[b]:
+                cover = c[:b] + (c[b] + 1,) + c[b + 1:]
+                signs[(mu, shape[cover])] = (-1) ** sum(c[b + 1:])
+    return InjResolution(lam, tuple(tuple(t) for t in terms), signs)
 
 
 def down_set(lam: Partition) -> list[Partition]:

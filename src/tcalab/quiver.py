@@ -25,11 +25,12 @@ maps from those tables and the resolution's signs and checks the morphism
 and d^2 = 0 conditions on them; every other complex is checked by the
 `RepComplex` constructor.  The strip sets come from `partitions`: the
 support of the injective at lam, its horizontal-strip down-set, from
-`down_set(lam)`, and a vertex set's arrows, in the general `VertexSet`
-constructor only, from `corner_removals`, which also checks that the set
-is downward closed.  `VertexSet.up_to_size`, whose set is closed by
-construction, lists the arrows by adding boxes.  The builders and the
-checks walk `up` from the vertices of nonzero dimension only.
+`down_set(lam)`, the resolution's terms and signs from `bgg_resolution`,
+and a vertex set's arrows, in the general `VertexSet` constructor only,
+from `corner_removals`, which also checks that the set is downward
+closed.  `VertexSet.up_to_size`, whose set is closed by construction,
+lists the arrows by adding boxes.  The builders and the checks walk `up`
+from the vertices of nonzero dimension only.
 
 This module machine-checks what the rest of the package computes by
 formula: hom dimensions between injectives, socles, exactness of the
@@ -41,11 +42,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .homalg import InjResolution, bgg_resolution
 from .linalg import Matrix
 from .partitions import (
     HS,
+    InjResolution,
     Partition,
+    bgg_resolution,
     corner_removals,
     down_set,
     is_strip,
@@ -213,6 +215,10 @@ class QuiverRep:
 
     def dim(self, v) -> int:
         return self.dims.get(partition(v), 0)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, QuiverRep) and (self.vs, self.dims, self.arrows) == (
+            other.vs, other.dims, other.arrows)
 
     def validate(self) -> None:
         """Check the local relations on every two-box path i -> j -> k with

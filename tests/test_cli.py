@@ -458,6 +458,24 @@ def test_package_imports_only_the_standard_library():
         assert not foreign, f"{path.name} imports {foreign}"
 
 
+@pytest.mark.parametrize("module, loaded", [
+    ("tcalab.quiver", ["tcalab", "tcalab.linalg", "tcalab.partitions", "tcalab.quiver"]),
+    ("tcalab.partitions", ["tcalab", "tcalab.partitions"]),
+])
+def test_quiver_import_leaves_out_the_algebra(module, loaded):
+    """Quiver verification stands on `partitions` and `linalg` alone: its
+    import loads none of `homalg`, `hilbert`, `ktheory`, `polynomials` or
+    `symchar`, each of which a fresh interpreter would compile for nothing,
+    and `partitions` loads no other `tcalab` module."""
+    code = (
+        f"import sys; before = set(sys.modules); import {module}; "
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'tcalab'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == repr(loaded)
+
+
 def test_cli_import_leaves_out_inspect():
     """Importing the CLI pulls in neither `inspect` nor `dataclasses` (which
     imports `inspect`, `ast`, `dis` and `copy`); they cost start-up time and

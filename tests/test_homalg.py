@@ -16,7 +16,6 @@ from tcalab.homalg import (
     InvalidDError,
     TailRule,
     UnstableError,
-    bgg_resolution,
     closed_form_m0e,
     depth,
     depth_from_resolution,
@@ -35,6 +34,7 @@ from tcalab.homalg import (
 from tcalab.ktheory import AClass
 from tcalab.partitions import (
     VS,
+    bgg_resolution,
     contains,
     partition,
     partitions_up_to,

@@ -22,10 +22,11 @@ from oracles import (
     vertex_set_by_remove_strips,
 )
 from tcalab import linalg, quiver
-from tcalab.homalg import InjResolution, bgg_resolution
 from tcalab.ktheory import q_class, q_to_l
 from tcalab.partitions import (
     HS,
+    InjResolution,
+    bgg_resolution,
     down_set,
     is_strip,
     partitions_up_to,
@@ -40,6 +41,7 @@ from tcalab.quiver import (
     TruncationTooSmallError,
     VertexMissingError,
     VertexSet,
+    VertexSetMismatchError,
     ZeroMapError,
     build_injective,
     build_simple,
@@ -409,6 +411,11 @@ class TestHomSocle:
                 simple = build_simple(lam, vs)
                 assert hom_space(simple, qm)[0] == (1 if lam == mu else 0)
 
+    def test_hom_refuses_two_vertex_sets(self):
+        q1 = build_injective((1,), VertexSet.up_to_size(2))
+        with pytest.raises(VertexSetMismatchError):
+            hom_space(q1, build_injective((1,), VertexSet.up_to_size(3)))
+
     @pytest.mark.parametrize(
         "vs", (VertexSet.up_to_size(5), TestOrderTable.SETS[1]))
     def test_matches_the_all_pairs_route(self, vs):
@@ -638,6 +645,18 @@ class TestRealizedResolutions:
         g = {v: [[Fraction(1)]] for v in vs.vertices if q1.dims[v] and q0.dims[v]}
         with pytest.raises(NotAComplexError):
             RepComplex([q2, q1, q0], [f, g])
+
+    def test_terms_on_two_vertex_sets_rejected(self):
+        q1 = build_injective((1,), VertexSet.up_to_size(2))
+        q0 = build_injective((), VertexSet.up_to_size(3))
+        with pytest.raises(VertexSetMismatchError):
+            RepComplex([q1, q0], [{}])
+
+    def test_equality(self):
+        vs = VertexSet.up_to_size(3)
+        assert realize_bgg((2, 1), vs) == realize_bgg((2, 1), vs)
+        assert realize_bgg((2, 1), vs) != realize_bgg((1, 1, 1), vs)
+        assert realize_bgg((2, 1), vs) != realize_bgg((2, 1), vs).reps
 
 
 class TestKernelCokernel:
