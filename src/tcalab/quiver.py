@@ -217,8 +217,8 @@ class QuiverRep:
         return self.dims.get(partition(v), 0)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QuiverRep) and (self.vs, self.dims, self.arrows) == (
-            other.vs, other.dims, other.arrows)
+        return isinstance(other, QuiverRep) and (
+            (self.vs, self.dims, self.arrows) == (other.vs, other.dims, other.arrows))
 
     def validate(self) -> None:
         """Check the local relations on every two-box path i -> j -> k with

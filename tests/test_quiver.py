@@ -656,6 +656,7 @@ class TestRealizedResolutions:
         vs = VertexSet.up_to_size(3)
         assert realize_bgg((2, 1), vs) == realize_bgg((2, 1), vs)
         assert realize_bgg((2, 1), vs) != realize_bgg((1, 1, 1), vs)
+        assert realize_bgg((2, 1), vs) != realize_bgg((1, 1), vs)  # as many terms
         assert realize_bgg((2, 1), vs) != realize_bgg((2, 1), vs).reps
 
 
