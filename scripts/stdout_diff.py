@@ -46,6 +46,8 @@ def families() -> list[list[str]]:
     argvs += [["hilbert", f"P[{p}]-S[{q}]"] for p in _up_to(4) for q in _up_to(4)]
     argvs += [["bgg", p] for p in _up_to(6)]
     argvs += [["quiver", "verify-bgg", p] for p in _up_to(5)]
+    argvs += [["quiver", "hom", p, q] for p in _up_to(4) for q in _up_to(4)]
+    argvs += [["quiver", "socle", f"{b}[{p}]"] for b in "QL" for p in _up_to(5)]
     argvs += [["fourier", f"{b}[{p}]"] for b in "SPLQ" for p in _up_to(4)]
     argvs += [["efw", p, str(e)] for p in _up_to(3) for e in range(1, 4)]
     argvs += [["poincare", p, str(e), "--trunc", "6"] for p in _up_to(3) for e in range(1, 4)]

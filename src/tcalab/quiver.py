@@ -10,11 +10,13 @@ every relation between longer paths; so the path i -> k is well defined,
 and vanishes unless k/i is a horizontal strip.  Hom spaces, socles, and
 complex cohomology are then honest linear algebra over the rationals.
 
-One convention holds throughout: an arrow matrix or a map block that is
-not stored is the zero map.  Constructors check the shape and the entries
-of every block and drop the zero ones, and a product of blocks that
-vanishes is again absent, so no zero matrix is built to stand for a
-missing one.
+One convention holds throughout: what is not stored is zero.  A
+representation's `dims` and an injective sum's `where` table hold only the
+vertices of its support, in vertex order, and `QuiverRep.dim(v)` reads 0
+off it; an arrow matrix or a map block that is not stored is the zero map.
+Constructors check the shape and the entries of every block and drop the
+zero dimensions and blocks, and a product of blocks that vanishes is
+again absent, so no zero matrix is built to stand for a missing one.
 
 Two builders are certified on tables instead of by matrix products.
 Every sum of indecomposable injectives, a single one included, comes from
@@ -30,7 +32,7 @@ and a vertex set's arrows, in the general `VertexSet` constructor only,
 from `corner_removals`, which also checks that the set is downward
 closed.  `VertexSet.up_to_size`, whose set is closed by construction,
 lists the arrows by adding boxes.  The builders and the checks walk `up`
-from the vertices of nonzero dimension only.
+from the support only.
 
 This module machine-checks what the rest of the package computes by
 formula: hom dimensions between injectives, socles, exactness of the
@@ -58,10 +60,6 @@ from .partitions import (
 
 
 class VertexMissingError(ValueError):
-    pass
-
-
-class TruncationTooSmallError(ValueError):
     pass
 
 
@@ -184,8 +182,8 @@ class VertexSet:
 
 class QuiverRep:
     """Dimension vector plus matrices on covering arrows; immutable after
-    construction and checked against the relations.  Zero arrows are not
-    stored."""
+    construction and checked against the relations.  Zero dimensions and
+    zero arrows are not stored; `dims` lists the support in vertex order."""
 
     __slots__ = ("vs", "dims", "arrows")
 
@@ -201,12 +199,12 @@ class QuiverRep:
             if type(d) is not int or d < 0:
                 raise ValueError(f"dimension {d!r} at {v} is not a nonnegative integer")
         self.vs = vs
-        self.dims = {v: dims.get(v, 0) for v in vs.vertices}
+        self.dims = {v: dims[v] for v in sorted(dims, key=vs.index.get) if dims[v]}
         self.arrows = {}
         for (i, j), m in arrows.items():
             if i not in vs.index or j not in vs.index:
                 raise VertexMissingError(f"arrow endpoint missing: {(i, j)}")
-            fault = _block_fault(m, self.dims[j], self.dims[i])
+            fault = _block_fault(m, self.dims.get(j, 0), self.dims.get(i, 0))
             if fault:
                 raise ValueError(f"arrow {(i, j)} has {fault}")
             if not linalg.is_zero(m):
@@ -230,14 +228,12 @@ class QuiverRep:
         column can be reordered until they form a vertical domino, so
         these relations generate all the others."""
         dims, up, arrows = self.dims, self.vs.up, self.arrows
-        for i in self.vs.vertices:
-            if not dims[i]:
-                continue
+        for i in dims:
             paths: dict[Partition, Matrix | None] = {}
             for j in up[i]:
                 a = arrows.get((i, j))
                 for k in up[j]:
-                    if not dims[k]:
+                    if k not in dims:
                         continue
                     via = _product(arrows.get((j, k)), a)
                     if not _two_box_is_strip(k, i):
@@ -265,31 +261,34 @@ def injective_sum(
     """The direct sum of the indecomposable injectives at lams, in order.
     The injective at lam is one-dimensional on the down-set of lam, with
     every internal covering arrow the scalar one; where[v][b] is the basis
-    position at v of summand b, present when v lies below lams[b].
+    position at v of summand b, present when v lies below lams[b].  `where`
+    and `dims` hold the union of the summands' down-sets, in vertex order.
 
     The local relations are checked on these tables while the arrows are
     built, not by matrix products: the composite i -> j -> k is the partial
     identity on the summands present at i, j and k, so it vanishes exactly
     when that set is empty, and two middles agree exactly when their sets
     do.  The representation is then stored without `QuiverRep.validate`."""
-    where: dict[Partition, dict[int, int]] = {v: {} for v in vs.vertices}
-    for b, lam in enumerate(lams):
+    downs = []
+    for lam in lams:
         lam = partition(lam)
         if lam not in vs.index:
-            raise TruncationTooSmallError(f"vertex set misses {lam}")
-        for mu in down_set(lam):
-            where[mu][b] = len(where[mu])
+            raise VertexMissingError(f"vertex set misses {lam}")
+        downs.append(down_set(lam))
+    support = sorted({mu for down in downs for mu in down}, key=vs.index.get)
+    where: dict[Partition, dict[int, int]] = {v: {} for v in support}
+    for b, down in enumerate(downs):
+        for mu in down:
+            at = where[mu]
+            at[b] = len(at)
     # the covering pairs in their order, restricted to the support
     arrows: dict[tuple[Partition, Partition], Matrix] = {}
-    dims = dict.fromkeys(vs.vertices, 0)
-    for i in vs.vertices:
-        at_i = where[i]
-        if not at_i:
-            continue
+    dims: dict[Partition, int] = {}
+    for i, at_i in where.items():
         dims[i] = len(at_i)
         paths: dict[Partition, set[int]] = {}
         for j in vs.up[i]:
-            at_j = where[j]
+            at_j = where.get(j, {})
             common = at_i.keys() & at_j.keys()
             if common:
                 m = linalg.zeros(len(at_j), len(at_i))
@@ -297,8 +296,8 @@ def injective_sum(
                     m[at_j[b]][at_i[b]] = 1
                 arrows[(i, j)] = m
             for k in vs.up[j]:
-                at_k = where[k]
-                if not at_k:
+                at_k = where.get(k)
+                if at_k is None:
                     continue
                 # an empty set is the zero composite; it is kept, since a
                 # strip's other middles must then be zero too
@@ -317,8 +316,8 @@ def injective_sum(
                         f"composite through {j} disagrees on {(i, k)}"
                     )
     # stored as the constructor would store them, without its checks: the
-    # dims cover vs in vertex order, the arrows are nonzero 0/1 blocks of
-    # the right shapes, and the relations hold
+    # dims are the support in vertex order, the arrows are nonzero 0/1
+    # blocks of the right shapes, and the relations hold
     rep = QuiverRep.__new__(QuiverRep)
     rep.vs, rep.dims, rep.arrows = vs, dims, arrows
     return rep, where
@@ -336,22 +335,20 @@ def hom_space(
     the kernel of the commuting constraints over the covering arrows."""
     if r1.vs != r2.vs:
         raise VertexSetMismatchError("hom requires a common vertex set")
-    vs = r1.vs
-    d1, d2 = r1.dims, r2.dims
-    # only vertices where both sides are nonzero carry unknowns, and only
-    # arrows (i, j) with d1[i] and d2[j] nonzero give constraints
+    up, d1, d2 = r1.vs.up, r1.dims, r2.dims
+    # only vertices where both sides are nonzero carry unknowns, in vertex
+    # order, and only arrows (i, j) with d1[i] and d2[j] nonzero give
+    # constraints
     offset: dict[Partition, int] = {}
     n = 0
-    for v in vs.vertices:
-        if d1[v] and d2[v]:
+    for v in d1:
+        if v in d2:
             offset[v] = n
             n += d2[v] * d1[v]
     rows: Matrix = []
-    for i in vs.vertices:
-        if not d1[i]:
-            continue
-        for j in vs.up[i]:
-            if not d2[j]:
+    for i in d1:
+        for j in up[i]:
+            if j not in d2:
                 continue
             a1 = r1.arrows.get((i, j))
             a2 = r2.arrows.get((i, j))
@@ -384,13 +381,11 @@ def socle(rep: QuiverRep) -> dict[Partition, int]:
     """Multiplicity of each simple in the socle: the joint kernel of all
     outgoing arrows, computed on covering arrows."""
     out: dict[Partition, int] = {}
-    for v in rep.vs.vertices:
-        if rep.dims[v] == 0:
-            continue
+    for v, d in rep.dims.items():
         stacked: Matrix = []
         for w in rep.vs.up[v]:
             stacked.extend(rep.arrows.get((v, w), []))
-        nullity = rep.dims[v] - linalg.rank(stacked)
+        nullity = d - linalg.rank(stacked)
         if nullity:
             out[v] = nullity
     return out
@@ -422,17 +417,21 @@ class RepComplex:
                     raise VertexMissingError(
                         f"map {t} has a block at {v}, outside the vertex set"
                     )
-                fault = _block_fault(m, dst.dims[v], src.dims[v])
+                fault = _block_fault(m, dst.dims.get(v, 0), src.dims.get(v, 0))
                 if fault:
                     raise ValueError(f"map {t} has a block with {fault} at {v}")
                 if not linalg.is_zero(m):
                     kept[v] = m
-            for (i, j) in vs.covering_pairs():
-                if i not in kept and j not in kept:
-                    continue  # both sides are the zero map
-                lhs = _product(kept.get(j), src.arrows.get((i, j)))
-                if lhs != _product(dst.arrows.get((i, j)), kept.get(i)):
-                    raise NotAComplexError(f"map {t} is not a morphism at {(i, j)}")
+            # the covering pairs in their order from the support of src:
+            # where src is zero at i, both sides of the square vanish
+            for i in src.dims:
+                for j in vs.up[i]:
+                    if i not in kept and j not in kept:
+                        continue  # both sides are the zero map
+                    lhs = _product(kept.get(j), src.arrows.get((i, j)))
+                    if lhs != _product(dst.arrows.get((i, j)), kept.get(i)):
+                        raise NotAComplexError(
+                            f"map {t} is not a morphism at {(i, j)}")
             self.maps.append(kept)
         for t in range(len(self.maps) - 1):
             for v, m in self.maps[t].items():
@@ -450,8 +449,7 @@ class RepComplex:
 def complex_cohomology(cx: RepComplex) -> list[dict[Partition, int]]:
     """Per-degree constituent multiplicities, vertexwise:
     dim ker(d_t) - rank(d_{t-1}).  Every block of every map is ranked once,
-    and only vertices of nonzero dimension are read: a map has no block at
-    the others."""
+    and only the support of each term is read: a map has no block off it."""
     ranks = [{v: linalg.rank(m) for v, m in phi.items()} for phi in cx.maps]
     out: list[dict[Partition, int]] = []
     for t, rep in enumerate(cx.reps):
@@ -459,10 +457,9 @@ def complex_cohomology(cx: RepComplex) -> list[dict[Partition, int]]:
         in_rank = ranks[t - 1] if t > 0 else {}
         table: dict[Partition, int] = {}
         for v, d in rep.dims.items():
-            if d:
-                h = d - out_rank.get(v, 0) - in_rank.get(v, 0)
-                if h:
-                    table[v] = h
+            h = d - out_rank.get(v, 0) - in_rank.get(v, 0)
+            if h:
+                table[v] = h
         out.append(table)
     return out
 
@@ -499,10 +496,8 @@ def realize_bgg(lam, vs: VertexSet | None = None) -> RepComplex:
     for t, out in enumerate(signed):
         at, to = wheres[t], wheres[t + 1]
         phi: dict[Partition, Matrix] = {}
-        for i in vs.vertices:
-            at_i, to_i = at[i], to[i]
-            if not at_i:
-                continue
+        for i, at_i in at.items():
+            to_i = to.get(i, {})
             block = None
             for b, col in at_i.items():
                 for a, s in out[b]:
@@ -512,7 +507,7 @@ def realize_bgg(lam, vs: VertexSet | None = None) -> RepComplex:
                             block = phi[i] = linalg.zeros(len(to_i), len(at_i))
                         block[row][col] = s
             for j in vs.up[i]:
-                at_j, to_j = at[j], to[j]
+                at_j, to_j = at.get(j, {}), to.get(j, {})
                 for b in at_i:
                     for a, _ in out[b]:
                         if a in to_j and (b in at_j) != (a in to_i):
@@ -523,12 +518,13 @@ def realize_bgg(lam, vs: VertexSet | None = None) -> RepComplex:
     for t in range(len(maps) - 1):
         at, mid, to = wheres[t], wheres[t + 1], wheres[t + 2]
         for v in maps[t]:
+            mid_v, to_v = mid[v], to.get(v, {})
             for b in at[v]:
                 composite: dict[int, int] = {}
                 for a, s in signed[t][b]:
-                    if a in mid[v]:
+                    if a in mid_v:
                         for c, r in signed[t + 1][a]:
-                            if c in to[v]:
+                            if c in to_v:
                                 composite[c] = composite.get(c, 0) + s * r
                 if any(composite.values()):
                     raise NotAComplexError(f"composite {t},{t+1} nonzero at {v}")
@@ -554,9 +550,7 @@ def kernel_cokernel_constituents(
     vs = VertexSet.up_to_size(size(lam))
     src = build_injective(lam, vs)
     dst = build_injective(mu, vs)
-    phi = {
-        v: [[scale]] for v in vs.vertices if src.dims[v] and dst.dims[v]
-    }
+    phi = {v: [[scale]] for v in src.dims if v in dst.dims}
     h0, h1 = complex_cohomology(RepComplex([src, dst], [phi]))
     ker, coker = set(h0), set(h1)
     down_lam, down_mu = set(down_set(lam)), set(down_set(mu))

@@ -521,7 +521,8 @@ def sum_tables_on_supports(supports, vs):
     vertices supports[b], in that order, with the arrow between two of them
     the scalar one: each summand's basis positions, then a scan of every
     covering pair of the vertex set.  Returns (arrows, dims, where) with
-    arrows in covering-pair order and every arrow entry the int 1."""
+    arrows in covering-pair order and every arrow entry the int 1, and dims
+    and where kept, in vertex order, on the vertices of nonzero dimension."""
     where = {v: {} for v in vs.vertices}
     for b, support in enumerate(supports):
         for mu in support:
@@ -534,8 +535,8 @@ def sum_tables_on_supports(supports, vs):
             for b in common:
                 m[where[j][b]][where[i][b]] = 1
             arrows[(i, j)] = m
-    dims = {v: len(at) for v, at in where.items()}
-    return arrows, dims, where
+    dims = {v: len(at) for v, at in where.items() if at}
+    return arrows, dims, {v: at for v, at in where.items() if at}
 
 
 def injective_sum_by_scan(lams, vs):
@@ -566,12 +567,12 @@ def realize_bgg_by_constructor(lam, vs=None):
         (src, at), (dst, to) = sums[t], sums[t + 1]
         phi = {}
         for v in vs.vertices:
-            for b, col in at[v].items():
-                for a, row in to[v].items():
+            for b, col in at.get(v, {}).items():
+                for a, row in to.get(v, {}).items():
                     s = res.signs.get((res.terms[t][b], res.terms[t + 1][a]))
                     if s is not None:
                         if v not in phi:
-                            phi[v] = linalg.zeros(dst.dims[v], src.dims[v])
+                            phi[v] = linalg.zeros(dst.dim(v), src.dim(v))
                         phi[v][row][col] = s
         maps.append(phi)
     return quiver.RepComplex([rep for rep, _ in sums], maps)
@@ -588,21 +589,21 @@ def hom_space_all_pairs(r1, r2):
     n = 0
     for v in vs.vertices:
         offset[v] = n
-        n += r2.dims[v] * r1.dims[v]
+        n += r2.dim(v) * r1.dim(v)
     rows = []
     for (i, j) in vs.covering_pairs():
         a1 = r1.arrows.get((i, j))
         a2 = r2.arrows.get((i, j))
         # constraint: phi_j a1 - a2 phi_i = 0, entrywise
-        for p in range(r2.dims[j]):
-            for q in range(r1.dims[i]):
+        for p in range(r2.dim(j)):
+            for q in range(r1.dim(i)):
                 row = [0] * n
                 if a1 is not None:
-                    for s in range(r1.dims[j]):
-                        row[offset[j] + p * r1.dims[j] + s] += a1[s][q]
+                    for s in range(r1.dim(j)):
+                        row[offset[j] + p * r1.dim(j) + s] += a1[s][q]
                 if a2 is not None:
-                    for s in range(r2.dims[i]):
-                        row[offset[i] + s * r1.dims[i] + q] -= a2[p][s]
+                    for s in range(r2.dim(i)):
+                        row[offset[i] + s * r1.dim(i) + q] -= a2[p][s]
                 if any(x != 0 for x in row):
                     rows.append(row)
     basis_vecs = linalg.nullspace(rows, n)
@@ -610,10 +611,10 @@ def hom_space_all_pairs(r1, r2):
     for vec in basis_vecs:
         phi = {}
         for v in vs.vertices:
-            if r2.dims[v] and r1.dims[v]:
+            if r2.dim(v) and r1.dim(v):
                 phi[v] = [
-                    [vec[offset[v] + a * r1.dims[v] + b] for b in range(r1.dims[v])]
-                    for a in range(r2.dims[v])
+                    [vec[offset[v] + a * r1.dim(v) + b] for b in range(r1.dim(v))]
+                    for a in range(r2.dim(v))
                 ]
         basis.append(phi)
     return len(basis_vecs), basis
@@ -633,7 +634,7 @@ def complex_cohomology_all_vertices(cx):
         in_rank = ranks[t - 1] if t > 0 else {}
         table = {}
         for v in vs.vertices:
-            h = rep.dims[v] - out_rank.get(v, 0) - in_rank.get(v, 0)
+            h = rep.dim(v) - out_rank.get(v, 0) - in_rank.get(v, 0)
             if h:
                 table[v] = h
         out.append(table)

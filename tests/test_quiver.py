@@ -3,6 +3,7 @@ realized resolutions, kernel/cokernel constituents, contractibility."""
 
 import random
 from collections import Counter
+from itertools import permutations
 
 import pytest
 from fractions import Fraction
@@ -38,7 +39,6 @@ from tcalab.quiver import (
     QuiverRep,
     RelationError,
     RepComplex,
-    TruncationTooSmallError,
     VertexMissingError,
     VertexSet,
     VertexSetMismatchError,
@@ -58,7 +58,7 @@ from tcalab.quiver import (
 def dense_arrow(rep, i, j):
     """The matrix on the arrow i -> j, with an absent arrow as zeros."""
     m = rep.arrows.get((i, j))
-    return linalg.zeros(rep.dims[j], rep.dims[i]) if m is None else m
+    return linalg.zeros(rep.dim(j), rep.dim(i)) if m is None else m
 
 
 class TestVertexSet:
@@ -125,7 +125,7 @@ class TestOrderTable:
     @pytest.mark.parametrize("vs", SETS + (VertexSet.up_to_size(8),))
     def test_injective_support_is_the_strip_down_set(self, vs):
         for v in vs.vertices:
-            support = {mu for mu in vs.vertices if build_injective(v, vs).dims[mu]}
+            support = {mu for mu in vs.vertices if build_injective(v, vs).dim(mu)}
             assert support == {mu for mu in vs.vertices if is_strip(v, mu, HS)}, v
 
     @pytest.mark.parametrize("vs", SETS)
@@ -172,7 +172,7 @@ class TestLocalRelations:
     def _perturbed_sum(rng, vs):
         lams = rng.sample(vs.vertices, rng.randint(1, 3))
         ds, _ = injective_sum(lams, vs)
-        pairs = [(i, j) for (i, j) in vs.covering_pairs() if ds.dims[i] and ds.dims[j]]
+        pairs = [(i, j) for (i, j) in vs.covering_pairs() if ds.dim(i) and ds.dim(j)]
         arrows = {pair: [row[:] for row in dense_arrow(ds, *pair)] for pair in pairs}
         if pairs:
             m = arrows[rng.choice(pairs)]
@@ -226,6 +226,23 @@ class TestRepInput:
         with pytest.raises(VertexMissingError):
             QuiverRep(self.VS, {(5,): 3}, {})
 
+    def test_arrow_endpoint_outside_the_vertex_set_rejected(self):
+        with pytest.raises(VertexMissingError, match="arrow endpoint missing"):
+            QuiverRep(self.VS, {(2,): 1}, {((2,), (3,)): [[0]]})
+
+    def test_only_the_support_is_stored_in_vertex_order(self):
+        # zero entries are dropped, any input order comes out in vertex
+        # order, and dim reads 0 off the support
+        vs = VertexSet.up_to_size(3)
+        dims = {(2, 1): 2, (1,): 0, (3,): 1, (): 1, (1, 1): 0}
+        rep = QuiverRep(vs, dims, {})
+        assert list(rep.dims.items()) == [((), 1), ((3,), 1), ((2, 1), 2)]
+        assert rep == QuiverRep(vs, {(): 1, (3,): 1, (2, 1): 2}, {})
+        assert [rep.dim(v) for v in vs.vertices] == [1, 0, 0, 0, 1, 2, 0]
+        for items in permutations(dims.items()):
+            assert list(QuiverRep(vs, dict(items), {}).dims.items()) == list(
+                rep.dims.items())
+
     def test_ragged_arrow_rejected(self):
         one = Fraction(1)
         with pytest.raises(ValueError, match="shape"):
@@ -240,7 +257,7 @@ class TestRepInput:
     def test_inexact_map_block_rejected(self, x):
         q = build_injective((2,), self.VS)
         with pytest.raises(ValueError, match="inexact"):
-            RepComplex([q, q], [{v: [[x]] for v in self.VS.vertices if q.dims[v]}])
+            RepComplex([q, q], [{v: [[x]] for v in self.VS.vertices if q.dim(v)}])
 
     @pytest.mark.parametrize(
         "phi, error",
@@ -274,10 +291,16 @@ class TestInjectiveSum:
     def test_dimension_vector_and_positions(self):
         for lams in self.LISTS:
             rep, where = injective_sum(lams, self.VS)
+            # both tables hold exactly the union of the down-sets, in
+            # vertex order
+            union = {mu for lam in lams for mu in down_set(lam)}
+            support = [v for v in self.VS.vertices if v in union]
+            assert list(rep.dims) == list(where) == support, lams
             for v in self.VS.vertices:
                 below = [b for b, lam in enumerate(lams) if is_strip(lam, v, HS)]
-                assert rep.dims[v] == len(below), (lams, v)
-                assert list(where[v].items()) == [(b, n) for n, b in enumerate(below)]
+                assert rep.dim(v) == len(below), (lams, v)
+                assert list(where.get(v, {}).items()) == [
+                    (b, n) for n, b in enumerate(below)]
 
     def test_hom_dimensions(self):
         for lams, mus in zip(self.LISTS, self.LISTS[1:]):
@@ -365,7 +388,7 @@ class TestBuilders:
 
     def test_truncation_guard(self):
         # vertex set without small partitions cannot host the injective
-        with pytest.raises((TruncationTooSmallError, VertexMissingError)):
+        with pytest.raises(VertexMissingError, match=r"vertex set misses \(2,\)"):
             build_injective((2,), VertexSet([]))
 
     def test_constructed_reps_validate(self):
@@ -436,12 +459,12 @@ class TestHomSocle:
         phi = basis[0]
         for (i, j) in vs.covering_pairs():
             lhs = linalg.mat_mul(
-                phi.get(j, linalg.zeros(q1.dims[j], q21.dims[j])),
+                phi.get(j, linalg.zeros(q1.dim(j), q21.dim(j))),
                 dense_arrow(q21, i, j),
             )
             rhs = linalg.mat_mul(
                 dense_arrow(q1, i, j),
-                phi.get(i, linalg.zeros(q1.dims[i], q21.dims[i])),
+                phi.get(i, linalg.zeros(q1.dim(i), q21.dim(i))),
             )
             assert lhs == rhs
 
@@ -514,7 +537,7 @@ class TestRealizedResolutions:
         ident = {
             v: [[Fraction(1)]]
             for v in vs.vertices
-            if q.dims[v]
+            if q.dim(v)
         }
         cx = RepComplex([q, q], [ident])
         assert all(not h for h in complex_cohomology(cx))
@@ -538,14 +561,14 @@ class TestRealizedResolutions:
         complexes += [realize_bgg(lam, vs4) for lam in partitions_up_to(3)]
         complexes += [
             RepComplex([q2, q2], [{v: [[Fraction(1)]] for v in vs2.vertices
-                                  if q2.dims[v]}]),
+                                  if q2.dim(v)}]),
             RepComplex([build_simple((1,), vs2), q2], [{}]),
         ]
         for lam, mu, scale in [((2, 1), (1,), 3), ((3, 1), (2,), -1),
                                ((2, 2), (2,), 1)]:
             src, dst = build_injective(lam, vs4), build_injective(mu, vs4)
             phi = {v: [[scale]] for v in vs4.vertices
-                   if src.dims[v] and dst.dims[v]}
+                   if src.dim(v) and dst.dim(v)}
             complexes.append(RepComplex([src, dst], [phi]))
         for cx in complexes:
             assert complex_cohomology(cx) == complex_cohomology_all_vertices(cx)
@@ -641,8 +664,8 @@ class TestRealizedResolutions:
         q2 = build_injective((2,), vs)
         q1 = build_injective((1,), vs)
         q0 = build_injective((), vs)
-        f = {v: [[Fraction(1)]] for v in vs.vertices if q2.dims[v] and q1.dims[v]}
-        g = {v: [[Fraction(1)]] for v in vs.vertices if q1.dims[v] and q0.dims[v]}
+        f = {v: [[Fraction(1)]] for v in vs.vertices if q2.dim(v) and q1.dim(v)}
+        g = {v: [[Fraction(1)]] for v in vs.vertices if q1.dim(v) and q0.dim(v)}
         with pytest.raises(NotAComplexError):
             RepComplex([q2, q1, q0], [f, g])
 
