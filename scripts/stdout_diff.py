@@ -39,7 +39,10 @@ def _up_to(n: int) -> list[str]:
 
 def families() -> list[list[str]]:
     """The argv compared, in a fixed order."""
-    argvs = [["charpoly", p] for p in _up_to(6)]
+    # every shape up to size 8, then the one-column shapes 1^k up to k = 14,
+    # whose umbral images use the longest Stirling rows
+    argvs = [["charpoly", p] for p in _up_to(8)]
+    argvs += [["charpoly", ",".join("1" * k)] for k in range(9, 15)]
     argvs += [["ktheory", "conv", f"{b}[{p}]"] for b in "LQ" for p in _up_to(6)]
     specs = [f"{b}[{p}]" for b in "QL" for p in _up_to(4)]
     argvs += [["ktheory", "pair", x, y] for x in specs for y in specs]

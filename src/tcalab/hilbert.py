@@ -14,7 +14,8 @@ simple at lam carries sum (-1)^d chi^mu(nu) on C(a, nu), over the vertical
 strips lam/mu of size d with |mu| = |nu|.  It is computed in integers and
 turned into the monomial basis once, by expanding each falling factorial
 (x)_d = sum_k s(d, k) x^k through the signed Stirling numbers of the first
-kind.
+kind.  That expansion also runs in integers, over the one common
+denominator of its input, with one Fraction per output monomial.
 
 The modification rule evaluates a character polynomial below its stable
 range by rho-shifted sorting of the prefixed sequence (N - |lam|, lam).
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable
 
 from .ktheory import AClass, KClassK, Q_BASIS, q_to_l
@@ -108,26 +110,31 @@ def umbral(p: MPoly) -> MPoly:
     """Linear (not multiplicative) substitution prod t_i^{d_i} ->
     prod (a_i)_{d_i}, falling factorials expanded in the monomial basis.
 
-    One pass: each (a_i)_{d_i} is expanded by the Stirling row s(d_i, .),
-    and every term lands in one accumulating dict.  The variables of a term
-    are walked from the largest index down, so concatenating the monomials
-    (i,) * e of their expansions already gives partitions."""
+    The expansion runs in integers over one denominator, the lcm den of the
+    coefficients' denominators: each coefficient c enters as the integer
+    c * den, and each nonzero output monomial gets one Fraction(v, den) at
+    the end.  One pass: each (a_i)_{d_i} is expanded by the Stirling row
+    s(d_i, .), and every term lands in one accumulating dict.  The
+    variables of a term are walked from the largest index down, so
+    concatenating the monomials (i,) * e of their expansions already gives
+    partitions."""
     if p.basis != "t":
         raise ValueError("umbral substitution consumes the t family")
+    den = lcm(*(c.denominator for c in p.coeffs.values()))
     # no multiplicity exceeds the number of parts
     stirling = _stirling_rows(max(map(len, p.coeffs), default=0))
     # (i, d) -> [((i,) * e, s(d, e))], shared by every term with d parts i
     factors: dict[tuple[int, int], list] = {}
-    out: dict[Partition, Fraction] = {}
+    out: dict[Partition, int] = {}
     for mu, c in p.coeffs.items():
-        expansion = [((), c)]
+        expansion = [((), c.numerator * (den // c.denominator))]
         for i, d in multiplicities(mu).items():
             if (i, d) not in factors:
                 factors[i, d] = [((i,) * e, s) for e, s in enumerate(stirling[d]) if s]
             expansion = [(k + f, v * s) for k, v in expansion for f, s in factors[i, d]]
         for k, v in expansion:
             out[k] = out.get(k, 0) + v
-    return MPoly("a", out)
+    return MPoly("a", {k: Fraction(v, den) for k, v in out.items() if v})
 
 
 @lru_cache(maxsize=None)

@@ -14,8 +14,8 @@ One convention holds throughout: what is not stored is zero.  A
 representation's `dims` and an injective sum's `where` table hold only the
 vertices of its support, in vertex order, and `QuiverRep.dim(v)` reads 0
 off it; an arrow matrix or a map block that is not stored is the zero map.
-Constructors check the shape and the entries of every block and drop the
-zero dimensions and blocks, and a product of blocks that vanishes is
+Constructors refuse a key that is not a vertex in canonical form, check the
+shape and the entries of every block and drop the zero dimensions and blocks, and a product of blocks that vanishes is
 again absent, so no zero matrix is built to stand for a missing one.
 
 Two builders are certified on tables instead of by matrix products.
@@ -42,6 +42,7 @@ injective resolutions of simples, and kernel/cokernel constituents.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NoReturn
 
 from . import linalg
 from .linalg import Matrix
@@ -95,6 +96,19 @@ def _block_fault(m: Matrix, rows: int, cols: int) -> str | None:
             if type(x) is not int and type(x) is not Fraction:
                 return f"inexact entry {x!r}"
     return None
+
+
+def _refuse_key(vs: VertexSet, v, what: str, missing: str) -> NoReturn:
+    """Raise for a key v that is not a vertex of vs: a ValueError naming the
+    canonical partition when v spells a vertex of vs otherwise (with
+    trailing zeros, say), else VertexMissingError(missing)."""
+    try:
+        canon = partition(v)
+    except (TypeError, ValueError):
+        canon = None
+    if canon in vs.index:
+        raise ValueError(f"{what} {v}, a non-canonical key; the partition is {canon}")
+    raise VertexMissingError(missing)
 
 
 def _product(a: Matrix | None, b: Matrix | None) -> Matrix | None:
@@ -195,7 +209,7 @@ class QuiverRep:
     ):
         for v, d in dims.items():
             if v not in vs.index:
-                raise VertexMissingError(f"dimension at {v}, outside the vertex set")
+                _refuse_key(vs, v, "dimension at", f"dimension at {v}, outside the vertex set")
             if type(d) is not int or d < 0:
                 raise ValueError(f"dimension {d!r} at {v} is not a nonnegative integer")
         self.vs = vs
@@ -203,7 +217,8 @@ class QuiverRep:
         self.arrows = {}
         for (i, j), m in arrows.items():
             if i not in vs.index or j not in vs.index:
-                raise VertexMissingError(f"arrow endpoint missing: {(i, j)}")
+                _refuse_key(vs, j if i in vs.index else i, f"arrow {(i, j)} at endpoint",
+                            f"arrow endpoint missing: {(i, j)}")
             fault = _block_fault(m, self.dims.get(j, 0), self.dims.get(i, 0))
             if fault:
                 raise ValueError(f"arrow {(i, j)} has {fault}")
@@ -414,9 +429,8 @@ class RepComplex:
             kept: dict[Partition, Matrix] = {}
             for v, m in phi.items():
                 if v not in vs.index:
-                    raise VertexMissingError(
-                        f"map {t} has a block at {v}, outside the vertex set"
-                    )
+                    _refuse_key(vs, v, f"map {t} has a block at",
+                                f"map {t} has a block at {v}, outside the vertex set")
                 fault = _block_fault(m, dst.dims.get(v, 0), src.dims.get(v, 0))
                 if fault:
                     raise ValueError(f"map {t} has a block with {fault} at {v}")

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
 from conftest import partitions_st
@@ -31,6 +32,7 @@ from tcalab.hilbert import (
 )
 from tcalab.ktheory import AClass, schur_derivative
 from tcalab.partitions import (
+    aut_factor,
     hook_dimension,
     partition,
     partitions_of,
@@ -150,6 +152,30 @@ class TestUmbral:
                 c = Fraction(rng.randint(-40, 40), rng.randint(1, 30))
                 p = p + MPoly.monomial(exps, c, "t")
             assert umbral(p) == umbral_by_products(p)
+
+    def test_matches_the_oracle_on_character_denominators(self):
+        # coefficients c / nu! with |nu| <= 10, the denominators that
+        # char_poly_simple passes in, and multiplicities up to 10
+        rng = random.Random(20)
+        shapes = partitions_up_to(10)
+        for _ in range(60):
+            p = MPoly("t", {
+                nu: Fraction(rng.randint(-60, 60), aut_factor(nu))
+                for nu in rng.sample(shapes, rng.randint(1, 5))
+            })
+            assert umbral(p) == umbral_by_products(p)
+        ones = MPoly.of_partition((1,) * 10, Fraction(1, aut_factor((1,) * 10)), "t")
+        assert umbral(ones) == umbral_by_products(ones)
+
+    def test_zero_and_constants(self):
+        assert umbral(MPoly.zero("t")) == MPoly.zero("a")
+        assert umbral(MPoly.const(Fraction(-7, 3), "t")) == MPoly.const(Fraction(-7, 3), "a")
+
+    def test_families_are_checked(self):
+        with pytest.raises(ValueError, match="consumes the t family"):
+            umbral(MPoly.const(1, "a"))
+        with pytest.raises(ValueError, match="live in the a family"):
+            eval_char_poly(MPoly.const(1, "t"), (1,))
 
 
 class TestCharacterPolynomials:

@@ -230,6 +230,22 @@ class TestRepInput:
         with pytest.raises(VertexMissingError, match="arrow endpoint missing"):
             QuiverRep(self.VS, {(2,): 1}, {((2,), (3,)): [[0]]})
 
+    def test_non_canonical_keys_rejected_with_their_partition(self):
+        # (1, 0) spells the vertex (1,) but is not the key it is stored under
+        with pytest.raises(ValueError, match=r"dimension at \(1, 0\), a non-canonical "
+                           r"key; the partition is \(1,\)") as refusal:
+            QuiverRep(self.VS, {(1, 0): 1}, {})
+        assert not isinstance(refusal.value, VertexMissingError)
+        with pytest.raises(ValueError, match=r"arrow \(\(\), \(1, 0\)\) at endpoint "
+                           r"\(1, 0\), a non-canonical key; the partition is \(1,\)"):
+            QuiverRep(self.VS, {(): 1, (1,): 1}, {((), (1, 0)): [[1]]})
+        q = build_injective((2,), self.VS)
+        with pytest.raises(ValueError, match=r"map 0 has a block at \(2, 0\), a "
+                           r"non-canonical key; the partition is \(2,\)"):
+            RepComplex([q, q], [{(2, 0): [[1]]}])
+        with pytest.raises(VertexMissingError, match="outside the vertex set"):
+            QuiverRep(self.VS, {(3, 0): 1}, {})
+
     def test_only_the_support_is_stored_in_vertex_order(self):
         # zero entries are dropped, any input order comes out in vertex
         # order, and dim reads 0 off the support
