@@ -15,8 +15,9 @@ representation's `dims` and an injective sum's `where` table hold only the
 vertices of its support, in vertex order, and `QuiverRep.dim(v)` reads 0
 off it; an arrow matrix or a map block that is not stored is the zero map.
 Constructors refuse a key that is not a vertex in canonical form, check the
-shape and the entries of every block and drop the zero dimensions and blocks, and a product of blocks that vanishes is
-again absent, so no zero matrix is built to stand for a missing one.
+shape and the entries of every block and drop the zero dimensions and
+blocks, and a product of blocks that vanishes is again absent, so no zero
+matrix is built to stand for a missing one.
 
 Two builders are certified on tables instead of by matrix products.
 Every sum of indecomposable injectives, a single one included, comes from
