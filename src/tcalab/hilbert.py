@@ -14,8 +14,11 @@ simple at lam carries sum (-1)^d chi^mu(nu) on C(a, nu), over the vertical
 strips lam/mu of size d with |mu| = |nu|.  It is computed in integers and
 turned into the monomial basis once, by expanding each falling factorial
 (x)_d = sum_k s(d, k) x^k through the signed Stirling numbers of the first
-kind.  That expansion also runs in integers, over the one common
-denominator of its input, with one Fraction per output monomial.
+kind.  The integer coefficients become Fractions c / nu! once, in the
+t-series handed to the umbral map; its expansion runs in integers again,
+over the lcm of those denominators, and builds one Fraction per output
+monomial.  Evaluating at a class sums in integers over the lcm of the
+output's denominators, with one Fraction per value (`MPoly.evaluate`).
 
 The modification rule evaluates a character polynomial below its stable
 range by rho-shifted sorting of the prefixed sequence (N - |lam|, lam).
@@ -28,7 +31,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable
 
-from .ktheory import AClass, KClassK, Q_BASIS, q_to_l
+from .ktheory import AClass
 from .partitions import (
     Partition,
     _partitions_cached,
@@ -90,12 +93,6 @@ def enhanced_of_class(x: AClass) -> EnhancedSeries:
     )
 
 
-def plain_hilbert(s: EnhancedSeries) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Set t_i = 0 for i >= 2: coefficient tuples (p0, q0) of the univariate
-    series p0(t) e^t + q0(t), degree ascending."""
-    return s.p.restrict_to_first(), s.q.restrict_to_first()
-
-
 def _stirling_rows(top: int) -> list[list[int]]:
     """Signed Stirling numbers of the first kind, row n holding s(n, k) for
     k = 0..n, so that (x)_n = sum_k s(n, k) x^k."""
@@ -145,7 +142,8 @@ def char_poly_simple(lam: Partition) -> MPoly:
     In the binomial basis C(a, nu) = prod_i C(a_i, m_i(nu)) the coefficient
     on nu is the integer sum of (-1)^d chi^mu(nu) over the strips lam/mu of
     size d with |mu| = |nu|; the monomial form is its umbral image from
-    t^nu / nu!, taken once at the end."""
+    t^nu / nu!, taken once at the end.  The sums stay ints until they are
+    divided by nu! into the t-series that umbral consumes."""
     lam = partition(lam)
     coeffs: dict[Partition, int] = {}
     for c, mu in vertical_strips(lam):
@@ -155,11 +153,6 @@ def char_poly_simple(lam: Partition) -> MPoly:
     return umbral(MPoly("t", {
         nu: Fraction(c, aut_factor(nu)) for nu, c in coeffs.items() if c
     }))
-
-
-def char_poly_of_class(x: AClass) -> MPoly:
-    """Umbral image of the p-part of the enhanced series."""
-    return umbral(enhanced_of_class(x).p)
 
 
 def eval_char_poly(X: MPoly, mu: Partition) -> Fraction:
@@ -194,25 +187,3 @@ def t1_derivative(s: MPoly) -> MPoly:
     if s.basis != "t":
         raise ValueError("t1_derivative consumes the t family")
     return s.partial(1)
-
-
-def _stable_range_defect(lam: Partition) -> int:
-    """|lam| + lam_1 - (multiplicity of lam_1) - 1, with 0 on the empty
-    partition; bounds the top degree local cohomology can contribute."""
-    if not lam:
-        return 0
-    return size(lam) + lam[0] - multiplicities(lam)[lam[0]] - 1
-
-
-def stability_bound(x: AClass, lc_degrees: tuple[int, int] | None = None) -> int:
-    """Upper bound for deg q of the class: the max of the degree-0/1 local
-    cohomology degrees (measured values if supplied, else the torsion
-    support of the class stands in for degree 0) and the defect over the
-    simple constituents of the image in the quotient category."""
-    if lc_degrees is not None:
-        d0, d1 = lc_degrees
-    else:
-        d0, d1 = x.torsion.max_size(), 0
-    image = q_to_l(KClassK(Q_BASIS, dict(x.projective.coeffs)))
-    defects = [_stable_range_defect(lam) for lam in image.coeffs]
-    return max([d0, d1] + defects) if defects else max(d0, d1)

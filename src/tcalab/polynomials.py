@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .partitions import (
     Partition,
     aut_factor,
     multiplicities,
-    partition,
     partitions_up_to,
     size,
 )
@@ -71,11 +71,6 @@ class MPoly(Combination):
     def monomial(cls, exps: dict[int, int], coeff, family: str = "t") -> "MPoly":
         return cls(family, {_monomial(exps): coeff})
 
-    @classmethod
-    def of_partition(cls, mu: Partition, coeff=1, family: str = "t") -> "MPoly":
-        """coeff * prod_i x_i^{m_i(mu)}."""
-        return cls(family, {partition(mu): coeff})
-
     # -- ring structure beyond Combination's
 
     def scale(self, value) -> "MPoly":
@@ -116,20 +111,26 @@ class MPoly(Combination):
         return self._new(out)
 
     def evaluate(self, values: dict[int, Fraction | int]) -> Fraction:
-        """Evaluate with unlisted variables set to zero.  Each coefficient is
-        multiplied by the product of its variables' values, an integer when
-        the values are integers."""
-        total = Fraction(0)
+        """Evaluate with unlisted variables set to zero; every value must be
+        exact, an int (not a bool) or a Fraction.  The sum runs in integers
+        over the lcm den of the coefficients' denominators, each coefficient
+        c entering as c * den, and becomes one Fraction(total, den) at the
+        end; with Fraction values the total is a Fraction already."""
+        for i, x in values.items():
+            if type(x) is not int and type(x) is not Fraction:
+                raise ValueError(f"inexact value {x!r} for {self.basis}{i}")
+        den = lcm(*(c.denominator for c in self.coeffs.values()))
+        total = 0
         for mu, c in self.coeffs.items():
-            v = 1
+            v = c.numerator * (den // c.denominator)
             for i in mu:
                 base = values.get(i, 0)
                 if not base:
                     break
                 v *= base
             else:
-                total += c * v
-        return total
+                total += v
+        return Fraction(total, den)
 
     def restrict_to_first(self) -> tuple[Fraction, ...]:
         """Set x_i = 0 for i >= 2; coefficients of the univariate result,

@@ -691,6 +691,68 @@ def char_poly_by_products(lam):
     return umbral_by_products(series)
 
 
+def char_poly_of_class(x):
+    """Umbral image of the p-part of the enhanced series of a class, the
+    character polynomial of its projective part; a reader of
+    `hilbert.enhanced_of_class` on classes that are not simples."""
+    from tcalab.hilbert import enhanced_of_class, umbral
+
+    return umbral(enhanced_of_class(x).p)
+
+
+def evaluate_by_fractions(p, values):
+    """`MPoly.evaluate` as a Fraction sum, unlisted variables zero: each
+    coefficient times the product of its variables' values, one Fraction
+    multiply-add per monomial."""
+    total = Fraction(0)
+    for mu, c in p.terms.items():
+        v = 1
+        for i in mu:
+            base = values.get(i, 0)
+            if not base:
+                break
+            v *= base
+        else:
+            total += c * v
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Series bounds read off the enhanced series
+
+
+def plain_hilbert(s):
+    """Set t_i = 0 for i >= 2 in an `hilbert.EnhancedSeries`: coefficient
+    tuples (p0, q0) of the univariate series p0(t) e^t + q0(t), degree
+    ascending."""
+    return s.p.restrict_to_first(), s.q.restrict_to_first()
+
+
+def _stable_range_defect(lam) -> int:
+    """|lam| + lam_1 - (multiplicity of lam_1) - 1, with 0 on the empty
+    partition; bounds the top degree local cohomology can contribute."""
+    if not lam:
+        return 0
+    return sum(lam) + lam[0] - lam.count(lam[0]) - 1
+
+
+def stability_bound(x, lc_degrees=None) -> int:
+    """Upper bound for deg q of a `ktheory.AClass`: the max of the
+    degree-0/1 local cohomology degrees (measured values if supplied, else
+    the torsion support of the class stands in for degree 0) and the
+    defect over the simple constituents of the image in the quotient
+    category."""
+    from tcalab.ktheory import KClassK, Q_BASIS, q_to_l
+
+    if lc_degrees is not None:
+        d0, d1 = lc_degrees
+    else:
+        d0, d1 = x.torsion.max_size(), 0
+    image = q_to_l(KClassK(Q_BASIS, dict(x.projective.coeffs)))
+    defects = [_stable_range_defect(lam) for lam in image.coeffs]
+    return max([d0, d1] + defects) if defects else max(d0, d1)
+
+
 # ---------------------------------------------------------------------------
 # Poincare series by the first degree walk
 

@@ -1,12 +1,14 @@
 """Exact sparse polynomial arithmetic."""
 
+import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from oracles import falling_factorial_poly
+from oracles import evaluate_by_fractions, falling_factorial_poly
 from tcalab.partitions import aut_factor, partitions_up_to
 from tcalab.polynomials import MPoly, exp_t0_truncated, mul_truncated
 
@@ -95,6 +97,37 @@ class TestRing:
         assert got == p.evaluate(as_fractions) == term_by_term(p, as_fractions)
         assert isinstance(p.evaluate(fracs), Fraction)
         assert p.evaluate(fracs) == term_by_term(p, fracs)
+
+    def test_evaluate_matches_the_fraction_sum(self):
+        # seeded a-polynomials with mixed denominators, the zero polynomial
+        # and constants among them, at int, Fraction and mixed values
+        rng = random.Random(21)
+        polys = [MPoly.zero("a"), MPoly.const(Fraction(-5, 6), "a"), MPoly.const(4, "a")]
+        for _ in range(150):
+            polys.append(MPoly("a", {
+                tuple(sorted((rng.randint(1, 4) for _ in range(rng.randint(0, 4))),
+                             reverse=True)):
+                    Fraction(rng.randint(-50, 50), rng.choice([1, 2, 3, 4, 6, 12, 35, 720]))
+                for _ in range(rng.randint(1, 6))
+            }))
+        for p in polys:
+            for _ in range(4):
+                ints = {i: rng.randint(-4, 6) for i in rng.sample(range(1, 5), rng.randint(0, 4))}
+                fracs = {i: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for i in range(1, 5)}
+                mixed = {1: rng.randint(0, 5), 2: Fraction(rng.randint(-9, 9), 7)}
+                for values in (ints, fracs, mixed):
+                    got = p.evaluate(values)
+                    assert type(got) is Fraction
+                    assert got == evaluate_by_fractions(p, values), (p, values)
+
+    def test_evaluate_refuses_inexact_values(self):
+        p = MPoly("a", {(1,): Fraction(1, 2), (): 3})
+        for bad in (0.5, 1.0, True, Decimal(1), "1", None):
+            with pytest.raises(ValueError, match=r"inexact value .* for a1"):
+                p.evaluate({1: bad})
+        with pytest.raises(ValueError, match="for a7"):
+            MPoly.zero("a").evaluate({2: 1, 7: 2.0})
+        assert p.evaluate({1: 1}) == Fraction(7, 2)
 
 
 class TestSpecials:
