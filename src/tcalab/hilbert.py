@@ -14,11 +14,11 @@ simple at lam carries sum (-1)^d chi^mu(nu) on C(a, nu), over the vertical
 strips lam/mu of size d with |mu| = |nu|.  It is computed in integers and
 turned into the monomial basis once, by expanding each falling factorial
 (x)_d = sum_k s(d, k) x^k through the signed Stirling numbers of the first
-kind.  The integer coefficients become Fractions c / nu! once, in the
-t-series handed to the umbral map; its expansion runs in integers again,
-over the lcm of those denominators, and builds one Fraction per output
-monomial.  Evaluating at a class sums in integers over the lcm of the
-output's denominators, with one Fraction per value (`MPoly.evaluate`).
+kind.  No t-series is built: with D the lcm of the nu!, the coefficient c
+on C(a, nu) enters the umbral expansion as the integer c * D / nu!, and
+the first Fractions of the route are its output monomials, one each.
+Evaluating at a class sums in integers over the lcm of the output's
+denominators, with one Fraction per value (`MPoly.evaluate`).
 
 The modification rule evaluates a character polynomial below its stable
 range by rho-shifted sorting of the prefixed sequence (N - |lam|, lam).
@@ -103,28 +103,20 @@ def _stirling_rows(top: int) -> list[list[int]]:
     return rows
 
 
-def umbral(p: MPoly) -> MPoly:
-    """Linear (not multiplicative) substitution prod t_i^{d_i} ->
-    prod (a_i)_{d_i}, falling factorials expanded in the monomial basis.
-
-    The expansion runs in integers over one denominator, the lcm den of the
-    coefficients' denominators: each coefficient c enters as the integer
-    c * den, and each nonzero output monomial gets one Fraction(v, den) at
-    the end.  One pass: each (a_i)_{d_i} is expanded by the Stirling row
-    s(d_i, .), and every term lands in one accumulating dict.  The
-    variables of a term are walked from the largest index down, so
-    concatenating the monomials (i,) * e of their expansions already gives
-    partitions."""
-    if p.basis != "t":
-        raise ValueError("umbral substitution consumes the t family")
-    den = lcm(*(c.denominator for c in p.coeffs.values()))
+def _umbral_ints(terms: list[tuple[Partition, int]], den: int) -> MPoly:
+    """Umbral image of sum (c / den) t^mu over the pairs (mu, c) of terms,
+    c an int, in one pass: each (a_i)_{d_i} is expanded by the Stirling row
+    s(d_i, .), every term lands in one dict of ints, and each nonzero
+    output monomial gets one Fraction(v, den) at the end.  The variables of
+    a term are walked from the largest index down, so concatenating the
+    monomials (i,) * e of their expansions already gives partitions."""
     # no multiplicity exceeds the number of parts
-    stirling = _stirling_rows(max(map(len, p.coeffs), default=0))
+    stirling = _stirling_rows(max((len(mu) for mu, _ in terms), default=0))
     # (i, d) -> [((i,) * e, s(d, e))], shared by every term with d parts i
     factors: dict[tuple[int, int], list] = {}
     out: dict[Partition, int] = {}
-    for mu, c in p.coeffs.items():
-        expansion = [((), c.numerator * (den // c.denominator))]
+    for mu, c in terms:
+        expansion = [((), c)]
         for i, d in multiplicities(mu).items():
             if (i, d) not in factors:
                 factors[i, d] = [((i,) * e, s) for e, s in enumerate(stirling[d]) if s]
@@ -134,25 +126,36 @@ def umbral(p: MPoly) -> MPoly:
     return MPoly("a", {k: Fraction(v, den) for k, v in out.items() if v})
 
 
+def umbral(p: MPoly) -> MPoly:
+    """Linear (not multiplicative) substitution prod t_i^{d_i} ->
+    prod (a_i)_{d_i}, expanded in ints: each c enters as c * den over the
+    lcm den of the denominators, and only the output monomials are Fractions."""
+    if p.basis != "t":
+        raise ValueError("umbral substitution consumes the t family")
+    den = lcm(*(c.denominator for c in p.coeffs.values()))
+    return _umbral_ints([(mu, c.numerator * (den // c.denominator))
+                         for mu, c in p.coeffs.items()], den)
+
+
 @lru_cache(maxsize=None)
 def char_poly_simple(lam: Partition) -> MPoly:
     """Character polynomial of the simple at lam: umbral image of the
     alternating sum of enhanced series over vertical-strip removals.
 
     In the binomial basis C(a, nu) = prod_i C(a_i, m_i(nu)) the coefficient
-    on nu is the integer sum of (-1)^d chi^mu(nu) over the strips lam/mu of
-    size d with |mu| = |nu|; the monomial form is its umbral image from
-    t^nu / nu!, taken once at the end.  The sums stay ints until they are
-    divided by nu! into the t-series that umbral consumes."""
+    on nu is the integer sum c of (-1)^d chi^mu(nu) over the strips lam/mu
+    of size d with |mu| = |nu|; the monomial form is the umbral image of
+    sum c t^nu / nu!.  Over the lcm D of the nu!, the ints c * D / nu! go
+    straight to the umbral expansion, whose output makes the Fractions."""
     lam = partition(lam)
     coeffs: dict[Partition, int] = {}
     for c, mu in vertical_strips(lam):
         sign = -1 if sum(c) % 2 else 1
         for nu in _partitions_cached(size(mu)):
             coeffs[nu] = coeffs.get(nu, 0) + sign * mn_trace(nu, mu)
-    return umbral(MPoly("t", {
-        nu: Fraction(c, aut_factor(nu)) for nu, c in coeffs.items() if c
-    }))
+    auts = {nu: aut_factor(nu) for nu, c in coeffs.items() if c}
+    den = lcm(*auts.values())
+    return _umbral_ints([(nu, coeffs[nu] * (den // a)) for nu, a in auts.items()], den)
 
 
 def eval_char_poly(X: MPoly, mu: Partition) -> Fraction:

@@ -19,8 +19,8 @@ reads the injective resolution of a simple, terms and signs, off it.
 
 Border strips are handled through first-column hook lengths (beta
 numbers).  Rim hooks (`symchar`), the aligned border strips and the
-rho-shifted sort are one step, `_move_beta`: move one beta number, sort
-again and count the numbers it passes.
+rho-shifted sort are one step, `_move_betas`: move beta numbers of one
+shape, each on its own, sort again and count the numbers passed.
 
 All functions are pure and all values immutable.
 """
@@ -274,22 +274,31 @@ class BorderStripRemoval(NamedTuple):
     result: Partition
 
 
-def _move_beta(parts, row: int, by: int) -> tuple[int, Partition] | None:
-    """Move the beta number parts[row] + (n-1-row) of the n-term sequence
-    parts by `by` and sort again.  Returns (passed, partition): how many of
-    the other beta numbers the moved one passed, and the partition of the
-    sorted numbers; None when the moved number goes below 0 or lands on
-    another.  parts must be weakly decreasing: its beta numbers then
-    strictly decrease, so one pass finds the slot and the count."""
+def _move_betas(parts, moves) -> Iterator[tuple[int, Partition] | None]:
+    """For each (row, by) of moves, move the beta number parts[row] +
+    (n-1-row) of the n-term sequence parts by `by` and sort again; the beta
+    numbers are built once.  Yields (passed, partition), the count of other
+    beta numbers passed and the partition of the sorted numbers, or None
+    when the moved number goes below 0 or lands on another.  parts must be
+    weakly decreasing, so its beta numbers strictly decrease."""
     n = len(parts)
     beta = [p + (n - 1 - r) for r, p in enumerate(parts)]
-    moved = beta.pop(row) + by
-    slot = sum(1 for b in beta if b > moved)
-    if moved < 0 or (slot < len(beta) and beta[slot] == moved):
-        return None
-    beta.insert(slot, moved)
-    out = (b - (n - 1 - r) for r, b in enumerate(beta))
-    return abs(slot - row), tuple(x for x in out if x)
+    for row, by in moves:
+        moved = beta[row] + by
+        if moved < 0 or (by and moved in beta):
+            yield None
+            continue
+        # the numbers above the slot, the moved one too when it moves down
+        slot = sum(1 for b in beta if b > moved) - (by < 0)
+        others = beta[:row] + beta[row + 1:]
+        others.insert(slot, moved)
+        shape = (b - (n - 1 - r) for r, b in enumerate(others))
+        yield abs(slot - row), tuple(x for x in shape if x)
+
+
+def _move_beta(parts, row: int, by: int) -> tuple[int, Partition] | None:
+    """The one move (row, by) of `_move_betas`."""
+    return next(_move_betas(parts, ((row, by),)))
 
 
 def aligned_border_strips(shape: Partition) -> list[BorderStripRemoval]:
@@ -302,8 +311,8 @@ def aligned_border_strips(shape: Partition) -> list[BorderStripRemoval]:
     """
     if not shape:
         return []
-    moves = ((s, _move_beta(shape, 0, -s)) for s in range(1, shape[0] + len(shape)))
-    return [BorderStripRemoval(s, m[0] + 1, m[1]) for s, m in moves if m is not None]
+    moves = _move_betas(shape, [(0, -s) for s in range(1, shape[0] + len(shape))])
+    return [BorderStripRemoval(s, m[0] + 1, m[1]) for s, m in enumerate(moves, 1) if m]
 
 
 def shifted_normalize(

@@ -2,14 +2,15 @@
 
 An MPoly is a `symchar.Combination` of monomials over a countable variable
 family x_1, x_2, ..., tagged 't' or 'a' as its basis, with Fraction
-coefficients.  A monomial is a partition: mu stands for
-prod_i x_i^{m_i(mu)}, where m_i(mu) counts the parts of mu equal to i, and
-the empty partition is the constant term.  The weighted degree deg x_i = i
-of a monomial is then |mu|, its total degree is len(mu), and the product of
-two monomials is the merged partition.  This matches the size grading on
-partitions: the enhanced series weighs t^mu by a trace at the cycle type
-mu.  Sums, negation, integer multiples, equality and hashing are
-Combination's; exponent pairs (i, m_i) appear only in the presentation.
+coefficients: a Fraction is kept as given, an int (not a bool) coerced, any
+other coefficient refused with a ValueError.  A monomial is a partition: mu
+stands for prod_i x_i^{m_i(mu)}, where m_i(mu) counts the parts of mu equal
+to i, and the empty partition is the constant term.  The weighted degree
+deg x_i = i of a monomial is then |mu|, its total degree is len(mu), and
+the product of two monomials is the merged partition.  This matches the
+size grading on partitions: the enhanced series weighs t^mu by a trace at
+the cycle type mu.  Sums, negation, integer multiples, equality and hashing
+are Combination's; exponent pairs (i, m_i) appear only in the presentation.
 
 exp(T_0) with T_0 = sum t_i is never materialized; identities involving it
 are checked under truncation by weighted degree.
@@ -46,7 +47,15 @@ class MPoly(Combination):
     def __init__(self, family: str, terms: dict[Partition, Fraction] | None = None):
         if family not in ("t", "a"):
             raise ValueError(f"unknown variable family {family!r}")
-        super().__init__(family, {mu: Fraction(c) for mu, c in (terms or {}).items()})
+        self.basis = family
+        self.coeffs = coeffs = {}
+        for mu, c in (terms or {}).items():
+            if type(c) is not Fraction:
+                if type(c) is not int:
+                    raise ValueError(f"inexact coefficient {c!r} on {family}^{mu}")
+                c = Fraction(c)
+            if c:
+                coeffs[mu] = c
 
     @property
     def terms(self) -> dict[Partition, Fraction]:
@@ -58,10 +67,6 @@ class MPoly(Combination):
     @classmethod
     def zero(cls, family: str = "t") -> "MPoly":
         return cls(family)
-
-    @classmethod
-    def const(cls, value, family: str = "t") -> "MPoly":
-        return cls(family, {(): value})
 
     @classmethod
     def variable(cls, index: int, family: str = "t") -> "MPoly":
@@ -131,14 +136,6 @@ class MPoly(Combination):
             else:
                 total += v
         return Fraction(total, den)
-
-    def restrict_to_first(self) -> tuple[Fraction, ...]:
-        """Set x_i = 0 for i >= 2; coefficients of the univariate result,
-        degree ascending."""
-        coeffs = {len(mu): c for mu, c in self.coeffs.items() if not mu or mu[0] == 1}
-        if not coeffs:
-            return ()
-        return tuple(coeffs.get(d, Fraction(0)) for d in range(max(coeffs) + 1))
 
     # -- presentation
 

@@ -1,7 +1,7 @@
 """Symmetric group characters and Littlewood-Richardson structure constants.
 
 Character values come from the Murnaghan-Nakayama recursion over connected
-border strips (rim hooks), run on beta numbers and memoized.  LR
+border strips (rim hooks), run on one beta list per shape and memoized.  LR
 coefficients are computed by direct enumeration of lattice-word skew
 semistandard tableaux; this is deliberately the slow transparent algorithm,
 because these numbers serve as the oracle for everything else.
@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .partitions import (
     Partition,
-    _move_beta,
+    _move_betas,
     _partitions_cached,
     contains,
     partition,
@@ -43,8 +43,9 @@ class BasisMismatchError(ValueError):
 def _rim_hook_removals(lam: Partition, s: int) -> tuple[tuple[Partition, int], ...]:
     """All (result, height) for removable rim hooks of size s from lam, by
     the row of their highest box: each moves that row's beta number down by
-    s, and its height is one more than the beta numbers it passes."""
-    moves = (_move_beta(lam, row, -s) for row in range(len(lam) if s > 0 else 0))
+    s, and its height is one more than the beta numbers it passes.  The
+    beta numbers of lam are built once for all the rows."""
+    moves = _move_betas(lam, [(row, -s) for row in range(len(lam) if s > 0 else 0)])
     return tuple((m[1], m[0] + 1) for m in moves if m is not None)
 
 

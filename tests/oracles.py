@@ -227,6 +227,32 @@ def brute_aligned_strips(shape) -> list[tuple[int, int, tuple[int, ...]]]:
     return brute_border_strips(shape, 0)
 
 
+def _move_one_beta(parts, row: int, by: int):
+    """Move the beta number parts[row] + (n-1-row) of the n-term sequence
+    parts by `by` and sort again.  Returns (passed, partition): how many of
+    the other beta numbers the moved one passed, and the partition of the
+    sorted numbers; None when the moved number goes below 0 or lands on
+    another.  parts must be weakly decreasing: its beta numbers then
+    strictly decrease, so one pass finds the slot and the count."""
+    n = len(parts)
+    beta = [p + (n - 1 - r) for r, p in enumerate(parts)]
+    moved = beta.pop(row) + by
+    slot = sum(1 for b in beta if b > moved)
+    if moved < 0 or (slot < len(beta) and beta[slot] == moved):
+        return None
+    beta.insert(slot, moved)
+    out = (b - (n - 1 - r) for r, b in enumerate(beta))
+    return abs(slot - row), tuple(x for x in out if x)
+
+
+def rim_hooks_by_move_beta(lam, s):
+    """`symchar._rim_hook_removals` as one beta move per row, each move
+    building all the beta numbers of lam again: (result, height) for the
+    rim hooks of size s, by the row of their highest box."""
+    moves = (_move_one_beta(lam, row, -s) for row in range(len(lam) if s > 0 else 0))
+    return tuple((m[1], m[0] + 1) for m in moves if m is not None)
+
+
 def _has_2x2(cs: set[Cell]) -> bool:
     return any(
         {(r, c), (r + 1, c), (r, c + 1), (r + 1, c + 1)} <= cs for r, c in cs
@@ -650,10 +676,10 @@ def falling_factorial_poly(index: int, depth: int, family: str = "a"):
     by repeated MPoly products."""
     from tcalab.polynomials import MPoly
 
-    out = MPoly.const(1, family)
+    out = MPoly(family, {(): 1})
     x = MPoly.variable(index, family)
     for k in range(depth):
-        out = out * (x - MPoly.const(k, family))
+        out = out * (x - MPoly(family, {(): k}))
     return out
 
 
@@ -664,7 +690,7 @@ def umbral_by_products(p):
 
     out = MPoly.zero("a")
     for mu, c in p.terms.items():
-        term = MPoly.const(c, "a")
+        term = MPoly("a", {(): c})
         for i in set(mu):
             term = term * falling_factorial_poly(i, mu.count(i))
         out = out + term
@@ -689,6 +715,25 @@ def char_poly_by_products(lam):
                     {i: nu.count(i) for i in set(nu)}, c, "t"
                 )
     return umbral_by_products(series)
+
+
+def char_poly_by_fraction_series(lam):
+    """`hilbert.char_poly_simple` by the Fraction t-series route: the
+    integer binomial-basis sums divided by nu! into the t-series
+    sum c t^nu / nu!, handed to `hilbert.umbral`."""
+    from tcalab.hilbert import umbral
+    from tcalab.partitions import aut_factor, partitions_of, vertical_strips
+    from tcalab.polynomials import MPoly
+    from tcalab.symchar import mn_trace
+
+    coeffs = {}
+    for c, mu in vertical_strips(lam):
+        sign = -1 if sum(c) % 2 else 1
+        for nu in partitions_of(sum(mu)):
+            coeffs[nu] = coeffs.get(nu, 0) + sign * mn_trace(nu, mu)
+    return umbral(MPoly("t", {
+        nu: Fraction(c, aut_factor(nu)) for nu, c in coeffs.items() if c
+    }))
 
 
 def char_poly_of_class(x):
@@ -721,11 +766,20 @@ def evaluate_by_fractions(p, values):
 # Series bounds read off the enhanced series
 
 
+def restrict_to_first(p):
+    """Set x_i = 0 for i >= 2 in an `MPoly`; coefficients of the univariate
+    result, degree ascending."""
+    coeffs = {len(mu): c for mu, c in p.terms.items() if not mu or mu[0] == 1}
+    if not coeffs:
+        return ()
+    return tuple(coeffs.get(d, Fraction(0)) for d in range(max(coeffs) + 1))
+
+
 def plain_hilbert(s):
     """Set t_i = 0 for i >= 2 in an `hilbert.EnhancedSeries`: coefficient
     tuples (p0, q0) of the univariate series p0(t) e^t + q0(t), degree
     ascending."""
-    return s.p.restrict_to_first(), s.q.restrict_to_first()
+    return restrict_to_first(s.p), restrict_to_first(s.q)
 
 
 def _stable_range_defect(lam) -> int:

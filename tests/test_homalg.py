@@ -170,7 +170,7 @@ class TestLocalCohomology:
             assert t.max_nonzero() == len(lam) + 1
 
     def test_q_values(self):
-        assert q_from_local_cohomology((1,), 1) == MPoly.const(1, "t")
+        assert q_from_local_cohomology((1,), 1) == MPoly("t", {(): 1})
         expected = enhanced_of_simple((1,)) + enhanced_of_simple((1, 1))
         assert q_from_local_cohomology((2,), 2) == expected
         assert q_from_local_cohomology((), 0) == MPoly.zero("t")

@@ -3,28 +3,36 @@ and every cache in the package is among them.
 
 `perfbench/spans.py` (standard library only) looks up every lru_cache by
 module and name and meters `.terms` on each `MPoly` product; a rename
-there would crash or silently zero every traced benchmark run.
+there would crash or silently zero every traced benchmark run.  The
+per-operation timer `scripts/op_times.py` runs a round of each in-process
+workload.
 """
 
 import functools
 import importlib
 import importlib.util
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import tcalab
 from tcalab.polynomials import MPoly
 
+ROOT = Path(__file__).resolve().parents[1]
 
-def _load_spans():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+
+def _load(name: str):
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-spans = _load_spans()
+spans = _load("spans")
 
 
 def test_every_named_cache_is_an_lru_cache():
@@ -52,3 +60,19 @@ def test_products_expose_their_terms():
     x, y = MPoly.variable(1), MPoly.variable(2)
     product = (x + y) * (x - y)
     assert spans._terms((x + y, x - y), product) == 2
+
+
+@pytest.mark.parametrize("workload", ["quiver-verify", "character-sweep"])
+def test_op_times_runs_a_round(workload):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "op_times.py"), workload, "1", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines[1:4]] == [
+        "throughput_ops_s", "latency_p50_ms", "latency_tail_ms"]
+    kinds = lines[lines.index("kind count best_ms_sum") + 1:]
+    printed = {kind: int(count) for kind, count, _ in map(str.split, kinds)}
+    gen = _load("gen")
+    assert printed == gen.properties(workload, gen.generate(workload, 1))["mix"]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from oracles import evaluate_by_fractions, falling_factorial_poly
+from oracles import evaluate_by_fractions, falling_factorial_poly, restrict_to_first
 from tcalab.partitions import aut_factor, partitions_up_to
 from tcalab.polynomials import MPoly, exp_t0_truncated, mul_truncated
 
@@ -53,7 +53,7 @@ class TestRing:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a + MPoly.zero() == a
-        assert a * MPoly.const(1) == a
+        assert a * MPoly("t", {(): 1}) == a
 
     @given(small_polys())
     def test_negate_involution(self, a):
@@ -62,7 +62,7 @@ class TestRing:
     def test_partial_derivative(self):
         p = MPoly.monomial({1: 2}, Fraction(1, 2)) + MPoly.monomial({2: 1}, 1)
         assert p.partial(1) == MPoly.variable(1)
-        assert MPoly.const(5).partial(1) == MPoly.zero()
+        assert MPoly("t", {(): 5}).partial(1) == MPoly.zero()
 
     def test_weighted_degree(self):
         assert MPoly.monomial({3: 2, 1: 1}, 1).degree() == 7
@@ -70,7 +70,23 @@ class TestRing:
 
     def test_restrict_to_first(self):
         p = MPoly.monomial({1: 3}, Fraction(1, 3)) + MPoly.monomial({3: 1}, -1)
-        assert p.restrict_to_first() == (0, 0, 0, Fraction(1, 3))
+        assert restrict_to_first(p) == (0, 0, 0, Fraction(1, 3))
+
+    def test_fraction_coefficients_are_kept(self):
+        c = Fraction(2, 3)
+        assert MPoly("a", {(2, 1): c}).coeffs[(2, 1)] is c
+
+    def test_int_coefficients_are_coerced_and_zeros_dropped(self):
+        p = MPoly("t", {(1,): 3, (2,): 0, (): Fraction(0), (3,): -1})
+        assert p.coeffs == {(1,): 3, (3,): -1}
+        assert all(type(c) is Fraction for c in p.coeffs.values())
+
+    def test_inexact_coefficients_are_refused(self):
+        for bad in (0.1, 1.0, True, False, Decimal(1), "1/3", None):
+            with pytest.raises(ValueError, match=r"coefficient .* on a\^\(2, 1\)"):
+                MPoly("a", {(1,): 1, (2, 1): bad})
+        with pytest.raises(ValueError, match="inexact coefficient 0.5"):
+            MPoly.monomial({1: 1}, 0.5, "t")
 
     def test_evaluate(self):
         p = MPoly.monomial({1: 2}, 1, "a") + MPoly.monomial({2: 1}, -3, "a")
@@ -102,7 +118,7 @@ class TestRing:
         # seeded a-polynomials with mixed denominators, the zero polynomial
         # and constants among them, at int, Fraction and mixed values
         rng = random.Random(21)
-        polys = [MPoly.zero("a"), MPoly.const(Fraction(-5, 6), "a"), MPoly.const(4, "a")]
+        polys = [MPoly.zero("a"), MPoly("a", {(): Fraction(-5, 6)}), MPoly("a", {(): 4})]
         for _ in range(150):
             polys.append(MPoly("a", {
                 tuple(sorted((rng.randint(1, 4) for _ in range(rng.randint(0, 4))),
@@ -135,7 +151,7 @@ class TestSpecials:
         x = MPoly.variable(1, "a")
         assert falling_factorial_poly(1, 2) == x * x - x
         assert falling_factorial_poly(2, 1) == MPoly.variable(2, "a")
-        assert falling_factorial_poly(1, 0) == MPoly.const(1, "a")
+        assert falling_factorial_poly(1, 0) == MPoly("a", {(): 1})
 
     def test_exp_truncation_coefficients(self):
         e = exp_t0_truncated(6)

@@ -11,6 +11,7 @@ from oracles import (
     brute_lr_via_characters,
     centralizer_order,
     pieri_sum,
+    rim_hooks_by_move_beta,
     s3_class_traces,
 )
 from tcalab.partitions import (
@@ -87,6 +88,14 @@ class TestRimHooks:
                     if z == s
                 ]
                 assert list(_rim_hook_removals(lam, s)) == expected, (lam, s)
+
+    def test_match_one_beta_move_per_row(self):
+        # one beta list per shape gives the per-row moves, order included
+        for lam in partitions_up_to(10):
+            for s in range(size(lam) + 2):
+                assert list(_rim_hook_removals(lam, s)) == list(
+                    rim_hooks_by_move_beta(lam, s)
+                ), (lam, s)
 
     def test_are_connected(self):
         for lam in partitions_up_to(9):
