@@ -17,6 +17,7 @@ library only; perfbench/ is read, not changed.
 
 from __future__ import annotations
 
+import argparse
 import statistics
 import sys
 import time
@@ -54,15 +55,14 @@ def time_rounds(round_ops: list, rounds: int) -> tuple[list[float], float]:
 
 
 def main(argv: list[str]) -> int:
-    try:
-        workload = argv[0]
-        seed = int(argv[1]) if len(argv) > 1 else 1
-        rounds = int(argv[2]) if len(argv) > 2 else 3
-    except (IndexError, ValueError):
-        workload = None
-    if workload not in WORKLOADS or len(argv) > 3 or rounds < 1:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
+    ap = argparse.ArgumentParser(description="Time the operations of a benchmark round.")
+    ap.add_argument("workload", choices=WORKLOADS)
+    ap.add_argument("seed", type=int, nargs="?", default=1)
+    ap.add_argument("rounds", type=int, nargs="?", default=3)
+    args = ap.parse_args(argv)
+    workload, seed, rounds = args.workload, args.seed, args.rounds
+    if rounds < 1:
+        ap.error("rounds must be at least 1")
     round_ops = gen.generate(workload, seed)
     best, k = time_rounds(round_ops, rounds)
     ordered = sorted(best)
