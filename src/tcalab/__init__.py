@@ -10,7 +10,8 @@ Modules are organized by what they compute:
     polynomials  exact polynomials whose monomials are partitions
     ktheory      Grothendieck group bases, products, pairing, Fourier involution
     hilbert      enhanced Hilbert series and character polynomials
-    homalg       Ext between simples, local cohomology, depth, regularity
+    homalg       local cohomology, depth, resolution shapes, regularity,
+                 Poincare series, the Fourier transform on classes
     quiver       finite quiver truncations used for machine verification
     cli          the tcalab command line tool
 """

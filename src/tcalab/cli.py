@@ -92,12 +92,8 @@ def parse_class_spec(spec: str) -> AClass | KClassK:
 # Serialization helpers
 
 
-def _part_json(p: Partition) -> list[int]:
-    return list(p)
-
-
 def _terms_json(x: Combination) -> list[dict]:
-    return [{"partition": _part_json(p), "coeff": c} for p, c in x.items()]
+    return [{"partition": list(p), "coeff": c} for p, c in x.items()]
 
 
 def _kclass_json(x: KClassK) -> dict:
@@ -139,7 +135,7 @@ def _cmd_charpoly(args) -> dict:
     lam = parse_partition(args.partition)
     return {
         "command": "charpoly",
-        "partition": _part_json(lam),
+        "partition": list(lam),
         "char_poly": hilbert.char_poly_simple(lam).to_json(),
     }
 
@@ -159,12 +155,12 @@ def _cmd_hilbert(args) -> dict:
 def _cmd_modify(args) -> dict:
     lam = parse_partition(args.partition)
     out = hilbert.modification(lam, args.n)
-    doc = {"command": "modify", "partition": _part_json(lam), "n": args.n}
+    doc = {"command": "modify", "partition": list(lam), "n": args.n}
     if out is None:
         doc["result"] = "zero"
     else:
         sign, target = out
-        doc.update(result="nonzero", sign=sign, target=_part_json(target))
+        doc.update(result="nonzero", sign=sign, target=list(target))
     return doc
 
 
@@ -173,12 +169,12 @@ def _cmd_localcoh(args) -> dict:
     table = homalg.local_cohomology(lam, args.d)
     return {
         "command": "localcoh",
-        "partition": _part_json(lam),
+        "partition": list(lam),
         "d": args.d,
         "rows": {
             str(i): {
-                "partitions": [_part_json(p) for p in table.rows[i]],
-                "generator": _part_json(table.generator[i]),
+                "partitions": [list(p) for p in table.rows[i]],
+                "generator": list(table.generator[i]),
             }
             for i in sorted(table.rows)
         },
@@ -188,7 +184,7 @@ def _cmd_localcoh(args) -> dict:
 def _cmd_depth(args) -> dict:
     lam = parse_partition(args.partition)
     depth = homalg.depth(lam, args.d)
-    doc = {"command": "depth", "partition": _part_json(lam), "d": args.d, "depth": depth}
+    doc = {"command": "depth", "partition": list(lam), "d": args.d, "depth": depth}
     if depth == math.inf:
         doc.update(depth=None, infinite=True)
     return doc
@@ -199,10 +195,10 @@ def _cmd_bgg(args) -> dict:
     res = bgg_resolution(lam)
     return {
         "command": "bgg",
-        "partition": _part_json(lam),
-        "terms": [[_part_json(p) for p in term] for term in res.terms],
+        "partition": list(lam),
+        "terms": [[list(p) for p in term] for term in res.terms],
         "signs": [
-            {"from": _part_json(a), "to": _part_json(b), "sign": s}
+            {"from": list(a), "to": list(b), "sign": s}
             for (a, b), s in sorted(res.signs.items())
         ],
     }
@@ -247,7 +243,7 @@ def _cmd_efw(args) -> dict:
     shape = homalg.efw_resolution(alpha, args.e, args.bound)
     return {
         "command": "efw",
-        "alpha": _part_json(alpha),
+        "alpha": list(alpha),
         "e": args.e,
         "shape": shape.to_json(),
     }
@@ -260,7 +256,7 @@ def _cmd_poincare(args) -> dict:
     series = homalg.poincare_truncated(shape, bound)
     return {
         "command": "poincare",
-        "alpha": _part_json(alpha),
+        "alpha": list(alpha),
         "e": args.e,
         "trunc": bound,
         "coefficients": series.to_json(),
@@ -295,7 +291,7 @@ def _cmd_quiver(args) -> dict:
         return {
             "command": "quiver.socle",
             "socle": [
-                {"partition": _part_json(p), "multiplicity": m}
+                {"partition": list(p), "multiplicity": m}
                 for p, m in sorted(soc.items(), key=lambda kv: (size(kv[0]), kv[0]))
             ],
         }
@@ -308,11 +304,11 @@ def _cmd_quiver(args) -> dict:
             raise AssertionError(f"resolution of {lam} has wrong cohomology")
         return {
             "command": "quiver.verify-bgg",
-            "partition": _part_json(lam),
+            "partition": list(lam),
             "d2_zero": True,
             "cohomology": [
                 [
-                    {"partition": _part_json(p), "multiplicity": m}
+                    {"partition": list(p), "multiplicity": m}
                     for p, m in sorted(h.items())
                 ]
                 for h in cohom

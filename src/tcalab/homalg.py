@@ -1,7 +1,7 @@
-"""Homological invariants: Ext between simples, local cohomology of the
-tail submodules, depth, resolution shapes, regularity, Poincare series,
-and the module-level Fourier transform.  The injective resolutions of
-simples are vertical-strip combinatorics and live in `partitions`.
+"""Homological invariants: local cohomology of the tail submodules, depth,
+resolution shapes, regularity, Poincare series, and the Fourier transform
+on classes.  The injective resolutions of simples are vertical-strip
+combinatorics and live in `partitions`.
 
 Local cohomology of the tail module with first row at least D follows the
 aligned-border-strip rule on the prefixed shape (D, lam): the strip height
@@ -23,14 +23,11 @@ from .hilbert import enhanced_of_class, enhanced_sum
 from .ktheory import AClass, signed_transpose
 from .partitions import (
     Partition,
-    VS,
     aligned_border_strips,
     hook_dimension,
-    is_strip,
     partition,
     prefixed_to_partition,
     size,
-    transpose,
 )
 from .polynomials import MPoly, exp_t0_truncated, mul_truncated
 from .symchar import VClass
@@ -46,19 +43,6 @@ class UnstableError(ValueError):
 
 class InsufficientShapeError(ValueError):
     """The resolution shape does not cover the requested degree range."""
-
-
-# ---------------------------------------------------------------------------
-# Ext between simples
-
-
-def ext_simples(lam, mu) -> dict[int, int]:
-    """Ext between simples: one dimensional in degree |mu|-|lam| when mu/lam
-    is a vertical strip, zero otherwise."""
-    lam, mu = partition(lam), partition(mu)
-    if is_strip(mu, lam, VS):
-        return {size(mu) - size(lam): 1}
-    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +308,6 @@ class PoincareTruncation:
     def __repr__(self) -> str:
         return f"PoincareTruncation(bound={self.bound!r}, coeffs={self.coeffs!r})"
 
-    def coefficient(self, d: int, n: int) -> Fraction:
-        return self.coeffs.get((d, n), Fraction(0))
-
     def sorted_items(self):
         return sorted(self.coeffs.items())
 
@@ -399,24 +380,7 @@ def closed_form_m0e(e: int, bound: int) -> PoincareTruncation:
 
 
 # ---------------------------------------------------------------------------
-# Module-level Fourier transform
-
-
-def fourier_module(graded: dict[int, AClass]) -> dict[int, AClass]:
-    """Degreewise transform: a simple at lam in degree k goes to the free
-    module on the transpose in degree |lam| - k, and conversely.  Applying
-    it twice is the identity."""
-    out: dict[int, AClass] = {}
-
-    def put(degree: int, cls: AClass) -> None:
-        out[degree] = out.get(degree, AClass()) + cls
-
-    for k, cls in graded.items():
-        for lam, c in cls.torsion.coeffs.items():
-            put(size(lam) - k, AClass(projective=c * VClass.simple(transpose(lam))))
-        for lam, c in cls.projective.coeffs.items():
-            put(size(lam) - k, AClass(torsion=c * VClass.simple(transpose(lam))))
-    return {k: v for k, v in out.items() if v}
+# Fourier transform
 
 
 def fourier_class(x: AClass) -> AClass:

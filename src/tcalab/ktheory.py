@@ -235,9 +235,3 @@ def diff_annihilator(x: AClass) -> tuple[int, int]:
             raise AssertionError("torsion class survived past its size bound")
         z = shift_operator(z)
     raise AssertionError("projective part survived past its size bound")
-
-
-def injective_envelope_class(lam) -> VClass:
-    """Class of the torsion injective envelope of [S_lam]: multiplicity one
-    on each horizontal-strip removal of lam."""
-    return VClass(q_to_l(q_class(lam)).coeffs)

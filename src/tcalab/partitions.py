@@ -188,9 +188,6 @@ class InjResolution(NamedTuple):
     terms: tuple[tuple[Partition, ...], ...]
     signs: dict[tuple[Partition, Partition], int]
 
-    def length(self) -> int:
-        return len(self.terms) - 1
-
 
 def bgg_resolution(lam) -> InjResolution:
     """Term j collects the vertical-strip removals of size j; length equals

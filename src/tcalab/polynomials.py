@@ -69,10 +69,6 @@ class MPoly(Combination):
         return cls(family)
 
     @classmethod
-    def variable(cls, index: int, family: str = "t") -> "MPoly":
-        return cls.monomial({index: 1}, 1, family)
-
-    @classmethod
     def monomial(cls, exps: dict[int, int], coeff, family: str = "t") -> "MPoly":
         return cls(family, {_monomial(exps): coeff})
 
@@ -94,9 +90,6 @@ class MPoly(Combination):
 
     # max weighted degree (deg x_i = i); the zero polynomial has degree 0
     degree = Combination.max_size
-
-    def coefficient(self, exps: dict[int, int]) -> Fraction:
-        return self.coeffs.get(_monomial(exps), Fraction(0))
 
     def truncate(self, bound: int) -> "MPoly":
         return self._new({mu: c for mu, c in self.coeffs.items() if size(mu) <= bound})

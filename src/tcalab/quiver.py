@@ -1,13 +1,14 @@
 """Finite-dimensional verification model: representations of the partition
 quiver, given by its local presentation.
 
-A vertex set is a finite family of partitions closed under removing a box.
-The quiver has one arrow for each added box, and its relations are local:
-squares commute, and two boxes added in one column compose to zero.  A
-representation stores matrices with integer or `Fraction` entries on the
-one-box arrows and is validated against these relations, which generate
-every relation between longer paths; so the path i -> k is well defined,
-and vanishes unless k/i is a horizontal strip.  Hom spaces, socles, and
+A vertex set holds the partitions of size at most n, a family closed
+under removing a box.  The quiver has one arrow for each added box, and
+its relations are local: squares commute, and two boxes added in one
+column compose to zero.  A representation stores matrices with integer or
+`Fraction` entries on the one-box arrows and is validated against these
+relations, which generate every relation between longer paths; so the
+path i -> k is well defined, and vanishes unless k/i is a horizontal
+strip.  Hom spaces, socles, and
 complex cohomology are then honest linear algebra over the rationals.
 
 One convention holds throughout: what is not stored is zero.  A
@@ -28,16 +29,14 @@ maps from those tables and the resolution's signs and checks the morphism
 and d^2 = 0 conditions on them; every other complex is checked by the
 `RepComplex` constructor.  The strip sets come from `partitions`: the
 support of the injective at lam, its horizontal-strip down-set, from
-`down_set(lam)`, the resolution's terms and signs from `bgg_resolution`,
-and a vertex set's arrows, in the general `VertexSet` constructor only,
-from `corner_removals`, which also checks that the set is downward
-closed.  `VertexSet.up_to_size`, whose set is closed by construction,
-lists the arrows by adding boxes.  The builders and the checks walk `up`
-from the support only.
+`down_set(lam)`, and the resolution's terms and signs from
+`bgg_resolution`.  `VertexSet.up_to_size`, the one way to build a vertex
+set, lists the arrows by adding boxes.  The builders and the checks walk
+`up` from the support only.
 
 This module machine-checks what the rest of the package computes by
-formula: hom dimensions between injectives, socles, exactness of the
-injective resolutions of simples, and kernel/cokernel constituents.
+formula: hom dimensions between injectives, socles, and exactness of the
+injective resolutions of simples.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from .partitions import (
     InjResolution,
     Partition,
     bgg_resolution,
-    corner_removals,
     down_set,
     is_strip,
     partition,
@@ -70,14 +68,6 @@ class VertexSetMismatchError(ValueError):
 
 
 class NotAComplexError(ValueError):
-    pass
-
-
-class ZeroMapError(ValueError):
-    pass
-
-
-class NotHSError(ValueError):
     pass
 
 
@@ -130,30 +120,11 @@ def _two_box_is_strip(k: Partition, i: Partition) -> bool:
 
 
 class VertexSet:
-    """Finite set of partitions closed under removing a box, validated at
-    construction; `up[v]` holds the one-box successors of v in the set,
-    lexicographically descending, which are the targets of the quiver's
-    arrows out of v."""
+    """The partitions of size at most n, built by `up_to_size(n)` only;
+    `up[v]` holds the one-box successors of v in the set, lexicographically
+    descending, which are the targets of the quiver's arrows out of v."""
 
     __slots__ = ("vertices", "index", "up")
-
-    def __init__(self, vertices):
-        """Tabulate the canonical partitions by size, then lexicographically
-        descending; raise if a corner removal leaves the set."""
-        vs = sorted({partition(v) for v in vertices},
-                    key=lambda p: (size(p), tuple(-x for x in p)))
-        self.vertices = tuple(vs)
-        self.index = {v: i for i, v in enumerate(vs)}
-        up: dict[Partition, list[Partition]] = {v: [] for v in vs}
-        for v in vs:
-            for w in corner_removals(v):
-                covers = up.get(w)
-                if covers is None:
-                    raise VertexMissingError(
-                        f"vertex set is not downward closed: {v} needs {w}"
-                    )
-                covers.append(v)
-        self.up = {v: tuple(ws) for v, ws in up.items()}
 
     @classmethod
     def up_to_size(cls, n: int) -> "VertexSet":
@@ -188,11 +159,6 @@ class VertexSet:
 
     def __hash__(self):
         return hash(self.vertices)
-
-    def covering_pairs(self) -> tuple[tuple[Partition, Partition], ...]:
-        """All (i, j) in the set with j obtained from i by adding one box,
-        by i in vertex order and then j as in `up[i]`."""
-        return tuple((i, j) for i in self.vertices for j in self.up[i])
 
 
 class QuiverRep:
@@ -548,30 +514,6 @@ def realize_bgg(lam, vs: VertexSet | None = None) -> RepComplex:
     cx = RepComplex.__new__(RepComplex)
     cx.reps, cx.maps = [rep for rep, _ in sums], maps
     return cx
-
-
-def kernel_cokernel_constituents(
-    lam, mu, scale: int = 1
-) -> tuple[set[Partition], set[Partition]]:
-    """Constituent sets of the kernel and cokernel of the map scale * canonical
-    between the injectives at lam and mu, read off as H^0 and H^1 of the
-    two-term complex (vertexwise ranks of a certified morphism) and checked
-    against the down-set differences."""
-    lam, mu = partition(lam), partition(mu)
-    if scale == 0:
-        raise ZeroMapError("the zero map has no transparent kernel data")
-    if not is_strip(lam, mu, HS):
-        raise NotHSError(f"{lam}/{mu} is not a horizontal strip")
-    vs = VertexSet.up_to_size(size(lam))
-    src = build_injective(lam, vs)
-    dst = build_injective(mu, vs)
-    phi = {v: [[scale]] for v in src.dims if v in dst.dims}
-    h0, h1 = complex_cohomology(RepComplex([src, dst], [phi]))
-    ker, coker = set(h0), set(h1)
-    down_lam, down_mu = set(down_set(lam)), set(down_set(mu))
-    if ker != down_lam - down_mu or coker != down_mu - down_lam:
-        raise RelationError("rank computation disagrees with down-set difference")
-    return ker, coker
 
 
 def tau_contractibility_check(vs: VertexSet) -> bool:

@@ -524,8 +524,8 @@ def vertex_set_by_remove_strips(vertices):
     """The quiver vertex set as `VertexSet` first tabulated it: canonicalise
     and sort by size, then lexicographically descending, and take each
     vertex's one-box removals from `remove_strips(v, 1, "HS")`.  Returns
-    (vertices, index, up, covering pairs), or raises ValueError with the
-    library's message for the first vertex whose removal leaves the set."""
+    (vertices, index, up, covering pairs), or raises ValueError for the
+    first vertex whose removal leaves the set."""
     from tcalab.partitions import partition, size
 
     vs = sorted({partition(v) for v in vertices},
@@ -554,7 +554,7 @@ def sum_tables_on_supports(supports, vs):
         for mu in support:
             where[mu][b] = len(where[mu])
     arrows = {}
-    for (i, j) in vs.covering_pairs():
+    for (i, j) in [(i, j) for i in vs.vertices for j in vs.up[i]]:
         common = where[i].keys() & where[j].keys()
         if common:
             m = [[0] * len(where[i]) for _ in range(len(where[j]))]
@@ -617,7 +617,7 @@ def hom_space_all_pairs(r1, r2):
         offset[v] = n
         n += r2.dim(v) * r1.dim(v)
     rows = []
-    for (i, j) in vs.covering_pairs():
+    for (i, j) in [(i, j) for i in vs.vertices for j in vs.up[i]]:
         a1 = r1.arrows.get((i, j))
         a2 = r2.arrows.get((i, j))
         # constraint: phi_j a1 - a2 phi_i = 0, entrywise
@@ -677,7 +677,7 @@ def falling_factorial_poly(index: int, depth: int, family: str = "a"):
     from tcalab.polynomials import MPoly
 
     out = MPoly(family, {(): 1})
-    x = MPoly.variable(index, family)
+    x = MPoly.monomial({index: 1}, 1, family)
     for k in range(depth):
         out = out * (x - MPoly(family, {(): k}))
     return out

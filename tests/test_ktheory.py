@@ -13,7 +13,6 @@ from tcalab.ktheory import (
     ZeroClassError,
     diff_annihilator,
     fourier_K,
-    injective_envelope_class,
     k_product,
     l_class,
     l_to_q,
@@ -194,15 +193,3 @@ class TestDerivative:
         m1, m2 = diff_annihilator(bigger)
         assert m1 == n1
         assert m2 >= n2 or m2 == 0
-
-
-class TestEnvelope:
-    def test_examples(self):
-        assert injective_envelope_class(()) == VClass.simple(())
-        assert injective_envelope_class((1,)) == VClass({(1,): 1, (): 1})
-
-    def test_matches_basis_change(self):
-        for lam in partitions_up_to(6):
-            env = injective_envelope_class(lam)
-            converted = q_to_l(q_class(lam))
-            assert dict(env.coeffs) == dict(converted.coeffs)

@@ -2,10 +2,10 @@
 and every cache in the package is among them.
 
 `perfbench/spans.py` (standard library only) looks up every lru_cache by
-module and name and meters `.terms` on each `MPoly` product; a rename
-there would crash or silently zero every traced benchmark run.  The
-per-operation timer `scripts/op_times.py` runs a round of each in-process
-workload.
+module and name, meters `.terms` on each `MPoly` product and `len` of
+each vertex set; a rename there would crash or silently zero every traced
+benchmark run.  The per-operation timer `scripts/op_times.py` runs a round
+of each in-process workload.
 """
 
 import functools
@@ -20,6 +20,7 @@ import pytest
 
 import tcalab
 from tcalab.polynomials import MPoly
+from tcalab.quiver import VertexSet
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -57,9 +58,14 @@ def test_every_package_cache_is_named():
 
 
 def test_products_expose_their_terms():
-    x, y = MPoly.variable(1), MPoly.variable(2)
+    x, y = MPoly.monomial({1: 1}, 1), MPoly.monomial({2: 1}, 1)
     product = (x + y) * (x - y)
     assert spans._terms((x + y, x - y), product) == 2
+
+
+def test_vertex_sets_expose_their_size():
+    # the quiver.vertices meter reads len() of every up_to_size result
+    assert spans._vertices((), VertexSet.up_to_size(3)) == 7
 
 
 @pytest.mark.parametrize("workload", ["quiver-verify", "character-sweep"])
