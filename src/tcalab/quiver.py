@@ -27,12 +27,17 @@ checks the relations on those summand tables; every other representation
 is checked by `QuiverRep.validate`.  `realize_bgg` builds the resolution's
 maps from those tables and the resolution's signs and checks the morphism
 and d^2 = 0 conditions on them; every other complex is checked by the
-`RepComplex` constructor.  The strip sets come from `partitions`: the
+`RepComplex` constructor.  Which summands sit at a vertex is held as one
+int per vertex, bit b set when the vertex lies below summand b, so a
+composite of arrows is an `&` of masks and two paths agree when their
+masks are equal; the checks still visit every two-box path and every
+covering pair from the support, so they are as complete as the matrix
+products they replace.  The strip sets come from `partitions`: the
 support of the injective at lam, its horizontal-strip down-set, from
 `down_set(lam)`, and the resolution's terms and signs from
 `bgg_resolution`.  `VertexSet.up_to_size`, the one way to build a vertex
-set, lists the arrows by adding boxes.  The builders and the checks walk
-`up` from the support only.
+set, lists the arrows by adding boxes, one size layer at a time.  The
+builders and the checks walk `up` from the support only.
 
 This module machine-checks what the rest of the package computes by
 formula: hom dimensions between injectives, socles, and exactness of the
@@ -50,6 +55,7 @@ from .partitions import (
     HS,
     InjResolution,
     Partition,
+    _partitions_cached,
     bgg_resolution,
     down_set,
     is_strip,
@@ -126,26 +132,33 @@ class VertexSet:
 
     __slots__ = ("vertices", "index", "up")
 
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a vertex set is built by VertexSet.up_to_size(n)")
+
     @classmethod
     def up_to_size(cls, n: int) -> "VertexSet":
-        """All partitions of size at most n, which partitions_up_to already
-        lists canonical and in vertex order.  The set is downward closed, so
-        the covers of a vertex below size n are all its one-box additions:
-        a box on each row that can take one, in row order, then a new row,
-        which is lexicographically descending."""
-        vs = partitions_up_to(n)
+        """All partitions of size at most n, listed size layer by size layer,
+        each canonical and lexicographically descending.  The set is
+        downward closed, so the covers of a vertex below size n are all its
+        one-box additions: a box at the start of each run of equal rows, in
+        row order, then a new row, which is lexicographically descending.
+        The top layer has no covers in the set."""
         out = cls.__new__(cls)
-        out.vertices = tuple(vs)
-        out.index = {v: i for i, v in enumerate(vs)}
-        out.up = {}
-        for v in vs:
-            if sum(v) == n:
-                out.up[v] = ()
-                continue
-            out.up[v] = tuple(
-                v[:r] + (x + 1,) + v[r + 1:]
-                for r, x in enumerate(v) if r == 0 or v[r - 1] > x
-            ) + (v + (1,),)
+        out.vertices = tuple(partitions_up_to(n))
+        out.index = {v: i for i, v in enumerate(out.vertices)}
+        out.up = up = {}
+        for k in range(n):
+            for v in _partitions_cached(k):
+                covers = []
+                prev = 0
+                for r, x in enumerate(v):
+                    if x != prev:
+                        covers.append(v[:r] + (x + 1,) + v[r + 1:])
+                        prev = x
+                covers.append(v + (1,))
+                up[v] = tuple(covers)
+        for v in _partitions_cached(n):
+            up[v] = ()
         return out
 
     def __contains__(self, p) -> bool:
@@ -237,53 +250,59 @@ def build_simple(lam, vs: VertexSet) -> QuiverRep:
     return QuiverRep(vs, {lam: 1}, {})
 
 
-def injective_sum(
+def _injective_tables(
     lams, vs: VertexSet
-) -> tuple[QuiverRep, dict[Partition, dict[int, int]]]:
-    """The direct sum of the indecomposable injectives at lams, in order.
-    The injective at lam is one-dimensional on the down-set of lam, with
-    every internal covering arrow the scalar one; where[v][b] is the basis
-    position at v of summand b, present when v lies below lams[b].  `where`
-    and `dims` hold the union of the summands' down-sets, in vertex order.
-
-    The local relations are checked on these tables while the arrows are
-    built, not by matrix products: the composite i -> j -> k is the partial
-    identity on the summands present at i, j and k, so it vanishes exactly
-    when that set is empty, and two middles agree exactly when their sets
-    do.  The representation is then stored without `QuiverRep.validate`."""
+) -> tuple[QuiverRep, dict[Partition, dict[int, int]], dict[Partition, int]]:
+    """`injective_sum`'s representation and `where` table, and the summand
+    masks they are read off: mask[v] has bit b set when v lies below
+    lams[b], and lists the support in vertex order."""
     downs = []
     for lam in lams:
         lam = partition(lam)
         if lam not in vs.index:
             raise VertexMissingError(f"vertex set misses {lam}")
         downs.append(down_set(lam))
-    support = sorted({mu for down in downs for mu in down}, key=vs.index.get)
-    where: dict[Partition, dict[int, int]] = {v: {} for v in support}
+    found: dict[Partition, int] = {}
     for b, down in enumerate(downs):
+        bit = 1 << b
         for mu in down:
-            at = where[mu]
-            at[b] = len(at)
+            found[mu] = found.get(mu, 0) | bit
+    mask = {v: found[v] for v in sorted(found, key=vs.index.get)}
+    # a summand's basis position at v is the number of summands before it
+    # there, so `where` and `dims` are read off the bits in ascending order
+    where: dict[Partition, dict[int, int]] = {}
+    dims: dict[Partition, int] = {}
+    for v, m in mask.items():
+        at = where[v] = {}
+        while m:
+            low = m & -m
+            at[low.bit_length() - 1] = len(at)
+            m ^= low
+        dims[v] = len(at)
     # the covering pairs in their order, restricted to the support
     arrows: dict[tuple[Partition, Partition], Matrix] = {}
-    dims: dict[Partition, int] = {}
-    for i, at_i in where.items():
-        dims[i] = len(at_i)
-        paths: dict[Partition, set[int]] = {}
-        for j in vs.up[i]:
-            at_j = where.get(j, {})
-            common = at_i.keys() & at_j.keys()
+    up = vs.up
+    for i, mask_i in mask.items():
+        paths: dict[Partition, int] = {}
+        for j in up[i]:
+            mask_j = mask.get(j, 0)
+            common = mask_i & mask_j
             if common:
-                m = linalg.zeros(len(at_j), len(at_i))
-                for b in common:
-                    m[at_j[b]][at_i[b]] = 1
-                arrows[(i, j)] = m
-            for k in vs.up[j]:
-                at_k = where.get(k)
-                if at_k is None:
+                if mask_i == mask_j and dims[i] == 1:
+                    arrows[(i, j)] = [[1]]
+                else:
+                    at_j = where[j]
+                    m = arrows[(i, j)] = linalg.zeros(dims[j], dims[i])
+                    for b, col in where[i].items():
+                        if b in at_j:
+                            m[at_j[b]][col] = 1
+            for k in up[j]:
+                mask_k = mask.get(k)
+                if mask_k is None:
                     continue
-                # an empty set is the zero composite; it is kept, since a
-                # strip's other middles must then be zero too
-                via = common & at_k.keys()
+                # 0 is the zero composite; it is kept, since a strip's
+                # other middles must then be zero too
+                via = common & mask_k
                 first = paths.get(k)
                 if first is None:
                     # a vertical domino k/i has this one middle only, so
@@ -302,6 +321,28 @@ def injective_sum(
     # blocks of the right shapes, and the relations hold
     rep = QuiverRep.__new__(QuiverRep)
     rep.vs, rep.dims, rep.arrows = vs, dims, arrows
+    return rep, where, mask
+
+
+def injective_sum(
+    lams, vs: VertexSet
+) -> tuple[QuiverRep, dict[Partition, dict[int, int]]]:
+    """The direct sum of the indecomposable injectives at lams, in order.
+    The injective at lam is one-dimensional on the down-set of lam, with
+    every internal covering arrow the scalar one; where[v][b] is the basis
+    position at v of summand b, present when v lies below lams[b].  `where`
+    and `dims` hold the union of the summands' down-sets, in vertex order.
+
+    Which summands sit at a vertex v is kept as one int, the mask with bit
+    b set when v lies below lams[b], and `where` and `dims` are read off
+    it.  The local relations are checked on these masks while the arrows
+    are built, not by matrix products: the composite i -> j -> k is the
+    partial identity on the summands present at i, j and k, so it is fixed
+    by the mask of i & j & k.  It vanishes exactly when that mask is 0,
+    and two middles agree exactly when their masks are equal; every
+    two-box path from the support is met, so the check is as complete as
+    `QuiverRep.validate`.  The representation is then stored without it."""
+    rep, where, _ = _injective_tables(lams, vs)
     return rep, where
 
 
@@ -452,30 +493,39 @@ def realize_bgg(lam, vs: VertexSet | None = None) -> RepComplex:
     to summand a with the sign s(b, a) of the resolution, wherever v lies
     below both.
 
-    The complex is certified on the `where` tables and the signs, not by
-    matrix products.  At a covering pair (i, j) with i below b and j below
-    a, the two sides of the morphism square for (b -> a) are the sign
-    times [j below b] and times [i below a], so the map is a morphism
-    exactly when those agree; and the composite at v sends b to c with the
-    sum of s(b, a) s(a, c) over the middles a above v, so d^2 = 0 exactly
-    when every such sum vanishes.  A failure raises the `NotAComplexError`
-    that `RepComplex` would raise, with the same message, and the complex
-    is then stored without the constructor's checks."""
+    The complex is certified on the summand tables of `injective_sum` and
+    the signs, not by matrix products.  At a covering pair (i, j) with i
+    below b and j below a, the two sides of the morphism square for
+    (b -> a) are the sign times [j below b] and times [i below a], so the
+    map is a morphism exactly when those agree.  This is checked on the
+    summand masks, one int per vertex and term: for each b at i, the mask
+    T of the a with s(b, a) != 0 that sit at j must lie inside the mask of
+    term t+1 at i when b sits at j, and be disjoint from it when b does
+    not; every b at i and every cover j is met, so no pair (b, a) is
+    skipped.  The composite at v sends b to c with the sum of
+    s(b, a) s(a, c) over the middles a above v, so d^2 = 0 exactly when
+    every such sum vanishes.  A failure raises the `NotAComplexError` that
+    `RepComplex` would raise, with the same message and at the same first
+    failure, and the complex is then stored without the constructor's
+    checks."""
     lam = partition(lam)
     if vs is None:
         vs = VertexSet.up_to_size(size(lam))
     res: InjResolution = bgg_resolution(lam)
-    sums = [injective_sum(term, vs) for term in res.terms]
-    wheres = [where for _, where in sums]
-    # signed[t][b] lists (a, s(b, a)) over the summands a of term t+1
+    tables = [_injective_tables(term, vs) for term in res.terms]
+    wheres = [where for _, where, _ in tables]
+    # signed[t][b] lists (a, s(b, a)) over the summands a of term t+1, and
+    # targets[t][b] is the mask of those a
     signed = [
         [[(a, s) for a, mu in enumerate(nxt) if (s := res.signs.get((nu, mu)))]
          for nu in term]
         for term, nxt in zip(res.terms, res.terms[1:])
     ]
+    targets = [[sum(1 << a for a, _ in out) for out in row] for row in signed]
     maps: list[dict[Partition, Matrix]] = []
     for t, out in enumerate(signed):
         at, to = wheres[t], wheres[t + 1]
+        masks, next_masks, aim = tables[t][2], tables[t + 1][2], targets[t]
         phi: dict[Partition, Matrix] = {}
         for i, at_i in at.items():
             to_i = to.get(i, {})
@@ -487,14 +537,20 @@ def realize_bgg(lam, vs: VertexSet | None = None) -> RepComplex:
                         if block is None:
                             block = phi[i] = linalg.zeros(len(to_i), len(at_i))
                         block[row][col] = s
+            next_i = next_masks.get(i, 0)
             for j in vs.up[i]:
-                at_j, to_j = at.get(j, {}), to.get(j, {})
+                next_j = next_masks.get(j)
+                if next_j is None:
+                    continue  # no summand a of term t+1 sits at j
+                mask_j = masks.get(j, 0)
                 for b in at_i:
-                    for a, _ in out[b]:
-                        if a in to_j and (b in at_j) != (a in to_i):
-                            raise NotAComplexError(
-                                f"map {t} is not a morphism at {(i, j)}"
-                            )
+                    # the a with s(b, a) != 0 that sit at j: at i they must
+                    # sit exactly when b sits at j
+                    hit = aim[b] & next_j
+                    if hit & (~next_i if mask_j >> b & 1 else next_i):
+                        raise NotAComplexError(
+                            f"map {t} is not a morphism at {(i, j)}"
+                        )
         maps.append(phi)
     for t in range(len(maps) - 1):
         at, mid, to = wheres[t], wheres[t + 1], wheres[t + 2]
@@ -512,7 +568,7 @@ def realize_bgg(lam, vs: VertexSet | None = None) -> RepComplex:
     # stored as the constructor would store them: one vs, one map between
     # consecutive terms, nonzero int blocks of the right shapes
     cx = RepComplex.__new__(RepComplex)
-    cx.reps, cx.maps = [rep for rep, _ in sums], maps
+    cx.reps, cx.maps = [rep for rep, _, _ in tables], maps
     return cx
 
 

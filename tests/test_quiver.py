@@ -80,6 +80,11 @@ class TestVertexSet:
         vs, index, up, covers = vertex_set_by_remove_strips(vertices)
         return vs, list(index.items()), list(up.items()), covers
 
+    def test_bare_constructor_names_the_builder(self):
+        for args in [(), ([(), (1,)],)]:
+            with pytest.raises(TypeError, match=r"VertexSet\.up_to_size"):
+                VertexSet(*args)
+
     @pytest.mark.parametrize("n", range(11))
     def test_up_to_size_matches_the_remove_strips_construction(self, n):
         assert self._tables(VertexSet.up_to_size(n)) == self._oracle_tables(
@@ -302,6 +307,9 @@ class TestInjectiveSum:
         seven = VertexSet.up_to_size(7)
         cases = [(lams, self.VS) for lams in self.LISTS]
         cases += [([v], seven) for v in seven.vertices]
+        # more summands than a machine word has bits, each one repeated
+        four = VertexSet.up_to_size(4)
+        cases.append((list(four.vertices) * 6, four))
         for lams, vs in cases:
             rep, where = injective_sum(lams, vs)
             arrows, dims, want = injective_sum_by_scan(lams, vs)
@@ -527,8 +535,13 @@ class TestRealizedResolutions:
         assert all(not h for h in complex_cohomology(cx))
 
     def test_matches_the_constructor_route(self):
-        for lam in partitions_up_to(9):
-            cx, want = realize_bgg(lam), realize_bgg_by_constructor(lam)
+        # on the default vertex set, and on one a size larger, whose top
+        # layer lies outside every summand's support
+        cases = [(lam, None) for lam in partitions_up_to(9)]
+        cases += [(lam, VertexSet.up_to_size(size(lam) + 1))
+                  for lam in partitions_up_to(6)]
+        for lam, vs in cases:
+            cx, want = realize_bgg(lam, vs), realize_bgg_by_constructor(lam, vs)
             assert [r.dims for r in cx.reps] == [r.dims for r in want.reps], lam
             assert [list(phi.items()) for phi in cx.maps] == [
                 list(phi.items()) for phi in want.maps], lam
