@@ -10,14 +10,17 @@ perfbench/ops.py: a failed check stops the script with exit 1.  Each
 operation is timed by its best round, and the times are scaled to the host
 reference of perfbench/hostref.py, timed between the operations, as
 perfbench/run.py scales them.  The script prints the scaled throughput,
-median and tail latency of those best times, then each operation kind with
-its count and the sum of its best times, largest sum first.  Standard
+median and tail latency of those best times; the eleven slowest operations,
+the tail operation first and then the ten beyond it, each with its kind,
+scaled best time and input; then each operation kind with its count and
+the sum of its best times, largest sum first.  Standard
 library only; perfbench/ is read, not changed.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import statistics
 import sys
 import time
@@ -73,6 +76,10 @@ def main(argv: list[str]) -> int:
     # as perfbench/run.py: the highest percentile with ten samples beyond it
     print(f"latency_tail_ms {ordered[-11] * k * 1e3:.4f} "
           f"(p{100 * (1 - 10 / len(best)):.1f})")
+    print("kind best_ms input")
+    for i in sorted(range(len(best)), key=best.__getitem__)[-11:]:
+        op = round_ops[i]
+        print(f"{op[0]} {best[i] * k * 1e3:.4f} {json.dumps(op[1:], separators=(',', ':'))}")
     by_kind: dict[str, list[float]] = defaultdict(list)
     for op, t in zip(round_ops, best):
         by_kind[op[0]].append(t)

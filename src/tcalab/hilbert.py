@@ -14,11 +14,17 @@ simple at lam carries sum (-1)^d chi^mu(nu) on C(a, nu), over the vertical
 strips lam/mu of size d with |mu| = |nu|.  It is computed in integers and
 turned into the monomial basis once, by expanding each falling factorial
 (x)_d = sum_k s(d, k) x^k through the signed Stirling numbers of the first
-kind.  No t-series is built: with D the lcm of the nu!, the coefficient c
-on C(a, nu) enters the umbral expansion as the integer c * D / nu!, and
-the first Fractions of the route are its output monomials, one each.
-Evaluating at a class sums in integers over the lcm of the output's
-denominators, with one Fraction per value (`MPoly.evaluate`).
+kind.  The traces chi^mu(nu) are read straight from the Murnaghan-Nakayama
+table, since |mu| = |nu| holds by construction.  No t-series is built: with
+D the lcm of the nu!, the coefficient c on C(a, nu) enters the umbral
+expansion as the integer c * D / nu!, and the first Fractions of the route
+are its output monomials, one each.  The expansion of nu is its largest
+run of equal parts times the expansion of the rest, and each such suffix
+is expanded once per character polynomial, so the many nu that end in the
+same shape share it.  Evaluating at a class multiplies out each monomial
+first and sums in integers over the lcm of the denominators of the
+monomials with no variable at zero, with one Fraction per value
+(`MPoly.evaluate`).
 
 The modification rule evaluates a character polynomial below its stable
 range by rho-shifted sorting of the prefixed sequence (N - |lam|, lam).
@@ -43,7 +49,7 @@ from .partitions import (
     vertical_strips,
 )
 from .polynomials import MPoly
-from .symchar import mn_trace
+from .symchar import _mn, mn_trace
 
 
 class EnhancedSeries:
@@ -107,22 +113,40 @@ def _umbral_ints(terms: list[tuple[Partition, int]], den: int) -> MPoly:
     """Umbral image of sum (c / den) t^mu over the pairs (mu, c) of terms,
     c an int, in one pass: each (a_i)_{d_i} is expanded by the Stirling row
     s(d_i, .), every term lands in one dict of ints, and each nonzero
-    output monomial gets one Fraction(v, den) at the end.  The variables of
-    a term are walked from the largest index down, so concatenating the
-    monomials (i,) * e of their expansions already gives partitions."""
+    output monomial gets one Fraction(v, den) at the end.  A term expands
+    as its largest run (i^d) times the expansion of the rest mu[d:], and
+    each such suffix is expanded once per call, the same way, so every term
+    that ends in the same shape reuses it.  The run's monomial (i,) * e is
+    mu[:e] and goes in front of the rest's, whose parts are smaller, so
+    every key is a partition."""
     # no multiplicity exceeds the number of parts
     stirling = _stirling_rows(max((len(mu) for mu, _ in terms), default=0))
-    # (i, d) -> [((i,) * e, s(d, e))], shared by every term with d parts i
-    factors: dict[tuple[int, int], list] = {}
+    # suffix -> its expansion [(monomial, coefficient)], for this call only
+    expanded: dict[Partition, list[tuple[Partition, int]]] = {(): [((), 1)]}
+
+    def expand(nu: Partition) -> list[tuple[Partition, int]]:
+        ex = expanded.get(nu)
+        if ex is None:
+            d = nu.count(nu[0])
+            rest = expand(nu[d:])
+            ex = expanded[nu] = [(nu[:e] + k, s * v)
+                                 for e, s in enumerate(stirling[d]) if s
+                                 for k, v in rest]
+        return ex
+
     out: dict[Partition, int] = {}
+    get = out.get
+    # a term's own expansion is summed into out as it is made, with c folded
+    # into the run's Stirling numbers; only the suffixes mu[d:] are stored
     for mu, c in terms:
-        expansion = [((), c)]
-        for i, d in multiplicities(mu).items():
-            if (i, d) not in factors:
-                factors[i, d] = [((i,) * e, s) for e, s in enumerate(stirling[d]) if s]
-            expansion = [(k + f, v * s) for k, v in expansion for f, s in factors[i, d]]
-        for k, v in expansion:
-            out[k] = out.get(k, 0) + v
+        d = mu.count(mu[0]) if mu else 0
+        rest = expand(mu[d:])
+        for e, s in enumerate(stirling[d]):
+            if s:
+                f, cs = mu[:e], c * s
+                for k, v in rest:
+                    k = f + k
+                    out[k] = get(k, 0) + cs * v
     return MPoly("a", {k: Fraction(v, den) for k, v in out.items() if v})
 
 
@@ -145,14 +169,18 @@ def char_poly_simple(lam: Partition) -> MPoly:
     In the binomial basis C(a, nu) = prod_i C(a_i, m_i(nu)) the coefficient
     on nu is the integer sum c of (-1)^d chi^mu(nu) over the strips lam/mu
     of size d with |mu| = |nu|; the monomial form is the umbral image of
-    sum c t^nu / nu!.  Over the lcm D of the nu!, the ints c * D / nu! go
-    straight to the umbral expansion, whose output makes the Fractions."""
+    sum c t^nu / nu!.  The traces come from the MN table `_mn` directly,
+    as nu runs over the partitions of |mu|.  Over the lcm D of the nu!, the
+    ints c * D / nu! go straight to the umbral expansion, which expands each
+    suffix of the nu once and makes the Fractions of the output."""
     lam = partition(lam)
     coeffs: dict[Partition, int] = {}
     for c, mu in vertical_strips(lam):
-        sign = -1 if sum(c) % 2 else 1
+        d = sum(c)
+        # nu runs over the partitions of |mu|, so the MN table is read directly
         for nu in _partitions_cached(size(mu)):
-            coeffs[nu] = coeffs.get(nu, 0) + sign * mn_trace(nu, mu)
+            t = _mn(nu, mu)
+            coeffs[nu] = coeffs.get(nu, 0) + (-t if d & 1 else t)
     auts = {nu: aut_factor(nu) for nu, c in coeffs.items() if c}
     den = lcm(*auts.values())
     return _umbral_ints([(nu, coeffs[nu] * (den // a)) for nu, a in auts.items()], den)

@@ -110,24 +110,30 @@ class MPoly(Combination):
 
     def evaluate(self, values: dict[int, Fraction | int]) -> Fraction:
         """Evaluate with unlisted variables set to zero; every value must be
-        exact, an int (not a bool) or a Fraction.  The sum runs in integers
-        over the lcm den of the coefficients' denominators, each coefficient
-        c entering as c * den, and becomes one Fraction(total, den) at the
-        end; with Fraction values the total is a Fraction already."""
+        exact, an int (not a bool) or a Fraction.  Each monomial's value is
+        multiplied out first, and only the monomials with no variable at
+        zero survive.  The sum runs in integers over the lcm den of the
+        survivors' denominators, each coefficient c entering as c * den, and
+        becomes one Fraction(total, den) at the end; with Fraction values
+        the total is a Fraction already."""
         for i, x in values.items():
             if type(x) is not int and type(x) is not Fraction:
                 raise ValueError(f"inexact value {x!r} for {self.basis}{i}")
-        den = lcm(*(c.denominator for c in self.coeffs.values()))
-        total = 0
+        get = values.get
+        survivors = []
         for mu, c in self.coeffs.items():
-            v = c.numerator * (den // c.denominator)
+            v = 1
             for i in mu:
-                base = values.get(i, 0)
+                base = get(i, 0)
                 if not base:
                     break
                 v *= base
             else:
-                total += v
+                survivors.append((c, v))
+        den = lcm(*(c.denominator for c, _ in survivors))
+        total = 0
+        for c, v in survivors:
+            total += c.numerator * (den // c.denominator) * v
         return Fraction(total, den)
 
     # -- presentation

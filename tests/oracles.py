@@ -697,6 +697,30 @@ def umbral_by_products(p):
     return out
 
 
+def umbral_ints_per_term(terms, den):
+    """`hilbert._umbral_ints` term by term: each term's product of Stirling
+    rows is built from a fresh `multiplicities` dict, one run after another,
+    and no expansion is shared between terms."""
+    from tcalab.hilbert import _stirling_rows
+    from tcalab.partitions import multiplicities
+    from tcalab.polynomials import MPoly
+
+    # no multiplicity exceeds the number of parts
+    stirling = _stirling_rows(max((len(mu) for mu, _ in terms), default=0))
+    # (i, d) -> [((i,) * e, s(d, e))], shared by every term with d parts i
+    factors: dict[tuple[int, int], list] = {}
+    out: dict[tuple[int, ...], int] = {}
+    for mu, c in terms:
+        expansion = [((), c)]
+        for i, d in multiplicities(mu).items():
+            if (i, d) not in factors:
+                factors[i, d] = [((i,) * e, s) for e, s in enumerate(stirling[d]) if s]
+            expansion = [(k + f, v * s) for k, v in expansion for f, s in factors[i, d]]
+        for k, v in expansion:
+            out[k] = out.get(k, 0) + v
+    return MPoly("a", {k: Fraction(v, den) for k, v in out.items() if v})
+
+
 def char_poly_by_products(lam):
     """Character polynomial of the simple at lam as the umbral image of the
     alternating sum, over vertical-strip removals lam/mu of size d, of the

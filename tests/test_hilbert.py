@@ -19,9 +19,12 @@ from oracles import (
     stability_bound,
     stable_dimension_poly,
     umbral_by_products,
+    umbral_ints_per_term,
 )
+from tcalab import hilbert
 from tcalab.hilbert import (
     EnhancedSeries,
+    _umbral_ints,
     char_poly_simple,
     character_value,
     enhanced_of_class,
@@ -166,6 +169,31 @@ class TestUmbral:
             assert umbral(p) == umbral_by_products(p)
         ones = MPoly("t", {(1,) * 10: Fraction(1, aut_factor((1,) * 10))})
         assert umbral(ones) == umbral_by_products(ones)
+
+    def test_shared_suffixes_match_the_per_term_expansion(self, monkeypatch):
+        # the (nu, c * D / nu!) lists that char_poly_simple hands over, on
+        # every partition up to size 10 and on the columns 1^k up to k = 14
+        handed = []
+        monkeypatch.setattr(hilbert, "_umbral_ints",
+                            lambda terms, den: handed.append((terms, den)) or MPoly("a"))
+        for lam in partitions_up_to(10) + [(1,) * k for k in range(11, 15)]:
+            char_poly_simple.__wrapped__(lam)
+        assert len(handed) == 143
+        for terms, den in handed:
+            assert _umbral_ints(terms, den).coeffs == umbral_ints_per_term(terms, den).coeffs
+
+    def test_shared_suffixes_match_on_long_runs(self):
+        # seeded integer term lists over few part values with long runs of
+        # equal parts, so that many terms end in the same shape
+        rng = random.Random(25)
+        for _ in range(200):
+            terms = []
+            for _ in range(rng.randint(0, 10)):
+                values = sorted(rng.sample(range(1, 5), rng.randint(0, 3)), reverse=True)
+                mu = tuple(x for x in values for _ in range(rng.randint(1, 9)))
+                terms.append((mu, rng.randint(-10**6, 10**6)))
+            den = rng.randint(1, 10**4)
+            assert _umbral_ints(terms, den).coeffs == umbral_ints_per_term(terms, den).coeffs
 
     def test_zero_and_constants(self):
         assert umbral(MPoly.zero("t")) == MPoly.zero("a")

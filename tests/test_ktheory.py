@@ -23,6 +23,13 @@ from tcalab.ktheory import (
     shift_operator,
 )
 from tcalab.partitions import partitions_up_to, size
+from tcalab.quiver import (
+    VertexSet,
+    build_injective,
+    build_simple,
+    hom_space,
+    realize_bgg,
+)
 from tcalab.symchar import VClass
 
 
@@ -136,6 +143,34 @@ class TestPairing:
                         if nu == lam:
                             expected -= (-1) ** i
                 assert pairing(q_class(lam), l_class(mu)) == expected, (lam, mu)
+
+
+class TestQuiverModel:
+    def test_pairing_is_the_alternating_sum_of_hom_dimensions(self):
+        # the Euler pairing re-derived from quiver representations on the
+        # partitions up to size 6: Hom into an injective Q_mu, and Ext into
+        # L_mu as the alternating Hom dimensions into the terms I^i of its
+        # realized injective resolution
+        vs = VertexSet.up_to_size(6)
+        shapes = partitions_up_to(6)
+        injective = {lam: build_injective(lam, vs) for lam in shapes}
+        simple = {lam: build_simple(lam, vs) for lam in shapes}
+        resolution = {mu: realize_bgg(mu, vs).reps for mu in shapes}
+
+        def euler(rep, mu):
+            return sum((-1) ** i * hom_space(rep, term)[0]
+                       for i, term in enumerate(resolution[mu]))
+
+        compared = 0
+        for lam in shapes:
+            for mu in shapes:
+                q, l = q_class(lam), l_class(lam)
+                assert pairing(q, q_class(mu)) == hom_space(injective[lam], injective[mu])[0]
+                assert pairing(l, q_class(mu)) == hom_space(simple[lam], injective[mu])[0]
+                assert pairing(l, l_class(mu)) == euler(simple[lam], mu), (lam, mu)
+                assert pairing(q, l_class(mu)) == euler(injective[lam], mu), (lam, mu)
+                compared += 4
+        assert compared == 3600
 
 
 class TestFourier:

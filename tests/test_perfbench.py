@@ -81,4 +81,12 @@ def test_op_times_runs_a_round(workload):
     kinds = lines[lines.index("kind count best_ms_sum") + 1:]
     printed = {kind: int(count) for kind, count, _ in map(str.split, kinds)}
     gen = _load("gen")
-    assert printed == gen.properties(workload, gen.generate(workload, 1))["mix"]
+    mix = gen.properties(workload, gen.generate(workload, 1))["mix"]
+    assert printed == mix
+    # the tail operation and the ten beyond it, between the metrics and the kinds
+    assert lines[4] == "kind best_ms input"
+    slowest = [line.split(" ", 2) for line in lines[5:lines.index("kind count best_ms_sum")]]
+    assert len(slowest) == 11
+    assert all(kind in mix for kind, _, _ in slowest)
+    assert slowest[0][1] == lines[3].split()[1]
+    assert [float(ms) for _, ms, _ in slowest] == sorted(float(ms) for _, ms, _ in slowest)
