@@ -55,6 +55,26 @@ def families() -> list[list[str]]:
     argvs += [["efw", p, str(e)] for p in _up_to(3) for e in range(1, 4)]
     argvs += [["poincare", p, str(e), "--trunc", "6"] for p in _up_to(3) for e in range(1, 4)]
     argvs.append(["selftest", "--size", "3"])
+    # d below the first part is refused; `depth 0 0` is the infinite depth
+    argvs += [[cmd, p, str(d)] for cmd in ("modify", "localcoh", "depth")
+              for p in _up_to(4) for d in range(6)]
+    argvs += [["--format", "table", *argv] for argv in (
+        ["charpoly", "2,1"], ["depth", "0", "0"], ["ktheory", "conv", "Q[2,1]"],
+        ["quiver", "verify-bgg", "2,1"], ["poincare", "1", "2", "--trunc", "4"])]
+    argvs += [["--version"], ["--help"]]
+    argvs += [[cmd, "--help"] for cmd in ("charpoly", "hilbert", "modify", "localcoh",
+              "depth", "bgg", "ktheory", "fourier", "efw", "poincare", "quiver", "selftest")]
+    # refused requests: operand miscount, wrong class kind, bad partition
+    argvs += [[], ["nonsense"], ["charpoly"], ["charpoly", "1,2"], ["hilbert", "L[1]"],
+              ["modify", "2,1", "-1"], ["localcoh", "x", "2"], ["depth", "2", "1"],
+              ["bgg", "2,1,3"], ["ktheory", "conv"], ["ktheory", "conv", "S[1]"],
+              ["ktheory", "mult", "L[1]"], ["ktheory", "mult", "L[1]", "S[1]"],
+              ["ktheory", "pair", "L[1]", "Q[1]", "Q[1]"], ["ktheory", "pair", "P[1]", "L[1]"],
+              ["ktheory", "frob", "L[1]"], ["fourier", "L[1]+Q[1]"],
+              ["efw", "1", "1", "--bound", "-2"], ["poincare", "1,2", "1"],
+              ["quiver", "hom", "2"], ["quiver", "socle", "2Q[1]"], ["quiver", "socle", "S[1]"],
+              ["quiver", "verify-bgg", "2", "1"], ["quiver", "verify-bgg", "3,4"],
+              ["selftest", "--size", "0"]]
     return argvs
 
 

@@ -17,3 +17,8 @@ Modules are organized by what they compute:
 """
 
 __version__ = "0.1.0"
+
+
+class InternalError(Exception):
+    """An internal invariant failed: the program, not its input, is at
+    fault.  The CLI reports it as an `invariant_violation` and exits 3."""

@@ -3,7 +3,12 @@
 Every subcommand validates its inputs, computes through the library, and
 prints one JSON document (schema-tagged) to stdout; diagnostics go to
 stderr.  Exit codes: 0 success, 2 input error, 3 internal invariant
-violation.
+violation (`tcalab.InternalError`) or any other failure.
+
+Each subcommand, and each `ktheory` and `quiver` operation, is one row of
+`COMMANDS`, from which the parser and the operand-count check are derived.
+A handler imports the layer that answers it, so a request loads only that
+layer; the module itself loads only `tcalab` and `tcalab.partitions`.
 
 Class specifications are signed sums of basis symbols:
 
@@ -25,10 +30,8 @@ import os
 import re
 import sys
 
-from . import __version__, homalg, hilbert, ktheory, quiver
-from .ktheory import AClass, KClassK, L_BASIS, Q_BASIS
+from . import InternalError, __version__
 from .partitions import Partition, bgg_resolution, parse_partition, size
-from .symchar import Combination, VClass
 
 SCHEMA = "tcalab/1"
 
@@ -61,8 +64,11 @@ class _Parser(argparse.ArgumentParser):
 _TERM_RE = re.compile(r"([+-]?)\s*(\d*)\s*([SPLQ])\[([0-9,\s]*)\]")
 
 
-def parse_class_spec(spec: str) -> AClass | KClassK:
+def parse_class_spec(spec: str):
     """Parse a signed sum of S/P (module class) or L/Q (K-class) symbols."""
+    from .ktheory import AClass, KClassK, L_BASIS, Q_BASIS
+    from .symchar import VClass
+
     pos = 0
     terms: list[tuple[int, str, Partition]] = []
     for m in _TERM_RE.finditer(spec):
@@ -83,28 +89,25 @@ def parse_class_spec(spec: str) -> AClass | KClassK:
     if set(coeffs) in ({L_BASIS}, {Q_BASIS}):
         (basis,) = coeffs
         return KClassK(basis, coeffs[basis])
-    raise InputError(
-        "class spec must use only S/P symbols or a single K-theory basis"
-    )
+    raise InputError("class spec must use only S/P symbols or a single K-theory basis")
 
 
-# ---------------------------------------------------------------------------
-# Serialization helpers
+def _k_class(op: str, spec: str):
+    """spec as an L or Q class, refused otherwise."""
+    from .ktheory import KClassK
+
+    cls = parse_class_spec(spec)
+    if not isinstance(cls, KClassK):
+        raise InputError(f"{op} expects an L or Q class spec, got {spec!r}")
+    return cls
 
 
-def _terms_json(x: Combination) -> list[dict]:
+def _terms_json(x) -> list[dict]:
     return [{"partition": list(p), "coeff": c} for p, c in x.items()]
 
 
-def _kclass_json(x: KClassK) -> dict:
+def _kclass_json(x) -> dict:
     return {"basis": x.basis, "terms": _terms_json(x)}
-
-
-def _aclass_json(x: AClass) -> dict:
-    return {
-        "torsion": _terms_json(x.torsion),
-        "projective": _terms_json(x.projective),
-    }
 
 
 def _emit(doc: dict, table: bool = False) -> None:
@@ -117,45 +120,37 @@ def _emit(doc: dict, table: bool = False) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
-
-# operand count of each `ktheory` and `quiver` operation
-_ARITY = {"conv": 1, "mult": 2, "pair": 2, "hom": 2, "socle": 1, "verify-bgg": 1}
+# Handlers: each takes its row's operands and options, in the row's order
 
 
-def _operands(args) -> list[str]:
-    """The operands of args.op, refused before any work if miscounted."""
-    want = _ARITY[args.op]
-    if len(args.args) != want:
-        raise InputError(f"{args.op} takes {want} operand(s), got {len(args.args)}")
-    return args.args
+def _charpoly(partition):
+    from .hilbert import char_poly_simple
 
-
-def _cmd_charpoly(args) -> dict:
-    lam = parse_partition(args.partition)
+    lam = parse_partition(partition)
     return {
         "command": "charpoly",
         "partition": list(lam),
-        "char_poly": hilbert.char_poly_simple(lam).to_json(),
+        "char_poly": char_poly_simple(lam).to_json(),
     }
 
 
-def _cmd_hilbert(args) -> dict:
-    cls = parse_class_spec(args.class_spec)
+def _hilbert(class_spec):
+    from .hilbert import enhanced_of_class
+    from .ktheory import AClass
+
+    cls = parse_class_spec(class_spec)
     if not isinstance(cls, AClass):
         raise InputError("hilbert expects an S/P class spec")
-    series = hilbert.enhanced_of_class(cls)
-    return {
-        "command": "hilbert",
-        "p": series.p.to_json(),
-        "q": series.q.to_json(),
-    }
+    series = enhanced_of_class(cls)
+    return {"command": "hilbert", "p": series.p.to_json(), "q": series.q.to_json()}
 
 
-def _cmd_modify(args) -> dict:
-    lam = parse_partition(args.partition)
-    out = hilbert.modification(lam, args.n)
-    doc = {"command": "modify", "partition": list(lam), "n": args.n}
+def _modify(partition, n):
+    from .hilbert import modification
+
+    lam = parse_partition(partition)
+    out = modification(lam, n)
+    doc = {"command": "modify", "partition": list(lam), "n": n}
     if out is None:
         doc["result"] = "zero"
     else:
@@ -164,13 +159,15 @@ def _cmd_modify(args) -> dict:
     return doc
 
 
-def _cmd_localcoh(args) -> dict:
-    lam = parse_partition(args.partition)
-    table = homalg.local_cohomology(lam, args.d)
+def _localcoh(partition, d):
+    from .homalg import local_cohomology
+
+    lam = parse_partition(partition)
+    table = local_cohomology(lam, d)
     return {
         "command": "localcoh",
         "partition": list(lam),
-        "d": args.d,
+        "d": d,
         "rows": {
             str(i): {
                 "partitions": [list(p) for p in table.rows[i]],
@@ -181,17 +178,18 @@ def _cmd_localcoh(args) -> dict:
     }
 
 
-def _cmd_depth(args) -> dict:
-    lam = parse_partition(args.partition)
-    depth = homalg.depth(lam, args.d)
-    doc = {"command": "depth", "partition": list(lam), "d": args.d, "depth": depth}
-    if depth == math.inf:
+def _depth(partition, d):
+    from .homalg import depth
+
+    lam = parse_partition(partition)
+    doc = {"command": "depth", "partition": list(lam), "d": d, "depth": depth(lam, d)}
+    if doc["depth"] == math.inf:
         doc.update(depth=None, infinite=True)
     return doc
 
 
-def _cmd_bgg(args) -> dict:
-    lam = parse_partition(args.partition)
+def _bgg(partition):
+    lam = parse_partition(partition)
     res = bgg_resolution(lam)
     return {
         "command": "bgg",
@@ -204,131 +202,155 @@ def _cmd_bgg(args) -> dict:
     }
 
 
-def _cmd_ktheory(args) -> dict:
-    operands = _operands(args)
-    if args.op == "conv":
-        cls = parse_class_spec(operands[0])
-        if not isinstance(cls, KClassK):
-            raise InputError("conv expects an L or Q class spec")
-        out = ktheory.q_to_l(cls) if cls.basis == Q_BASIS else ktheory.l_to_q(cls)
-        return {"command": "ktheory.conv", "result": _kclass_json(out)}
-    if args.op == "mult":
-        x, y = (parse_class_spec(a) for a in operands)
-        if not (isinstance(x, KClassK) and isinstance(y, KClassK)):
-            raise InputError("mult expects two K-class specs")
-        return {"command": "ktheory.mult", "result": _kclass_json(ktheory.k_product(x, y))}
-    if args.op == "pair":
-        x, y = (parse_class_spec(a) for a in operands)
-        if not (isinstance(x, KClassK) and isinstance(y, KClassK)):
-            raise InputError("pair expects two K-class specs")
-        return {"command": "ktheory.pair", "value": ktheory.pairing(x, y)}
-    raise InputError(f"unknown ktheory operation {args.op!r}")
+def _conv(spec):
+    from .ktheory import Q_BASIS, l_to_q, q_to_l
+
+    cls = _k_class("conv", spec)
+    out = q_to_l(cls) if cls.basis == Q_BASIS else l_to_q(cls)
+    return {"command": "ktheory.conv", "result": _kclass_json(out)}
 
 
-def _cmd_fourier(args) -> dict:
-    cls = parse_class_spec(args.class_spec)
+def _mult(x, y):
+    from .ktheory import k_product
+
+    product = k_product(_k_class("mult", x), _k_class("mult", y))
+    return {"command": "ktheory.mult", "result": _kclass_json(product)}
+
+
+def _pair(x, y):
+    from .ktheory import pairing
+
+    return {"command": "ktheory.pair", "value": pairing(_k_class("pair", x), _k_class("pair", y))}
+
+
+def _fourier(class_spec):
+    from .ktheory import KClassK, fourier_K
+
+    cls = parse_class_spec(class_spec)
     if isinstance(cls, KClassK):
-        return {
-            "command": "fourier",
-            "result": _kclass_json(ktheory.fourier_K(cls)),
-        }
+        return {"command": "fourier", "result": _kclass_json(fourier_K(cls))}
+    from .homalg import fourier_class
+
+    out = fourier_class(cls)
     return {
         "command": "fourier",
-        "result": _aclass_json(homalg.fourier_class(cls)),
+        "result": {
+            "torsion": _terms_json(out.torsion),
+            "projective": _terms_json(out.projective),
+        },
     }
 
 
-def _cmd_efw(args) -> dict:
-    alpha = parse_partition(args.alpha)
-    shape = homalg.efw_resolution(alpha, args.e, args.bound)
-    return {
-        "command": "efw",
-        "alpha": list(alpha),
-        "e": args.e,
-        "shape": shape.to_json(),
-    }
+def _efw(alpha, e, bound):
+    from .homalg import efw_resolution
+
+    alpha = parse_partition(alpha)
+    shape = efw_resolution(alpha, e, bound)
+    return {"command": "efw", "alpha": list(alpha), "e": e, "shape": shape.to_json()}
 
 
-def _cmd_poincare(args) -> dict:
-    alpha = parse_partition(args.alpha)
-    bound = args.trunc if args.trunc is not None else _default_trunc()
-    shape = homalg.efw_resolution(alpha, args.e, bound + len(alpha) + 2)
-    series = homalg.poincare_truncated(shape, bound)
+def _poincare(alpha, e, trunc):
+    from .homalg import efw_resolution, poincare_truncated
+
+    alpha = parse_partition(alpha)
+    bound = trunc if trunc is not None else _default_trunc()
+    shape = efw_resolution(alpha, e, bound + len(alpha) + 2)
+    series = poincare_truncated(shape, bound)
     return {
         "command": "poincare",
         "alpha": list(alpha),
-        "e": args.e,
+        "e": e,
         "trunc": bound,
         "coefficients": series.to_json(),
     }
 
 
-def _cmd_quiver(args) -> dict:
-    operands = _operands(args)
-    if args.op == "hom":
-        lam, mu = (parse_partition(a) for a in operands)
-        # any truncation holding both injectives gives the same dimension
-        vs = quiver.VertexSet.up_to_size(max(size(lam), size(mu)))
-        dim, _ = quiver.hom_space(
-            quiver.build_injective(lam, vs), quiver.build_injective(mu, vs)
-        )
-        return {"command": "quiver.hom", "dimension": dim}
-    if args.op == "socle":
-        cls = parse_class_spec(operands[0])
-        if not isinstance(cls, KClassK):
-            raise InputError("socle expects an L or Q basis symbol")
-        items = cls.items()
-        if len(items) != 1 or items[0][1] != 1:
-            raise InputError("socle expects a single basis symbol")
-        lam = items[0][0]
-        vs = quiver.VertexSet.up_to_size(size(lam))
-        rep = (
-            quiver.build_injective(lam, vs)
-            if cls.basis == Q_BASIS
-            else quiver.build_simple(lam, vs)
-        )
-        soc = quiver.socle(rep)
-        return {
-            "command": "quiver.socle",
-            "socle": [
-                {"partition": list(p), "multiplicity": m}
-                for p, m in sorted(soc.items(), key=lambda kv: (size(kv[0]), kv[0]))
-            ],
-        }
-    if args.op == "verify-bgg":
-        lam = parse_partition(operands[0])
-        cx = quiver.realize_bgg(lam)
-        cohom = quiver.complex_cohomology(cx)
-        ok = cohom[0] == {lam: 1} and all(not h for h in cohom[1:])
-        if not ok:
-            raise AssertionError(f"resolution of {lam} has wrong cohomology")
-        return {
-            "command": "quiver.verify-bgg",
-            "partition": list(lam),
-            "d2_zero": True,
-            "cohomology": [
-                [
-                    {"partition": list(p), "multiplicity": m}
-                    for p, m in sorted(h.items())
-                ]
-                for h in cohom
-            ],
-        }
-    raise InputError(f"unknown quiver operation {args.op!r}")
+def _hom(lam, mu):
+    from .quiver import VertexSet, build_injective, hom_space
+
+    lam, mu = parse_partition(lam), parse_partition(mu)
+    # any truncation holding both injectives gives the same dimension
+    vs = VertexSet.up_to_size(max(size(lam), size(mu)))
+    dim, _ = hom_space(build_injective(lam, vs), build_injective(mu, vs))
+    return {"command": "quiver.hom", "dimension": dim}
 
 
-def _cmd_selftest(args) -> dict:
+def _socle(spec):
+    from .ktheory import Q_BASIS
+    from .quiver import VertexSet, build_injective, build_simple, socle
+
+    cls = _k_class("socle", spec)
+    items = cls.items()
+    if len(items) != 1 or items[0][1] != 1:
+        raise InputError("socle expects a single basis symbol")
+    lam = items[0][0]
+    build = build_injective if cls.basis == Q_BASIS else build_simple
+    soc = socle(build(lam, VertexSet.up_to_size(size(lam))))
+    return {
+        "command": "quiver.socle",
+        "socle": [
+            {"partition": list(p), "multiplicity": m}
+            for p, m in sorted(soc.items(), key=lambda kv: (size(kv[0]), kv[0]))
+        ],
+    }
+
+
+def _verify_bgg(partition):
+    from .quiver import complex_cohomology, realize_bgg
+
+    lam = parse_partition(partition)
+    cohom = complex_cohomology(realize_bgg(lam))
+    if cohom[0] != {lam: 1} or any(cohom[1:]):
+        raise InternalError(f"resolution of {lam} has wrong cohomology")
+    return {
+        "command": "quiver.verify-bgg",
+        "partition": list(lam),
+        "d2_zero": True,
+        "cohomology": [
+            [{"partition": list(p), "multiplicity": m} for p, m in sorted(h.items())]
+            for h in cohom
+        ],
+    }
+
+
+def _selftest(cap):
     from .selftest import run_selftest
 
-    if args.size < 1:
-        raise InputError(f"selftest size must be at least 1, got {args.size}")
-    failures = run_selftest(args.size, log=sys.stderr)
+    if cap < 1:
+        raise InputError(f"selftest size must be at least 1, got {cap}")
+    failures = run_selftest(cap, log=sys.stderr)
     if failures:
-        raise AssertionError("; ".join(failures))
-    return {"command": "selftest", "size": args.size, "ok": True}
+        raise InternalError("; ".join(failures))
+    return {"command": "selftest", "size": cap, "ok": True}
 
 
-# ---------------------------------------------------------------------------
+# name: (help, arguments, handler).  An argument is an operand's name, an
+# (operand, type) pair, or an (--option, default) pair whose value is a
+# non-negative integer; the handler takes them in this order.  In place of a
+# handler, `ktheory` and `quiver` map each operation to its operand count
+# and its handler, which takes the operands.
+COMMANDS = {
+    "charpoly": ("character polynomial of a simple", ["partition"], _charpoly),
+    "hilbert": ("enhanced Hilbert series of a class", ["class_spec"], _hilbert),
+    "modify": ("below-threshold character data", ["partition", ("n", _nonneg_int)], _modify),
+    "localcoh": ("local cohomology table of a tail module", ["partition", ("d", int)], _localcoh),
+    "depth": ("depth of a tail module", ["partition", ("d", int)], _depth),
+    "bgg": ("injective resolution data of a simple", ["partition"], _bgg),
+    "ktheory": ("basis conversion, products, pairing", [], {
+        "conv": (1, _conv),
+        "mult": (2, _mult),
+        "pair": (2, _pair),
+    }),
+    "fourier": ("Fourier transform of a class", ["class_spec"], _fourier),
+    "efw": ("resolution shape of a Pieri cokernel", ["alpha", ("e", int), ("--bound", 8)], _efw),
+    "poincare": ("truncated Poincare series", ["alpha", ("e", int), ("--trunc", None)], _poincare),
+    "quiver": ("hom spaces, socles, resolution checks", [], {
+        "hom": (2, _hom),
+        "socle": (1, _socle),
+        "verify-bgg": (1, _verify_bgg),
+    }),
+    "selftest": ("cross-module invariant suite", [("--size", 5)], _selftest),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,88 +363,52 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "table"), default="json", dest="format"
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("charpoly", help="character polynomial of a simple")
-    p.add_argument("partition")
-    p.set_defaults(fn=_cmd_charpoly)
-
-    p = sub.add_parser("hilbert", help="enhanced Hilbert series of a class")
-    p.add_argument("class_spec")
-    p.set_defaults(fn=_cmd_hilbert)
-
-    p = sub.add_parser("modify", help="below-threshold character data")
-    p.add_argument("partition")
-    p.add_argument("n", type=_nonneg_int)
-    p.set_defaults(fn=_cmd_modify)
-
-    p = sub.add_parser("localcoh", help="local cohomology table of a tail module")
-    p.add_argument("partition")
-    p.add_argument("d", type=int)
-    p.set_defaults(fn=_cmd_localcoh)
-
-    p = sub.add_parser("depth", help="depth of a tail module")
-    p.add_argument("partition")
-    p.add_argument("d", type=int)
-    p.set_defaults(fn=_cmd_depth)
-
-    p = sub.add_parser("bgg", help="injective resolution data of a simple")
-    p.add_argument("partition")
-    p.set_defaults(fn=_cmd_bgg)
-
-    p = sub.add_parser("ktheory", help="basis conversion, products, pairing")
-    p.add_argument("op", choices=("conv", "mult", "pair"))
-    p.add_argument("args", nargs="*")
-    p.set_defaults(fn=_cmd_ktheory)
-
-    p = sub.add_parser("fourier", help="Fourier transform of a class")
-    p.add_argument("class_spec")
-    p.set_defaults(fn=_cmd_fourier)
-
-    p = sub.add_parser("efw", help="resolution shape of a Pieri cokernel")
-    p.add_argument("alpha")
-    p.add_argument("e", type=int)
-    p.add_argument("--bound", type=_nonneg_int, default=8)
-    p.set_defaults(fn=_cmd_efw)
-
-    p = sub.add_parser("poincare", help="truncated Poincare series")
-    p.add_argument("alpha")
-    p.add_argument("e", type=int)
-    p.add_argument("--trunc", type=_nonneg_int, default=None)
-    p.set_defaults(fn=_cmd_poincare)
-
-    p = sub.add_parser("quiver", help="hom spaces, socles, resolution checks")
-    p.add_argument("op", choices=("hom", "socle", "verify-bgg"))
-    p.add_argument("args", nargs="*")
-    p.set_defaults(fn=_cmd_quiver)
-
-    p = sub.add_parser("selftest", help="cross-module invariant suite")
-    p.add_argument("--size", type=_nonneg_int, default=5)
-    p.set_defaults(fn=_cmd_selftest)
-
+    for name, (summary, arguments, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if isinstance(handler, dict):
+            p.add_argument("op", choices=tuple(handler))
+            p.add_argument("args", nargs="*")
+        for arg in arguments:
+            flag, kind = (arg, None) if isinstance(arg, str) else arg
+            if flag.startswith("--"):
+                p.add_argument(flag, type=_nonneg_int, default=kind)
+            else:
+                p.add_argument(flag, type=kind)
     return ap
 
 
+def _answer(args: argparse.Namespace) -> dict:
+    """The document of the parsed request; an operation's operands are
+    counted before any work."""
+    _, arguments, handler = COMMANDS[args.command]
+    if isinstance(handler, dict):
+        want, run = handler[args.op]
+        if len(args.args) != want:
+            raise InputError(f"{args.op} takes {want} operand(s), got {len(args.args)}")
+        return run(*args.args)
+    names = (arg if isinstance(arg, str) else arg[0] for arg in arguments)
+    return handler(*(getattr(args, name.lstrip("-")) for name in names))
+
+
+def _fail(code: int, **doc) -> int:
+    """Report a failed request as one JSON line on stderr; returns code."""
+    print(json.dumps({"schema": SCHEMA, **doc}), file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
-    internal = (AssertionError, quiver.RelationError, quiver.NotAComplexError)
     try:
         try:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:  # --help and --version
             return exc.code if isinstance(exc.code, int) else 2
-        _emit(args.fn(args), table=(args.format == "table"))
-    except internal as exc:
-        print(
-            json.dumps({"schema": SCHEMA, "invariant_violation": str(exc)}),
-            file=sys.stderr,
-        )
-        return 3
-    except (InputError, ValueError) as exc:
-        print(json.dumps({"schema": SCHEMA, "error": str(exc)}), file=sys.stderr)
-        return 2
+        _emit(_answer(args), table=(args.format == "table"))
+    except InternalError as exc:
+        return _fail(3, invariant_violation=str(exc))
+    except ValueError as exc:
+        return _fail(2, error=str(exc))
     except Exception as exc:  # any other failure is reported, never a traceback
-        fault = {"schema": SCHEMA, "internal_error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(fault), file=sys.stderr)
-        return 3
+        return _fail(3, internal_error=type(exc).__name__, message=str(exc))
     return 0
 
 

@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
+from . import InternalError
 from .hilbert import enhanced_of_class, enhanced_sum
 from .ktheory import AClass, signed_transpose
 from .partitions import (
@@ -370,12 +371,12 @@ def closed_form_m0e(e: int, bound: int) -> PoincareTruncation:
         if c:
             f[key] = c
     if any(d >= e for (d, _) in f):
-        raise AssertionError("Laurent remainder exceeds its degree bound")
+        raise InternalError("Laurent remainder exceeds its degree bound")
     collapse: dict[int, Fraction] = {}
     for (d, _), c in f.items():
         collapse[d] = collapse.get(d, Fraction(0)) + c
     if any(v != 0 for v in collapse.values()):
-        raise AssertionError("Laurent remainder does not vanish at q = 1")
+        raise InternalError("Laurent remainder does not vanish at q = 1")
     return series
 
 

@@ -18,6 +18,7 @@ is its L/Q-basis constructor, AClass pairs two S-basis parts, and
 
 from __future__ import annotations
 
+from . import InternalError
 from .partitions import (
     HS,
     VS,
@@ -232,6 +233,6 @@ def diff_annihilator(x: AClass) -> tuple[int, int]:
                 if not y:
                     return (n1, n2)
                 y = schur_derivative(y)
-            raise AssertionError("torsion class survived past its size bound")
+            raise InternalError("torsion class survived past its size bound")
         z = shift_operator(z)
-    raise AssertionError("projective part survived past its size bound")
+    raise InternalError("projective part survived past its size bound")

@@ -49,7 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NoReturn
 
-from . import linalg
+from . import InternalError, linalg
 from .linalg import Matrix
 from .partitions import (
     HS,
@@ -73,11 +73,11 @@ class VertexSetMismatchError(ValueError):
     pass
 
 
-class NotAComplexError(ValueError):
+class NotAComplexError(InternalError):
     pass
 
 
-class RelationError(ValueError):
+class RelationError(InternalError):
     """A stored representation violates the quiver relations."""
 
 

@@ -8,8 +8,10 @@ import sys
 
 import pytest
 
-from tcalab.cli import build_parser, main, parse_class_spec, InputError
+from tcalab import InternalError
+from tcalab.cli import COMMANDS, main, parse_class_spec, InputError
 from tcalab.ktheory import AClass, KClassK
+from tcalab.quiver import NotAComplexError, RelationError
 
 
 def run_cli(args, env=None, flags=()):
@@ -408,12 +410,7 @@ class TestMainEntry:
         assert "synthetic failure" in err
 
     def test_parser_covers_all_subcommands(self):
-        ap = build_parser()
-        subs = next(
-            a for a in ap._actions if isinstance(a, type(ap._subparsers._group_actions[0]))
-        )
-        names = set(subs.choices)
-        assert {
+        assert set(COMMANDS) == {
             "charpoly",
             "hilbert",
             "modify",
@@ -426,7 +423,30 @@ class TestMainEntry:
             "poincare",
             "quiver",
             "selftest",
-        } <= names
+        }
+        assert set(COMMANDS["ktheory"][2]) == {"conv", "mult", "pair"}
+        assert set(COMMANDS["quiver"][2]) == {"hom", "socle", "verify-bgg"}
+
+    @pytest.mark.parametrize("error, code, key", [
+        (InternalError("broken"), 3, "invariant_violation"),
+        (RelationError("broken"), 3, "invariant_violation"),
+        (NotAComplexError("broken"), 3, "invariant_violation"),
+        (ValueError("broken"), 2, "error"),
+        (AssertionError("broken"), 3, "internal_error"),
+    ])
+    def test_failures_take_their_routes(self, capsys, monkeypatch, error, code, key):
+        """Only an `InternalError` is an invariant violation; a `ValueError`
+        is refused input, and any other exception an internal error."""
+        import tcalab.quiver as quiver_mod
+
+        def fail(lam):
+            raise error
+
+        monkeypatch.setattr(quiver_mod, "realize_bgg", fail)
+        assert main(["quiver", "verify-bgg", "2,1"]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert key in json.loads(err) and "broken" in err
 
 
 def test_no_assert_statements_in_package():
@@ -487,3 +507,59 @@ def test_cli_import_leaves_out_inspect():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+_K = ["ktheory", "partitions", "symchar"]
+_ALGEBRA = ["hilbert", "ktheory", "partitions", "polynomials", "symchar"]
+_HOMALG = sorted(_ALGEBRA + ["homalg"])
+_QUIVER = ["linalg", "partitions", "quiver"]
+
+# one request per row of `cli.COMMANDS`, with the layers it loads
+REQUEST_LAYERS = [
+    (["charpoly", "2,1"], _ALGEBRA),
+    (["hilbert", "P[2,1]-S[1]"], _ALGEBRA),
+    (["modify", "2,1", "2"], _ALGEBRA),
+    (["localcoh", "2,1", "3"], _HOMALG),
+    (["depth", "3", "5"], _HOMALG),
+    (["bgg", "2,1"], ["partitions"]),
+    (["ktheory", "conv", "Q[2,1]"], _K),
+    (["ktheory", "mult", "L[1]", "L[1]"], _K),
+    (["ktheory", "pair", "L[1]", "Q[1]"], _K),
+    (["fourier", "Q[2]"], _K),
+    (["efw", "1", "2"], _HOMALG),
+    (["poincare", "1", "2", "--trunc", "4"], _HOMALG),
+    (["quiver", "hom", "2", "1"], _QUIVER),
+    (["quiver", "socle", "Q[2]"], sorted(set(_K + _QUIVER))),
+    (["quiver", "verify-bgg", "2,1"], _QUIVER),
+    (["selftest", "--size", "1"], sorted(set(_HOMALG + _QUIVER) | {"selftest"})),
+]
+
+
+def test_one_request_per_row():
+    rows = set()
+    for name, (_, _, run) in COMMANDS.items():
+        rows |= {(name, op) for op in run} if isinstance(run, dict) else {(name,)}
+    covered = {tuple(argv[:2]) if isinstance(COMMANDS[argv[0]][2], dict) else (argv[0],)
+               for argv, _ in REQUEST_LAYERS}
+    assert covered == rows
+
+
+@pytest.mark.parametrize("argv, layers", REQUEST_LAYERS,
+                         ids=[" ".join(argv) for argv, _ in REQUEST_LAYERS])
+def test_each_request_loads_only_its_layers(argv, layers):
+    """A fresh interpreter that answers one request through `main` holds
+    `tcalab`, `tcalab.cli` and the layers that answer it, and no other
+    `tcalab` module: `bgg` needs `partitions` alone, `charpoly` and `modify`
+    none of `quiver`, `linalg` or `homalg`, and `quiver hom` and `quiver
+    verify-bgg` none of the algebra."""
+    code = (
+        "import contextlib, io, sys; from tcalab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    rc = main(sys.argv[1:])\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'tcalab'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    loaded = ["tcalab", "tcalab.cli"] + [f"tcalab.{m}" for m in layers]
+    assert out.stdout.strip() == f"0 {sorted(loaded)!r}"
