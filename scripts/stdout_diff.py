@@ -48,9 +48,13 @@ def families() -> list[list[str]]:
     argvs += [["ktheory", "pair", x, y] for x in specs for y in specs]
     argvs += [["hilbert", f"P[{p}]-S[{q}]"] for p in _up_to(4) for q in _up_to(4)]
     argvs += [["bgg", p] for p in _up_to(6)]
-    argvs += [["quiver", "verify-bgg", p] for p in _up_to(5)]
+    argvs += [["quiver", "verify-bgg", p] for p in _up_to(7)]
     argvs += [["quiver", "hom", p, q] for p in _up_to(4) for q in _up_to(4)]
     argvs += [["quiver", "socle", f"{b}[{p}]"] for b in "QL" for p in _up_to(5)]
+    # sums that come to one symbol, and the spec refusals of socle
+    argvs += [["quiver", "socle", spec] for spec in (
+        "+1Q[2,1,0]", "3L[2]-2L[2]", "Q[1]+Q[2]-Q[2]", "Q[1]-Q[1]", "L[1]+L[2]",
+        "Q[1]+L[1]", "S[1]-S[1]+Q[1]", "P[2]", "junk Q[1]", "Q[1] junk", "Q[1,2]", "Q[1,,2]")]
     argvs += [["fourier", f"{b}[{p}]"] for b in "SPLQ" for p in _up_to(4)]
     argvs += [["efw", p, str(e)] for p in _up_to(3) for e in range(1, 4)]
     argvs += [["poincare", p, str(e), "--trunc", "6"] for p in _up_to(3) for e in range(1, 4)]

@@ -64,11 +64,9 @@ class _Parser(argparse.ArgumentParser):
 _TERM_RE = re.compile(r"([+-]?)\s*(\d*)\s*([SPLQ])\[([0-9,\s]*)\]")
 
 
-def parse_class_spec(spec: str):
-    """Parse a signed sum of S/P (module class) or L/Q (K-class) symbols."""
-    from .ktheory import AClass, KClassK, L_BASIS, Q_BASIS
-    from .symchar import VClass
-
+def _symbol_sums(spec: str) -> dict[str, dict[Partition, int]]:
+    """The coefficient of each partition under each symbol letter of a
+    signed sum of S/P/L/Q symbols, zero sums kept."""
     pos = 0
     terms: list[tuple[int, str, Partition]] = []
     for m in _TERM_RE.finditer(spec):
@@ -84,12 +82,24 @@ def parse_class_spec(spec: str):
     for c, k, p in terms:
         kind = coeffs.setdefault(k, {})
         kind[p] = kind.get(p, 0) + c
+    return coeffs
+
+
+_MIXED_BASES = "class spec must use only S/P symbols or a single K-theory basis"
+
+
+def parse_class_spec(spec: str):
+    """Parse a signed sum of S/P (module class) or L/Q (K-class) symbols."""
+    from .ktheory import AClass, KClassK, L_BASIS, Q_BASIS
+    from .symchar import VClass
+
+    coeffs = _symbol_sums(spec)
     if set(coeffs) <= {"S", "P"}:
         return AClass(VClass(coeffs.get("S")), VClass(coeffs.get("P")))
     if set(coeffs) in ({L_BASIS}, {Q_BASIS}):
         (basis,) = coeffs
         return KClassK(basis, coeffs[basis])
-    raise InputError("class spec must use only S/P symbols or a single K-theory basis")
+    raise InputError(_MIXED_BASES)
 
 
 def _k_class(op: str, spec: str):
@@ -276,15 +286,21 @@ def _hom(lam, mu):
 
 
 def _socle(spec):
-    from .ktheory import Q_BASIS
     from .quiver import VertexSet, build_injective, build_simple, socle
 
-    cls = _k_class("socle", spec)
-    items = cls.items()
+    # one L or Q symbol, read off the spec without the K-theory layer and
+    # refused as `parse_class_spec` and `_k_class` would refuse it
+    coeffs = _symbol_sums(spec)
+    if set(coeffs) <= {"S", "P"}:
+        raise InputError(f"socle expects an L or Q class spec, got {spec!r}")
+    if set(coeffs) not in ({"L"}, {"Q"}):
+        raise InputError(_MIXED_BASES)
+    ((basis, sums),) = coeffs.items()
+    items = [(p, c) for p, c in sums.items() if c]
     if len(items) != 1 or items[0][1] != 1:
         raise InputError("socle expects a single basis symbol")
     lam = items[0][0]
-    build = build_injective if cls.basis == Q_BASIS else build_simple
+    build = build_injective if basis == "Q" else build_simple
     soc = socle(build(lam, VertexSet.up_to_size(size(lam))))
     return {
         "command": "quiver.socle",

@@ -12,32 +12,38 @@ strip.  Hom spaces, socles, and
 complex cohomology are then honest linear algebra over the rationals.
 
 One convention holds throughout: what is not stored is zero.  A
-representation's `dims` and an injective sum's `where` table hold only the
-vertices of its support, in vertex order, and `QuiverRep.dim(v)` reads 0
-off it; an arrow matrix or a map block that is not stored is the zero map.
-Constructors refuse a key that is not a vertex in canonical form, check the
-shape and the entries of every block and drop the zero dimensions and
-blocks, and a product of blocks that vanishes is again absent, so no zero
-matrix is built to stand for a missing one.
+representation's `dims` holds only the vertices of its support, in vertex
+order, and `QuiverRep.dim(v)` reads 0 off it; an arrow matrix or a map
+block that is not stored is the zero map.  Constructors refuse a key that
+is not a vertex in canonical form, check the shape and the entries of
+every block and drop the zero dimensions and blocks, and a product of
+blocks that vanishes is again absent, so no zero matrix is built to stand
+for a missing one.
 
-Two builders are certified on tables instead of by matrix products.
-Every sum of indecomposable injectives, a single one included, comes from
-`injective_sum`, which also says where each summand sits in the basis and
-checks the relations on those summand tables; every other representation
-is checked by `QuiverRep.validate`.  `realize_bgg` builds the resolution's
-maps from those tables and the resolution's signs and checks the morphism
-and d^2 = 0 conditions on them; every other complex is checked by the
-`RepComplex` constructor.  Which summands sit at a vertex is held as one
-int per vertex, bit b set when the vertex lies below summand b, so a
-composite of arrows is an `&` of masks and two paths agree when their
-masks are equal; the checks still visit every two-box path and every
-covering pair from the support, so they are as complete as the matrix
-products they replace.  The strip sets come from `partitions`: the
-support of the injective at lam, its horizontal-strip down-set, from
-`down_set(lam)`, and the resolution's terms and signs from
-`bgg_resolution`.  `VertexSet.up_to_size`, the one way to build a vertex
-set, lists the arrows by adding boxes, one size layer at a time.  The
-builders and the checks walk `up` from the support only.
+Two builders are certified on summand masks instead of by matrix
+products.  Which summands of a sum of injectives sit at a vertex is one
+int, bit b set when the vertex lies below summand b, so a composite of
+arrows is an `&` of masks, two paths agree when their masks are equal,
+and a summand's basis position at a vertex is the popcount of the bits
+below its own; no table of positions is kept.  Every sum of
+indecomposable injectives, a single one included, comes from
+`injective_sum`, which checks the local relations on its masks and reads
+the representation off them; every other representation is checked by
+`QuiverRep.validate`.  `realize_bgg` gives every summand of every term of
+the resolution a bit of one mask table, one bit range per term, checks the
+relations of all terms in one pass over the union of their supports,
+reads each term and the signed maps off the table, and checks the
+morphism and d^2 = 0 conditions on it and the resolution's signs; every
+other complex is checked by the `RepComplex` constructor.  The checks
+still visit every two-box path and every covering pair from the support,
+so they are as complete as the matrix products they replace, and a
+failure is reported as the per-term checks would report it.  The strip
+sets come from `partitions`: the support of the injective at lam, its
+horizontal-strip down-set, from `down_set(lam)`, and the resolution's
+terms and signs from `bgg_resolution`.  `VertexSet.up_to_size`, the one
+way to build a vertex set, lists the arrows by adding boxes, one size
+layer at a time.  The builders and the checks walk `up` from the support
+only.
 
 This module machine-checks what the rest of the package computes by
 formula: hom dimensions between injectives, socles, and exactness of the
@@ -47,6 +53,7 @@ injective resolutions of simples.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import NoReturn
 
 from . import InternalError, linalg
@@ -250,52 +257,32 @@ def build_simple(lam, vs: VertexSet) -> QuiverRep:
     return QuiverRep(vs, {lam: 1}, {})
 
 
-def _injective_tables(
-    lams, vs: VertexSet
-) -> tuple[QuiverRep, dict[Partition, dict[int, int]], dict[Partition, int]]:
-    """`injective_sum`'s representation and `where` table, and the summand
-    masks they are read off: mask[v] has bit b set when v lies below
-    lams[b], and lists the support in vertex order."""
-    downs = []
-    for lam in lams:
-        lam = partition(lam)
-        if lam not in vs.index:
-            raise VertexMissingError(f"vertex set misses {lam}")
-        downs.append(down_set(lam))
+def _summand_masks(lams, vs: VertexSet) -> dict[Partition, int]:
+    """The summand masks of a sum of injectives at canonical lams: mask[v]
+    has bit b set when v lies below lams[b], and lists the support, the
+    union of the down-sets, in vertex order."""
     found: dict[Partition, int] = {}
-    for b, down in enumerate(downs):
+    for b, lam in enumerate(lams):
         bit = 1 << b
-        for mu in down:
+        for mu in down_set(lam):
             found[mu] = found.get(mu, 0) | bit
-    mask = {v: found[v] for v in sorted(found, key=vs.index.get)}
-    # a summand's basis position at v is the number of summands before it
-    # there, so `where` and `dims` are read off the bits in ascending order
-    where: dict[Partition, dict[int, int]] = {}
-    dims: dict[Partition, int] = {}
-    for v, m in mask.items():
-        at = where[v] = {}
-        while m:
-            low = m & -m
-            at[low.bit_length() - 1] = len(at)
-            m ^= low
-        dims[v] = len(at)
-    # the covering pairs in their order, restricted to the support
-    arrows: dict[tuple[Partition, Partition], Matrix] = {}
-    up = vs.up
+    return {v: found[v] for v in sorted(found, key=vs.index.get)}
+
+
+def _relation_fault(mask: dict[Partition, int], up) -> str | None:
+    """The first local relation that the sum with summand masks `mask`
+    breaks, as `QuiverRep.validate` words it; None when all hold.  The
+    composite i -> j -> k is the partial identity on the summands present
+    at i, j and k, so it is fixed by the mask of i & j & k: it vanishes
+    exactly when that mask is 0, and two middles agree exactly when their
+    masks are equal.  Every two-box path from the support is met, so the
+    check is as complete as `QuiverRep.validate`, and it holds or fails
+    bit by bit: summand b breaks a relation exactly when the sum of it
+    alone does."""
     for i, mask_i in mask.items():
         paths: dict[Partition, int] = {}
         for j in up[i]:
-            mask_j = mask.get(j, 0)
-            common = mask_i & mask_j
-            if common:
-                if mask_i == mask_j and dims[i] == 1:
-                    arrows[(i, j)] = [[1]]
-                else:
-                    at_j = where[j]
-                    m = arrows[(i, j)] = linalg.zeros(dims[j], dims[i])
-                    for b, col in where[i].items():
-                        if b in at_j:
-                            m[at_j[b]][col] = 1
+            common = mask_i & mask.get(j, 0)
             for k in up[j]:
                 mask_k = mask.get(k)
                 if mask_k is None:
@@ -308,47 +295,69 @@ def _injective_tables(
                     # a vertical domino k/i has this one middle only, so
                     # the strip test is made once for each (i, k)
                     if via and not _two_box_is_strip(k, i):
-                        raise RelationError(
-                            f"nonzero composite through {j} on non-strip {(i, k)}"
-                        )
+                        return f"nonzero composite through {j} on non-strip {(i, k)}"
                     paths[k] = via
                 elif first != via:
-                    raise RelationError(
-                        f"composite through {j} disagrees on {(i, k)}"
-                    )
-    # stored as the constructor would store them, without its checks: the
-    # dims are the support in vertex order, the arrows are nonzero 0/1
-    # blocks of the right shapes, and the relations hold
+                    return f"composite through {j} disagrees on {(i, k)}"
+    return None
+
+
+def _sum_rep(mask: dict[Partition, int], vs: VertexSet) -> QuiverRep:
+    """The sum's representation read off its summand masks, each nonzero
+    and in vertex order; the bits may sit at any offset.  The dimension at
+    v is the popcount of mask[v], summand b's basis position there is the
+    popcount of the bits below b, and the arrow i -> j is the partial
+    identity on the summands at both.  Stored as the constructor would
+    store it, without its checks: the dims are the support in vertex
+    order and the arrows nonzero 0/1 blocks of the right shapes."""
+    dims = {v: m.bit_count() for v, m in mask.items()}
+    arrows: dict[tuple[Partition, Partition], Matrix] = {}
+    up = vs.up
+    for i, mask_i in mask.items():
+        for j in up[i]:
+            mask_j = mask.get(j, 0)
+            common = mask_i & mask_j
+            if not common:
+                continue
+            if mask_i == mask_j and dims[i] == 1:
+                arrows[(i, j)] = [[1]]
+                continue
+            m = arrows[(i, j)] = linalg.zeros(dims[j], dims[i])
+            while common:
+                low = common & -common
+                m[(mask_j & (low - 1)).bit_count()][(mask_i & (low - 1)).bit_count()] = 1
+                common ^= low
     rep = QuiverRep.__new__(QuiverRep)
     rep.vs, rep.dims, rep.arrows = vs, dims, arrows
-    return rep, where, mask
+    return rep
 
 
-def injective_sum(
-    lams, vs: VertexSet
-) -> tuple[QuiverRep, dict[Partition, dict[int, int]]]:
+def injective_sum(lams, vs: VertexSet) -> QuiverRep:
     """The direct sum of the indecomposable injectives at lams, in order.
     The injective at lam is one-dimensional on the down-set of lam, with
-    every internal covering arrow the scalar one; where[v][b] is the basis
-    position at v of summand b, present when v lies below lams[b].  `where`
-    and `dims` hold the union of the summands' down-sets, in vertex order.
+    every internal covering arrow the scalar one; summand b's basis
+    position at v is the number of summands before it there, and `dims`
+    holds the union of the summands' down-sets, in vertex order.
 
     Which summands sit at a vertex v is kept as one int, the mask with bit
-    b set when v lies below lams[b], and `where` and `dims` are read off
-    it.  The local relations are checked on these masks while the arrows
-    are built, not by matrix products: the composite i -> j -> k is the
-    partial identity on the summands present at i, j and k, so it is fixed
-    by the mask of i & j & k.  It vanishes exactly when that mask is 0,
-    and two middles agree exactly when their masks are equal; every
-    two-box path from the support is met, so the check is as complete as
-    `QuiverRep.validate`.  The representation is then stored without it."""
-    rep, where, _ = _injective_tables(lams, vs)
-    return rep, where
+    b set when v lies below lams[b]; the local relations are checked on
+    these masks, not by matrix products (`_relation_fault`), and the
+    representation is then read off them and stored without
+    `QuiverRep.validate`."""
+    lams = [partition(lam) for lam in lams]
+    for lam in lams:
+        if lam not in vs.index:
+            raise VertexMissingError(f"vertex set misses {lam}")
+    mask = _summand_masks(lams, vs)
+    fault = _relation_fault(mask, vs.up)
+    if fault:
+        raise RelationError(fault)
+    return _sum_rep(mask, vs)
 
 
 def build_injective(lam, vs: VertexSet) -> QuiverRep:
     """Indecomposable injective at lam."""
-    return injective_sum([lam], vs)[0]
+    return injective_sum([lam], vs)
 
 
 def hom_space(
@@ -493,82 +502,113 @@ def realize_bgg(lam, vs: VertexSet | None = None) -> RepComplex:
     to summand a with the sign s(b, a) of the resolution, wherever v lies
     below both.
 
-    The complex is certified on the summand tables of `injective_sum` and
-    the signs, not by matrix products.  At a covering pair (i, j) with i
-    below b and j below a, the two sides of the morphism square for
-    (b -> a) are the sign times [j below b] and times [i below a], so the
-    map is a morphism exactly when those agree.  This is checked on the
-    summand masks, one int per vertex and term: for each b at i, the mask
-    T of the a with s(b, a) != 0 that sit at j must lie inside the mask of
-    term t+1 at i when b sits at j, and be disjoint from it when b does
-    not; every b at i and every cover j is met, so no pair (b, a) is
-    skipped.  The composite at v sends b to c with the sum of
+    The complex is certified on one summand-mask table and the signs, not
+    by matrix products.  Every summand of every term has a bit, term t the
+    range [start[t], start[t+1]), so the local relations of all terms are
+    checked in one pass over the union of their supports; a bit fails
+    exactly when its term's own check does, so on a failure the terms are
+    checked alone, in order, and the first that fails raises what
+    `injective_sum` would.  Each term's representation is read off its bit
+    range, and a summand's position in a map block is the popcount of the
+    lower bits of its term at that vertex.
+
+    At a covering pair (i, j) with i below b and j below a, the two sides
+    of the morphism square for (b -> a) are the sign times [j below b] and
+    times [i below a], so the map is a morphism exactly when those agree:
+    the targets T(b), the a with s(b, a) != 0, that sit at j must sit at i
+    when b sits at j, and must not when b does not.  A union of targets
+    misses a mask exactly when each member does, so the targets of the b
+    at i that sit at j are ORed and tested once, and so are those of the
+    b that do not; every b at i and every cover j is met, so no pair
+    (b, a) is skipped.  The composite at v sends b to c with the sum of
     s(b, a) s(a, c) over the middles a above v, so d^2 = 0 exactly when
-    every such sum vanishes.  A failure raises the `NotAComplexError` that
-    `RepComplex` would raise, with the same message and at the same first
-    failure, and the complex is then stored without the constructor's
-    checks."""
+    every such sum vanishes.  The blocks and both checks are made in one
+    pass over the union, which keeps the first failure of each map; the
+    lowest map's is raised, morphisms before composites, so a failure
+    raises the `NotAComplexError` that `RepComplex` would raise, with the
+    same message and at the same first failure.  The complex is then
+    stored without the constructor's checks."""
     lam = partition(lam)
     if vs is None:
         vs = VertexSet.up_to_size(size(lam))
     res: InjResolution = bgg_resolution(lam)
-    tables = [_injective_tables(term, vs) for term in res.terms]
-    wheres = [where for _, where, _ in tables]
-    # signed[t][b] lists (a, s(b, a)) over the summands a of term t+1, and
-    # targets[t][b] is the mask of those a
-    signed = [
-        [[(a, s) for a, mu in enumerate(nxt) if (s := res.signs.get((nu, mu)))]
-         for nu in term]
-        for term, nxt in zip(res.terms, res.terms[1:])
-    ]
-    targets = [[sum(1 << a for a, _ in out) for out in row] for row in signed]
-    maps: list[dict[Partition, Matrix]] = []
-    for t, out in enumerate(signed):
-        at, to = wheres[t], wheres[t + 1]
-        masks, next_masks, aim = tables[t][2], tables[t + 1][2], targets[t]
-        phi: dict[Partition, Matrix] = {}
-        for i, at_i in at.items():
-            to_i = to.get(i, {})
-            block = None
-            for b, col in at_i.items():
-                for a, s in out[b]:
-                    row = to_i.get(a)
-                    if row is not None:
-                        if block is None:
-                            block = phi[i] = linalg.zeros(len(to_i), len(at_i))
-                        block[row][col] = s
-            next_i = next_masks.get(i, 0)
-            for j in vs.up[i]:
-                next_j = next_masks.get(j)
-                if next_j is None:
-                    continue  # no summand a of term t+1 sits at j
-                mask_j = masks.get(j, 0)
+    summands = [mu for term in res.terms for mu in term]
+    for mu in summands:
+        if mu not in vs.index:
+            raise VertexMissingError(f"vertex set misses {mu}")
+    start = list(accumulate(map(len, res.terms), initial=0))
+    union = _summand_masks(summands, vs)
+    # each term's masks, its bits kept where they sit in the union
+    span = [(1 << hi) - (1 << lo) for lo, hi in zip(start, start[1:])]
+    masks = [{v: m for v, u in union.items() if (m := u & bits)} for bits in span]
+    if _relation_fault(union, vs.up):
+        # a bit fails exactly when its term's own check does, so some term
+        # fails alone; the first one names the fault
+        faults = (_relation_fault(mask, vs.up) for mask in masks)
+        raise RelationError(next(fault for fault in faults if fault))
+    # signed[b] lists (a, s(b, a)) over the summands a of the next term,
+    # aim[b] is the mask of those a, and lower[b] the mask of the bits of
+    # b's term below b, whose popcount at v is b's basis position there
+    term_of = [t for t, term in enumerate(res.terms) for _ in term]
+    signed: list[list[tuple[int, int]]] = [[] for _ in summands]
+    for t, (term, nxt) in enumerate(zip(res.terms, res.terms[1:])):
+        for b, nu in enumerate(term, start[t]):
+            signed[b] = [(a, s) for a, mu in enumerate(nxt, start[t + 1])
+                         if (s := res.signs.get((nu, mu)))]
+    aim = [sum(1 << a for a, _ in out) for out in signed]
+    lower = [(1 << b) - (1 << start[t]) for b, t in enumerate(term_of)]
+    # one pass over the union: the blocks of every map at i, and the first
+    # failure of each map's morphism and d^2 checks, raised below in the
+    # order `RepComplex` meets them
+    maps: list[dict[Partition, Matrix]] = [{} for _ in res.terms[1:]]
+    unmorphic: dict[int, tuple[Partition, Partition]] = {}
+    nonzero: dict[int, Partition] = {}
+    every = range(len(summands))
+    for i, mask_i in union.items():
+        at_i = [b for b in every if mask_i >> b & 1]
+        blocks: dict[int, Matrix] = {}
+        for b in at_i:
+            t, col = term_of[b], (mask_i & lower[b]).bit_count()
+            composite: dict[int, int] = {}
+            for a, s in signed[b]:
+                if mask_i >> a & 1:
+                    block = blocks.get(t)
+                    if block is None:
+                        block = blocks[t] = maps[t][i] = linalg.zeros(
+                            (mask_i & span[t + 1]).bit_count(),
+                            (mask_i & span[t]).bit_count())
+                    block[(mask_i & lower[a]).bit_count()][col] = s
+                    for c, r in signed[a]:
+                        if mask_i >> c & 1:
+                            composite[c] = composite.get(c, 0) + s * r
+            if any(composite.values()):
+                nonzero.setdefault(t, i)
+        for j in vs.up[i]:
+            mask_j = union.get(j)
+            if mask_j is None:
+                continue  # no summand sits at j
+            # the targets of the b at i that sit at j must sit at i, and
+            # those of the b that do not must not
+            stay = leave = 0
+            for b in at_i:
+                if mask_j >> b & 1:
+                    stay |= aim[b]
+                else:
+                    leave |= aim[b]
+            if mask_j & (stay & ~mask_i | leave & mask_i):
                 for b in at_i:
-                    # the a with s(b, a) != 0 that sit at j: at i they must
-                    # sit exactly when b sits at j
-                    hit = aim[b] & next_j
-                    if hit & (~next_i if mask_j >> b & 1 else next_i):
-                        raise NotAComplexError(
-                            f"map {t} is not a morphism at {(i, j)}"
-                        )
-        maps.append(phi)
-    for t in range(len(maps) - 1):
-        at, mid, to = wheres[t], wheres[t + 1], wheres[t + 2]
-        for v in maps[t]:
-            mid_v, to_v = mid[v], to.get(v, {})
-            for b in at[v]:
-                composite: dict[int, int] = {}
-                for a, s in signed[t][b]:
-                    if a in mid_v:
-                        for c, r in signed[t + 1][a]:
-                            if c in to_v:
-                                composite[c] = composite.get(c, 0) + s * r
-                if any(composite.values()):
-                    raise NotAComplexError(f"composite {t},{t+1} nonzero at {v}")
+                    if aim[b] & mask_j & (~mask_i if mask_j >> b & 1 else mask_i):
+                        unmorphic.setdefault(term_of[b], (i, j))
+    if unmorphic:
+        t = min(unmorphic)
+        raise NotAComplexError(f"map {t} is not a morphism at {unmorphic[t]}")
+    if nonzero:
+        t = min(nonzero)
+        raise NotAComplexError(f"composite {t},{t+1} nonzero at {nonzero[t]}")
     # stored as the constructor would store them: one vs, one map between
     # consecutive terms, nonzero int blocks of the right shapes
     cx = RepComplex.__new__(RepComplex)
-    cx.reps, cx.maps = [rep for rep, _, _ in tables], maps
+    cx.reps, cx.maps = [_sum_rep(mask, vs) for mask in masks], maps
     return cx
 
 

@@ -575,10 +575,13 @@ def injective_sum_by_scan(lams, vs):
 
 
 def realize_bgg_by_constructor(lam, vs=None):
-    """`realize_bgg` as it was first built: the signed canonical maps as
-    dense blocks, checked by the `RepComplex` constructor's block products.
-    The resolution is read through `quiver.bgg_resolution` at call time, so
-    a test that replaces it there corrupts this route and the library's
+    """`realize_bgg` as it was first built: each term's tables from
+    `sum_tables_on_supports`, checked by the public `QuiverRep`
+    constructor, and the signed canonical maps as dense blocks placed by
+    the scan's positions, checked by the `RepComplex` constructor's block
+    products.  The resolution and the down-sets are read through
+    `quiver.bgg_resolution` and `quiver.down_set` at call time, so a test
+    that replaces them there corrupts this route and the library's
     alike."""
     from tcalab import linalg, quiver
     from tcalab.partitions import partition, size
@@ -587,7 +590,11 @@ def realize_bgg_by_constructor(lam, vs=None):
     if vs is None:
         vs = quiver.VertexSet.up_to_size(size(lam))
     res = quiver.bgg_resolution(lam)
-    sums = [quiver.injective_sum(term, vs) for term in res.terms]
+    sums = []
+    for term in res.terms:
+        arrows, dims, where = sum_tables_on_supports(
+            [quiver.down_set(mu) for mu in term], vs)
+        sums.append((quiver.QuiverRep(vs, dims, arrows), where))
     maps = []
     for t in range(len(res.terms) - 1):
         (src, at), (dst, to) = sums[t], sums[t + 1]

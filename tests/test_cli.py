@@ -296,6 +296,26 @@ class TestInputContract:
             monkeypatch.setenv("TCALAB_TRUNC", env)
         assert "non-negative" in _refused(capsys, argv)
 
+    @pytest.mark.parametrize("spec, message", [
+        ("2Q[1]", "socle expects a single basis symbol"),
+        ("Q[1]-Q[1]", "socle expects a single basis symbol"),
+        ("L[1]+L[2]", "socle expects a single basis symbol"),
+        ("S[1]", "socle expects an L or Q class spec, got 'S[1]'"),
+        ("Q[1]+L[1]", "class spec must use only S/P symbols or a single K-theory basis"),
+        ("S[1]-S[1]+Q[1]", "class spec must use only S/P symbols or a single K-theory basis"),
+        ("junk Q[1]", "cannot parse class spec near 'junk'"),
+        ("Q[1,2]", "parts must be weakly decreasing: (1, 2)"),
+    ])
+    def test_socle_refuses_all_but_one_basis_symbol(self, capsys, spec, message):
+        # read without the K-theory layer, refused as a K-class spec is
+        assert _refused(capsys, ["quiver", "socle", spec]) == message
+
+    def test_socle_reads_a_sum_that_comes_to_one_symbol(self, capsys):
+        for spec in ("Q[2,1]", "+1Q[2,1,0]", "3Q[2,1]-2Q[2,1]", "Q[2,1]+Q[1]-Q[1]"):
+            assert main(["quiver", "socle", spec]) == 0, spec
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["socle"] == [{"partition": [2, 1], "multiplicity": 1}], spec
+
     def test_quiver_has_no_size_option(self, capsys):
         _refused(capsys, ["quiver", "hom", "2", "1", "--size", "3"])
 
@@ -529,7 +549,7 @@ REQUEST_LAYERS = [
     (["efw", "1", "2"], _HOMALG),
     (["poincare", "1", "2", "--trunc", "4"], _HOMALG),
     (["quiver", "hom", "2", "1"], _QUIVER),
-    (["quiver", "socle", "Q[2]"], sorted(set(_K + _QUIVER))),
+    (["quiver", "socle", "Q[2]"], _QUIVER),
     (["quiver", "verify-bgg", "2,1"], _QUIVER),
     (["selftest", "--size", "1"], sorted(set(_HOMALG + _QUIVER) | {"selftest"})),
 ]

@@ -144,7 +144,7 @@ class TestLocalRelations:
     @staticmethod
     def _perturbed_sum(rng, vs):
         lams = rng.sample(vs.vertices, rng.randint(1, 3))
-        ds, _ = injective_sum(lams, vs)
+        ds = injective_sum(lams, vs)
         pairs = [(i, j) for (i, j) in covering_pairs(vs) if ds.dim(i) and ds.dim(j)]
         arrows = {pair: [row[:] for row in dense_arrow(ds, *pair)] for pair in pairs}
         if pairs:
@@ -279,29 +279,33 @@ class TestInjectiveSum:
 
     def test_dimension_vector_and_positions(self):
         for lams in self.LISTS:
-            rep, where = injective_sum(lams, self.VS)
-            # both tables hold exactly the union of the down-sets, in
-            # vertex order
+            rep = injective_sum(lams, self.VS)
+            _, _, where = injective_sum_by_scan(lams, self.VS)
+            # the sum and the scan's positions hold exactly the union of
+            # the down-sets, in vertex order
             union = {mu for lam in lams for mu in down_set(lam)}
             support = [v for v in self.VS.vertices if v in union]
             assert list(rep.dims) == list(where) == support, lams
             for v in self.VS.vertices:
                 below = [b for b, lam in enumerate(lams) if is_strip(lam, v, HS)]
                 assert rep.dim(v) == len(below), (lams, v)
+                # summand b's position is the popcount of the summand
+                # mask's bits below b
+                mask = sum(1 << b for b in below)
                 assert list(where.get(v, {}).items()) == [
-                    (b, n) for n, b in enumerate(below)]
+                    (b, (mask & (1 << b) - 1).bit_count()) for b in below]
 
     def test_hom_dimensions(self):
         for lams, mus in zip(self.LISTS, self.LISTS[1:]):
             expected = sum(is_strip(a, b, HS) for a in lams for b in mus)
             dim, _ = hom_space(
-                injective_sum(lams, self.VS)[0], injective_sum(mus, self.VS)[0]
+                injective_sum(lams, self.VS), injective_sum(mus, self.VS)
             )
             assert dim == expected, (lams, mus)
 
     def test_socle_is_the_summand_multiset(self):
         for lams in self.LISTS:
-            assert socle(injective_sum(lams, self.VS)[0]) == Counter(lams), lams
+            assert socle(injective_sum(lams, self.VS)) == Counter(lams), lams
 
     def test_matches_the_covering_pair_scan(self):
         seven = VertexSet.up_to_size(7)
@@ -311,11 +315,10 @@ class TestInjectiveSum:
         four = VertexSet.up_to_size(4)
         cases.append((list(four.vertices) * 6, four))
         for lams, vs in cases:
-            rep, where = injective_sum(lams, vs)
-            arrows, dims, want = injective_sum_by_scan(lams, vs)
+            rep = injective_sum(lams, vs)
+            arrows, dims, _ = injective_sum_by_scan(lams, vs)
             assert list(rep.arrows.items()) == list(arrows.items()), lams
             assert rep.dims == dims, lams
-            assert where == want, lams
             # the public constructor accepts the tables and stores them alike
             public = QuiverRep(vs, rep.dims, rep.arrows)
             assert list(public.dims.items()) == list(rep.dims.items()), lams
@@ -465,7 +468,7 @@ class TestHomSocle:
         for lam in partitions_up_to(4):
             assert socle(build_injective(lam, vs)) == {lam: 1}
             assert socle(build_simple(lam, vs)) == {lam: 1}
-        ds, _ = injective_sum([(2,), (1, 1)], vs)
+        ds = injective_sum([(2,), (1, 1)], vs)
         assert socle(ds) == {(2,): 1, (1, 1): 1}
 
     def test_cyclic_subreps_have_top_socle(self):
@@ -602,33 +605,38 @@ class TestRealizedResolutions:
     def test_table_check_refuses_exactly_when_the_constructor_does(
         self, monkeypatch
     ):
-        # one sign of the resolution is flipped, dropped or doubled, or one
-        # summand's down-set loses a vertex below its top or gains one
-        # outside it; the table check must refuse exactly when the
-        # constructor does, with the same message, and otherwise store the
-        # same maps
+        # one sign of the resolution is flipped, dropped or doubled, or the
+        # down-set of one summand, or of one summand in each of two terms,
+        # loses a vertex below its top or gains one outside it; the table
+        # check must refuse exactly when the constructor does, with the
+        # same message (the first failing term's, when two terms break
+        # their relations), and otherwise store the same terms and maps
         rng = random.Random(14)
         lams = [lam for lam in partitions_up_to(6) if lam]
         resolution, supports = [], {}
         monkeypatch.setattr(quiver, "bgg_resolution", lambda lam: resolution[0])
         monkeypatch.setattr(quiver, "down_set",
                             lambda lam: supports.get(lam) or down_set(lam))
-        verdicts = Counter()
+        verdicts, two_terms = Counter(), Counter()
         for _ in range(1200):
             lam = rng.choice(lams)
             res = bgg_resolution(lam)
             vs = VertexSet.up_to_size(size(lam) + rng.randint(0, 1))
             signs, supports = dict(res.signs), {}
-            kind = rng.choice(["flip", "drop", "double", "support"])
-            if kind == "support":
-                nu = rng.choice([mu for term in res.terms for mu in term])
-                down = down_set(nu)
-                outside = [v for v in vs.vertices if v not in down]
-                if len(down) > 1 and (not outside or rng.random() < 0.5):
-                    down.remove(rng.choice(down[1:]))
+            kind = rng.choice(["flip", "drop", "double", "support", "two supports"])
+            if kind in ("support", "two supports"):
+                if kind == "support":
+                    damaged = [rng.choice([mu for term in res.terms for mu in term])]
                 else:
-                    down.append(rng.choice(outside))
-                supports[nu] = down
+                    damaged = [rng.choice(term) for term in rng.sample(res.terms, 2)]
+                for nu in damaged:
+                    down = down_set(nu)
+                    outside = [v for v in vs.vertices if v not in down]
+                    if len(down) > 1 and (not outside or rng.random() < 0.5):
+                        down.remove(rng.choice(down[1:]))
+                    else:
+                        down.append(rng.choice(outside))
+                    supports[nu] = down
             else:
                 pair = rng.choice(sorted(signs))
                 if kind == "drop":
@@ -643,12 +651,17 @@ class TestRealizedResolutions:
                     realize_bgg(lam, vs)
                 assert str(got.value) == str(exc), (lam, kind)
                 verdicts[str(exc).split(" ")[0]] += 1
+                two_terms[type(exc).__name__] += kind == "two supports"
             else:
-                assert realize_bgg(lam, vs).maps == want.maps, (lam, kind)
+                cx = realize_bgg(lam, vs)
+                assert cx.reps == want.reps, (lam, kind)
+                assert cx.maps == want.maps, (lam, kind)
                 verdicts["accepted"] += 1
-        # "nonzero" is `injective_sum` refusing a support, on both routes
+        # "nonzero" is a term's relation check refusing a support, on both
+        # routes
         assert verdicts.keys() == {"accepted", "map", "composite", "nonzero"}
         assert min(verdicts[k] for k in ("accepted", "map", "composite")) > 40, verdicts
+        assert two_terms["RelationError"] > 40, two_terms
 
     def test_non_complex_rejected(self):
         vs = VertexSet.up_to_size(2)
