@@ -1,15 +1,10 @@
 """Time the operations of one benchmark round in one process.
 
-    python scripts/op_times.py WORKLOAD [SEED] [ROUNDS] [--src DIR]
+    python scripts/op_times.py WORKLOAD [SEED] [ROUNDS]
 
 WORKLOAD is an in-process workload of perfbench/gen.py (quiver-verify or
 character-sweep); SEED (default 1) picks its round and ROUNDS (default 3)
-says how often it runs.  --src DIR imports the package from DIR (the
-directory that holds `tcalab/`) instead of this checkout's src/, while
-the round, the checks and the timing still come from this checkout's
-perfbench/; so two trees, a parent commit's checkout and a change, say,
-are timed by the same ops.py when the script is run alternately with
---src pointing at each.  Every round starts with the package's lru_caches
+says how often it runs.  Every round starts with the package's lru_caches
 cleared, as in the benchmark worker, and every answer is checked by
 perfbench/ops.py: a failed check stops the script with exit 1.  Each
 operation is timed by its best round, and the times are scaled to the host
@@ -19,7 +14,9 @@ median and tail latency of those best times; the eleven slowest operations,
 the tail operation first and then the ten beyond it, each with its kind,
 scaled best time and input; then each operation kind with its count and
 the sum of its best times, largest sum first.  Standard
-library only; perfbench/ is read, not changed.
+library only; perfbench/ is read, not changed.  To compare two commits,
+run each checkout's own copy of this script alternately: a change that
+claims a gain leaves perfbench/ as it is, so both time the same ops.py.
 """
 
 from __future__ import annotations
@@ -33,16 +30,18 @@ from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import gen  # noqa: E402
+import ops  # noqa: E402
+import spans  # noqa: E402
+from hostref import HostReference  # noqa: E402
 
 WORKLOADS = ("quiver-verify", "character-sweep")
 
 
 def time_rounds(round_ops: list, rounds: int) -> tuple[list[float], float]:
     """Each operation's best time over cold rounds, and the host scale."""
-    import ops
-    import spans
-    from hostref import HostReference
-
     caches = spans.lru_caches().values()
     ref = HostReference()
     best = [float("inf")] * len(round_ops)
@@ -65,22 +64,15 @@ def main(argv: list[str]) -> int:
     ap.add_argument("workload", choices=WORKLOADS)
     ap.add_argument("seed", type=int, nargs="?", default=1)
     ap.add_argument("rounds", type=int, nargs="?", default=3)
-    ap.add_argument("--src", type=Path, default=ROOT / "src",
-                    help="directory holding the tcalab package to time (default: src/)")
     args = ap.parse_args(argv)
     workload, seed, rounds = args.workload, args.seed, args.rounds
     if rounds < 1:
         ap.error("rounds must be at least 1")
-    if not (args.src / "tcalab" / "__init__.py").is_file():
-        ap.error(f"no tcalab package under {args.src}")
-    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
-    import gen
-
     round_ops = gen.generate(workload, seed)
     best, k = time_rounds(round_ops, rounds)
     ordered = sorted(best)
     print(f"{workload} seed {seed}: {rounds} cold rounds of {len(best)} operations, "
-          f"host scale {k:.3f}, package from {Path(sys.modules['tcalab'].__file__).parent.parent}")
+          f"host scale {k:.3f}")
     print(f"throughput_ops_s {len(best) / sum(best) / k:.1f}")
     print(f"latency_p50_ms {statistics.median(best) * k * 1e3:.4f}")
     # as perfbench/run.py: the highest percentile with ten samples beyond it

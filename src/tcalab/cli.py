@@ -102,14 +102,23 @@ def parse_class_spec(spec: str):
     raise InputError(_MIXED_BASES)
 
 
+def _basis_sums(op: str, spec: str) -> tuple[str, dict[Partition, int]]:
+    """The basis letter (L or Q) of spec and its nonzero coefficients,
+    refused unless spec uses that one basis alone."""
+    coeffs = _symbol_sums(spec)
+    if set(coeffs) <= {"S", "P"}:
+        raise InputError(f"{op} expects an L or Q class spec, got {spec!r}")
+    if set(coeffs) not in ({"L"}, {"Q"}):
+        raise InputError(_MIXED_BASES)
+    ((basis, sums),) = coeffs.items()
+    return basis, {p: c for p, c in sums.items() if c}
+
+
 def _k_class(op: str, spec: str):
     """spec as an L or Q class, refused otherwise."""
     from .ktheory import KClassK
 
-    cls = parse_class_spec(spec)
-    if not isinstance(cls, KClassK):
-        raise InputError(f"{op} expects an L or Q class spec, got {spec!r}")
-    return cls
+    return KClassK(*_basis_sums(op, spec))
 
 
 def _terms_json(x) -> list[dict]:
@@ -288,15 +297,8 @@ def _hom(lam, mu):
 def _socle(spec):
     from .quiver import VertexSet, build_injective, build_simple, socle
 
-    # one L or Q symbol, read off the spec without the K-theory layer and
-    # refused as `parse_class_spec` and `_k_class` would refuse it
-    coeffs = _symbol_sums(spec)
-    if set(coeffs) <= {"S", "P"}:
-        raise InputError(f"socle expects an L or Q class spec, got {spec!r}")
-    if set(coeffs) not in ({"L"}, {"Q"}):
-        raise InputError(_MIXED_BASES)
-    ((basis, sums),) = coeffs.items()
-    items = [(p, c) for p, c in sums.items() if c]
+    basis, sums = _basis_sums("socle", spec)
+    items = list(sums.items())
     if len(items) != 1 or items[0][1] != 1:
         raise InputError("socle expects a single basis symbol")
     lam = items[0][0]

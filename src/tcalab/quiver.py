@@ -260,9 +260,12 @@ def build_simple(lam, vs: VertexSet) -> QuiverRep:
 def _summand_masks(lams, vs: VertexSet) -> dict[Partition, int]:
     """The summand masks of a sum of injectives at canonical lams: mask[v]
     has bit b set when v lies below lams[b], and lists the support, the
-    union of the down-sets, in vertex order."""
+    union of the down-sets, in vertex order.  The first lam outside vs
+    raises VertexMissingError."""
     found: dict[Partition, int] = {}
     for b, lam in enumerate(lams):
+        if lam not in vs.index:
+            raise VertexMissingError(f"vertex set misses {lam}")
         bit = 1 << b
         for mu in down_set(lam):
             found[mu] = found.get(mu, 0) | bit
@@ -344,11 +347,7 @@ def injective_sum(lams, vs: VertexSet) -> QuiverRep:
     these masks, not by matrix products (`_relation_fault`), and the
     representation is then read off them and stored without
     `QuiverRep.validate`."""
-    lams = [partition(lam) for lam in lams]
-    for lam in lams:
-        if lam not in vs.index:
-            raise VertexMissingError(f"vertex set misses {lam}")
-    mask = _summand_masks(lams, vs)
+    mask = _summand_masks([partition(lam) for lam in lams], vs)
     fault = _relation_fault(mask, vs.up)
     if fault:
         raise RelationError(fault)
@@ -533,9 +532,6 @@ def realize_bgg(lam, vs: VertexSet | None = None) -> RepComplex:
         vs = VertexSet.up_to_size(size(lam))
     res: InjResolution = bgg_resolution(lam)
     summands = [mu for term in res.terms for mu in term]
-    for mu in summands:
-        if mu not in vs.index:
-            raise VertexMissingError(f"vertex set misses {mu}")
     start = list(accumulate(map(len, res.terms), initial=0))
     union = _summand_masks(summands, vs)
     # each term's masks, its bits kept where they sit in the union

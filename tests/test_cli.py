@@ -261,6 +261,9 @@ class TestCommands:
         assert doc["dimension"] == 0
 
 
+_MIXED = "class spec must use only S/P symbols or a single K-theory basis"
+
+
 def _refused(capsys, argv) -> str:
     """Run argv in process; it must exit 2 with empty stdout and exactly one
     JSON line on stderr.  Returns the error message."""
@@ -296,19 +299,23 @@ class TestInputContract:
             monkeypatch.setenv("TCALAB_TRUNC", env)
         assert "non-negative" in _refused(capsys, argv)
 
-    @pytest.mark.parametrize("spec, message", [
-        ("2Q[1]", "socle expects a single basis symbol"),
-        ("Q[1]-Q[1]", "socle expects a single basis symbol"),
-        ("L[1]+L[2]", "socle expects a single basis symbol"),
-        ("S[1]", "socle expects an L or Q class spec, got 'S[1]'"),
-        ("Q[1]+L[1]", "class spec must use only S/P symbols or a single K-theory basis"),
-        ("S[1]-S[1]+Q[1]", "class spec must use only S/P symbols or a single K-theory basis"),
-        ("junk Q[1]", "cannot parse class spec near 'junk'"),
-        ("Q[1,2]", "parts must be weakly decreasing: (1, 2)"),
+    @pytest.mark.parametrize("argv, message", [
+        (["quiver", "socle", "2Q[1]"], "socle expects a single basis symbol"),
+        (["quiver", "socle", "Q[1]-Q[1]"], "socle expects a single basis symbol"),
+        (["quiver", "socle", "L[1]+L[2]"], "socle expects a single basis symbol"),
+        (["quiver", "socle", "S[1]"], "socle expects an L or Q class spec, got 'S[1]'"),
+        (["quiver", "socle", "Q[1]+L[1]"], _MIXED),
+        (["quiver", "socle", "S[1]-S[1]+Q[1]"], _MIXED),
+        (["quiver", "socle", "junk Q[1]"], "cannot parse class spec near 'junk'"),
+        (["quiver", "socle", "Q[1,2]"], "parts must be weakly decreasing: (1, 2)"),
+        (["ktheory", "conv", "S[1]"], "conv expects an L or Q class spec, got 'S[1]'"),
+        (["ktheory", "mult", "Q[1]", "P[2]"], "mult expects an L or Q class spec, got 'P[2]'"),
+        (["ktheory", "pair", "L[1]+Q[1]", "Q[1]"], _MIXED),
     ])
-    def test_socle_refuses_all_but_one_basis_symbol(self, capsys, spec, message):
-        # read without the K-theory layer, refused as a K-class spec is
-        assert _refused(capsys, ["quiver", "socle", spec]) == message
+    def test_k_class_specs_refuse_all_but_one_basis(self, capsys, argv, message):
+        # socle reads its spec without the K-theory layer, and refuses as
+        # the K-class operations do
+        assert _refused(capsys, argv) == message
 
     def test_socle_reads_a_sum_that_comes_to_one_symbol(self, capsys):
         for spec in ("Q[2,1]", "+1Q[2,1,0]", "3Q[2,1]-2Q[2,1]", "Q[2,1]+Q[1]-Q[1]"):

@@ -12,7 +12,6 @@ import functools
 import importlib
 import importlib.util
 import pkgutil
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -91,18 +90,3 @@ def test_op_times_runs_a_round(workload):
     assert all(kind in mix for kind, _, _ in slowest)
     assert slowest[0][1] == lines[3].split()[1]
     assert [float(ms) for _, ms, _ in slowest] == sorted(float(ms) for _, ms, _ in slowest)
-
-
-def test_op_times_imports_the_package_from_src(tmp_path):
-    # the round and its checks come from this checkout, the package timed
-    # from --src; a directory without the package is refused
-    shutil.copytree(ROOT / "src" / "tcalab", tmp_path / "tcalab",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    script = [sys.executable, str(ROOT / "scripts" / "op_times.py"), "quiver-verify", "1", "1"]
-    proc = subprocess.run(script + ["--src", str(tmp_path)],
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0].endswith(f"package from {tmp_path}")
-    refused = subprocess.run(script + ["--src", str(tmp_path / "tcalab")],
-                             capture_output=True, text=True, timeout=300)
-    assert refused.returncode == 2 and "no tcalab package" in refused.stderr
