@@ -39,10 +39,10 @@ def _up_to(n: int) -> list[str]:
 
 def families() -> list[list[str]]:
     """The argv compared, in a fixed order."""
-    # every shape up to size 8, then the one-column shapes 1^k up to k = 14,
+    # every shape up to size 10, then the one-column shapes 1^k up to k = 14,
     # whose umbral images use the longest Stirling rows
-    argvs = [["charpoly", p] for p in _up_to(8)]
-    argvs += [["charpoly", ",".join("1" * k)] for k in range(9, 15)]
+    argvs = [["charpoly", p] for p in _up_to(10)]
+    argvs += [["charpoly", ",".join("1" * k)] for k in range(11, 15)]
     argvs += [["ktheory", "conv", f"{b}[{p}]"] for b in "LQ" for p in _up_to(6)]
     specs = [f"{b}[{p}]" for b in "QL" for p in _up_to(4)]
     argvs += [["ktheory", "pair", x, y] for x in specs for y in specs]
@@ -79,6 +79,10 @@ def families() -> list[list[str]]:
               ["quiver", "hom", "2"], ["quiver", "socle", "2Q[1]"], ["quiver", "socle", "S[1]"],
               ["quiver", "verify-bgg", "2", "1"], ["quiver", "verify-bgg", "3,4"],
               ["selftest", "--size", "0"]]
+    # a part no index can count, in a K-class and in a module class
+    argvs += [["ktheory", "conv", "Q[99999999999999999999]"],
+              ["ktheory", "pair", "Q[99999999999999999999]", "L[1]"],
+              ["fourier", "S[99999999999999999999]"]]
     return argvs
 
 

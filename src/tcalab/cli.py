@@ -54,6 +54,16 @@ def _default_trunc() -> int:
         raise InputError(f"TCALAB_TRUNC {exc}")
 
 
+def _partition(text: str) -> Partition:
+    """A partition operand or class-spec term, refused before any work when
+    a part is sys.maxsize or more: a range over the boxes of its row would
+    hold more items than an index can count."""
+    lam = parse_partition(text)
+    if lam and lam[0] >= sys.maxsize:
+        raise InputError(f"part {lam[0]} is too large: parts must be below {sys.maxsize}")
+    return lam
+
+
 class _Parser(argparse.ArgumentParser):
     """Ends a usage error like any input error: exit 2, one-line JSON."""
 
@@ -74,7 +84,7 @@ def _symbol_sums(spec: str) -> dict[str, dict[Partition, int]]:
             raise InputError(f"cannot parse class spec near {spec[pos:m.start()]!r}")
         sign = -1 if m.group(1) == "-" else 1
         mag = int(m.group(2)) if m.group(2) else 1
-        terms.append((sign * mag, m.group(3), parse_partition(m.group(4))))
+        terms.append((sign * mag, m.group(3), _partition(m.group(4))))
         pos = m.end()
     if spec[pos:].strip() or not terms:
         raise InputError(f"cannot parse class spec {spec!r}")
@@ -143,13 +153,13 @@ def _emit(doc: dict, table: bool = False) -> None:
 
 
 def _charpoly(partition):
-    from .hilbert import char_poly_simple
+    from .hilbert import char_poly_simple, monomial_form
 
-    lam = parse_partition(partition)
+    lam = _partition(partition)
     return {
         "command": "charpoly",
         "partition": list(lam),
-        "char_poly": char_poly_simple(lam).to_json(),
+        "char_poly": monomial_form(char_poly_simple(lam)).to_json(),
     }
 
 
@@ -167,7 +177,7 @@ def _hilbert(class_spec):
 def _modify(partition, n):
     from .hilbert import modification
 
-    lam = parse_partition(partition)
+    lam = _partition(partition)
     out = modification(lam, n)
     doc = {"command": "modify", "partition": list(lam), "n": n}
     if out is None:
@@ -181,7 +191,7 @@ def _modify(partition, n):
 def _localcoh(partition, d):
     from .homalg import local_cohomology
 
-    lam = parse_partition(partition)
+    lam = _partition(partition)
     table = local_cohomology(lam, d)
     return {
         "command": "localcoh",
@@ -200,7 +210,7 @@ def _localcoh(partition, d):
 def _depth(partition, d):
     from .homalg import depth
 
-    lam = parse_partition(partition)
+    lam = _partition(partition)
     doc = {"command": "depth", "partition": list(lam), "d": d, "depth": depth(lam, d)}
     if doc["depth"] == math.inf:
         doc.update(depth=None, infinite=True)
@@ -208,7 +218,7 @@ def _depth(partition, d):
 
 
 def _bgg(partition):
-    lam = parse_partition(partition)
+    lam = _partition(partition)
     res = bgg_resolution(lam)
     return {
         "command": "bgg",
@@ -263,7 +273,7 @@ def _fourier(class_spec):
 def _efw(alpha, e, bound):
     from .homalg import efw_resolution
 
-    alpha = parse_partition(alpha)
+    alpha = _partition(alpha)
     shape = efw_resolution(alpha, e, bound)
     return {"command": "efw", "alpha": list(alpha), "e": e, "shape": shape.to_json()}
 
@@ -271,7 +281,7 @@ def _efw(alpha, e, bound):
 def _poincare(alpha, e, trunc):
     from .homalg import efw_resolution, poincare_truncated
 
-    alpha = parse_partition(alpha)
+    alpha = _partition(alpha)
     bound = trunc if trunc is not None else _default_trunc()
     shape = efw_resolution(alpha, e, bound + len(alpha) + 2)
     series = poincare_truncated(shape, bound)
@@ -287,7 +297,7 @@ def _poincare(alpha, e, trunc):
 def _hom(lam, mu):
     from .quiver import VertexSet, build_injective, hom_space
 
-    lam, mu = parse_partition(lam), parse_partition(mu)
+    lam, mu = _partition(lam), _partition(mu)
     # any truncation holding both injectives gives the same dimension
     vs = VertexSet.up_to_size(max(size(lam), size(mu)))
     dim, _ = hom_space(build_injective(lam, vs), build_injective(mu, vs))
@@ -316,7 +326,7 @@ def _socle(spec):
 def _verify_bgg(partition):
     from .quiver import complex_cohomology, realize_bgg
 
-    lam = parse_partition(partition)
+    lam = _partition(partition)
     cohom = complex_cohomology(realize_bgg(lam))
     if cohom[0] != {lam: 1} or any(cohom[1:]):
         raise InternalError(f"resolution of {lam} has wrong cohomology")

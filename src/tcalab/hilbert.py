@@ -11,20 +11,22 @@ The umbral map sends t^nu / nu! to prod_i (a_i)_{m_i} / m_i! =
 prod_i C(a_i, m_i), the binomial C(a, nu) with m_i = m_i(nu).  In that
 basis a character polynomial has integer coefficients: the one of the
 simple at lam carries sum (-1)^d chi^mu(nu) on C(a, nu), over the vertical
-strips lam/mu of size d with |mu| = |nu|.  It is computed in integers and
-turned into the monomial basis once, by expanding each falling factorial
-(x)_d = sum_k s(d, k) x^k through the signed Stirling numbers of the first
-kind.  The traces chi^mu(nu) are read straight from the Murnaghan-Nakayama
-table, since |mu| = |nu| holds by construction.  No t-series is built: with
-D the lcm of the nu!, the coefficient c on C(a, nu) enters the umbral
-expansion as the integer c * D / nu!, and the first Fractions of the route
+strips lam/mu of size d with |mu| = |nu|.  `char_poly_simple` keeps exactly
+these sums, as a `Combination` tagged B (the binomial basis), with the
+traces chi^mu(nu) read straight from the Murnaghan-Nakayama table, since
+|mu| = |nu| holds by construction.  Evaluating at a class mu stays in that
+basis and in ints: the value is sum c prod_i C(m_i(mu), m_i(nu)), one
+`math.comb` per distinct part of nu (`eval_char_poly`).
+
+The monomials in the a_i are made only for output (`monomial_form`), by
+expanding each falling factorial (x)_d = sum_k s(d, k) x^k through the
+signed Stirling numbers of the first kind.  No t-series is built: with D
+the lcm of the nu!, the coefficient c on C(a, nu) enters the umbral
+expansion as the integer c * D / nu!, and the only Fractions of the route
 are its output monomials, one each.  The expansion of nu is its largest
 run of equal parts times the expansion of the rest, and each such suffix
-is expanded once per character polynomial, so the many nu that end in the
-same shape share it.  Evaluating at a class multiplies out each monomial
-first and sums in integers over the lcm of the denominators of the
-monomials with no variable at zero, with one Fraction per value
-(`MPoly.evaluate`).
+is expanded once per polynomial, so the many nu that end in the same shape
+share it.
 
 The modification rule evaluates a character polynomial below its stable
 range by rho-shifted sorting of the prefixed sequence (N - |lam|, lam).
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import comb, lcm
 from typing import Iterable
 
 from .ktheory import AClass
@@ -49,7 +51,7 @@ from .partitions import (
     vertical_strips,
 )
 from .polynomials import MPoly
-from .symchar import _mn, mn_trace
+from .symchar import Combination, _mn, mn_trace
 
 
 class EnhancedSeries:
@@ -161,18 +163,21 @@ def umbral(p: MPoly) -> MPoly:
                          for mu, c in p.coeffs.items()], den)
 
 
-@lru_cache(maxsize=None)
-def char_poly_simple(lam: Partition) -> MPoly:
-    """Character polynomial of the simple at lam: umbral image of the
-    alternating sum of enhanced series over vertical-strip removals.
+def _binomial_form(X: Combination) -> Combination:
+    """X itself, refused with a ValueError unless it is a combination in
+    the binomial basis B."""
+    if not isinstance(X, Combination) or X.basis != "B":
+        raise ValueError("character polynomials live in the binomial basis B")
+    return X
 
-    In the binomial basis C(a, nu) = prod_i C(a_i, m_i(nu)) the coefficient
-    on nu is the integer sum c of (-1)^d chi^mu(nu) over the strips lam/mu
-    of size d with |mu| = |nu|; the monomial form is the umbral image of
-    sum c t^nu / nu!.  The traces come from the MN table `_mn` directly,
-    as nu runs over the partitions of |mu|.  Over the lcm D of the nu!, the
-    ints c * D / nu! go straight to the umbral expansion, which expands each
-    suffix of the nu once and makes the Fractions of the output."""
+
+@lru_cache(maxsize=None)
+def char_poly_simple(lam: Partition) -> Combination:
+    """Character polynomial of the simple at lam in the binomial basis B:
+    the coefficient on nu, standing for C(a, nu) = prod_i C(a_i, m_i(nu)),
+    is the integer sum of (-1)^d chi^mu(nu) over the strips lam/mu of size
+    d with |mu| = |nu|, and zero sums are dropped.  The traces come from the
+    MN table `_mn` directly, as nu runs over the partitions of |mu|."""
     lam = partition(lam)
     coeffs: dict[Partition, int] = {}
     for c, mu in vertical_strips(lam):
@@ -181,16 +186,33 @@ def char_poly_simple(lam: Partition) -> MPoly:
         for nu in _partitions_cached(size(mu)):
             t = _mn(nu, mu)
             coeffs[nu] = coeffs.get(nu, 0) + (-t if d & 1 else t)
-    auts = {nu: aut_factor(nu) for nu, c in coeffs.items() if c}
+    return Combination("B", coeffs)
+
+
+def monomial_form(X: Combination) -> MPoly:
+    """The monomials in the variables a_i of a B combination: the umbral
+    image of sum c t^nu / nu!.  Over the lcm D of the nu!, the ints
+    c * D / nu! go straight to the umbral expansion, which expands each
+    suffix of the nu once and makes the Fractions of the output."""
+    auts = {nu: aut_factor(nu) for nu in _binomial_form(X).coeffs}
     den = lcm(*auts.values())
-    return _umbral_ints([(nu, coeffs[nu] * (den // a)) for nu, a in auts.items()], den)
+    return _umbral_ints([(nu, c * (den // auts[nu])) for nu, c in X.coeffs.items()], den)
 
 
-def eval_char_poly(X: MPoly, mu: Partition) -> Fraction:
-    """Evaluate at a_i = m_i(mu); integral on integral classes."""
-    if X.basis != "a":
-        raise ValueError("character polynomials live in the a family")
-    return X.evaluate(multiplicities(partition(mu)))
+def eval_char_poly(X: Combination, mu: Partition) -> int:
+    """Value of the B combination X at a_i = m_i(mu): the int sum of
+    c * prod_i C(m_i(mu), m_i(nu)) over its terms c C(a, nu).  A term whose
+    nu has more parts i than mu adds nothing."""
+    get = multiplicities(partition(mu)).get
+    total = 0
+    for nu, c in _binomial_form(X).coeffs.items():
+        for i in set(nu):
+            c *= comb(get(i, 0), nu.count(i))
+            if not c:
+                break
+        else:
+            total += c
+    return total
 
 
 def modification(lam: Partition, n_boxes: int) -> tuple[int, Partition] | None:

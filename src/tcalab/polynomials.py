@@ -11,6 +11,9 @@ the product of two monomials is the merged partition.  This matches the
 size grading on partitions: the enhanced series weighs t^mu by a trace at
 the cycle type mu.  Sums, negation, integer multiples, equality and hashing
 are Combination's; exponent pairs (i, m_i) appear only in the presentation.
+Nothing here evaluates a polynomial: character polynomials are evaluated in
+the binomial basis (`hilbert.eval_char_poly`), and their `Fraction`
+monomials are made only for output (`hilbert.monomial_form`).
 
 exp(T_0) with T_0 = sum t_i is never materialized; identities involving it
 are checked under truncation by weighted degree.
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .partitions import (
     Partition,
@@ -107,34 +109,6 @@ class MPoly(Combination):
                 j = mu.index(index)
                 out[mu[:j] + mu[j + 1:]] = c * mu.count(index)
         return self._new(out)
-
-    def evaluate(self, values: dict[int, Fraction | int]) -> Fraction:
-        """Evaluate with unlisted variables set to zero; every value must be
-        exact, an int (not a bool) or a Fraction.  Each monomial's value is
-        multiplied out first, and only the monomials with no variable at
-        zero survive.  The sum runs in integers over the lcm den of the
-        survivors' denominators, each coefficient c entering as c * den, and
-        becomes one Fraction(total, den) at the end; with Fraction values
-        the total is a Fraction already."""
-        for i, x in values.items():
-            if type(x) is not int and type(x) is not Fraction:
-                raise ValueError(f"inexact value {x!r} for {self.basis}{i}")
-        get = values.get
-        survivors = []
-        for mu, c in self.coeffs.items():
-            v = 1
-            for i in mu:
-                base = get(i, 0)
-                if not base:
-                    break
-                v *= base
-            else:
-                survivors.append((c, v))
-        den = lcm(*(c.denominator for c, _ in survivors))
-        total = 0
-        for c, v in survivors:
-            total += c.numerator * (den // c.denominator) * v
-        return Fraction(total, den)
 
     # -- presentation
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 Cell = tuple[int, int]
 
@@ -776,8 +777,38 @@ def char_poly_of_class(x):
     return umbral(enhanced_of_class(x).p)
 
 
+def evaluate_monomials(p, values):
+    """Evaluate an `MPoly` with unlisted variables set to zero; every value
+    must be exact, an int (not a bool) or a Fraction.  Each monomial's
+    value is multiplied out first, and only the monomials with no variable
+    at zero survive.  The sum runs in integers over the lcm den of the
+    survivors' denominators, each coefficient c entering as c * den, and
+    becomes one Fraction(total, den) at the end; with Fraction values the
+    total is a Fraction already.  This was `MPoly.evaluate` while the
+    character polynomials were evaluated in monomials."""
+    for i, x in values.items():
+        if type(x) is not int and type(x) is not Fraction:
+            raise ValueError(f"inexact value {x!r} for {p.basis}{i}")
+    get = values.get
+    survivors = []
+    for mu, c in p.coeffs.items():
+        v = 1
+        for i in mu:
+            base = get(i, 0)
+            if not base:
+                break
+            v *= base
+        else:
+            survivors.append((c, v))
+    den = lcm(*(c.denominator for c, _ in survivors))
+    total = 0
+    for c, v in survivors:
+        total += c.numerator * (den // c.denominator) * v
+    return Fraction(total, den)
+
+
 def evaluate_by_fractions(p, values):
-    """`MPoly.evaluate` as a Fraction sum, unlisted variables zero: each
+    """`evaluate_monomials` as a Fraction sum, unlisted variables zero: each
     coefficient times the product of its variables' values, one Fraction
     multiply-add per monomial."""
     total = Fraction(0)

@@ -10,7 +10,8 @@ import pytest
 
 from tcalab import InternalError
 from tcalab.cli import COMMANDS, main, parse_class_spec, InputError
-from tcalab.ktheory import AClass, KClassK
+from tcalab.ktheory import AClass, KClassK, pairing
+from tcalab.partitions import parse_partition
 from tcalab.quiver import NotAComplexError, RelationError
 
 
@@ -345,15 +346,35 @@ class TestInputContract:
         ],
     )
     def test_pair_with_a_huge_part_is_strict_json(self, capsys, argv):
-        # neither simple is a vertical strip over the other, which the row
-        # test sees without expanding the 10^20-box row
+        # the CLI refuses the part before any work, in one strict JSON line;
+        # the pairing itself answers 0, since neither simple is a vertical
+        # strip over the other, which the row test sees without expanding
+        # the 10^20-box row
         def reject(name):
             raise ValueError(f"non-standard JSON constant {name}")
 
-        assert main(argv) == 0
+        assert main(argv) == 2
         out, err = capsys.readouterr()
-        assert err == ""
-        assert json.loads(out, parse_constant=reject)["value"] == 0
+        assert out == ""
+        assert "99999999999999999999" in json.loads(err, parse_constant=reject)["error"]
+        x, y = (KClassK("L", {parse_partition(spec[2:-1]): 1}) for spec in argv[2:])
+        assert pairing(x, y) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["ktheory", "conv", "Q[99999999999999999999]"],
+        ["ktheory", "pair", "Q[99999999999999999999]", "L[1]"],
+        ["fourier", "S[99999999999999999999]"],
+        ["charpoly", "99999999999999999999"],
+        ["bgg", str(sys.maxsize)],
+        ["efw", f"{sys.maxsize},2", "1"],
+        ["ktheory", "conv", f"Q[{sys.maxsize}]"],
+        ["hilbert", f"P[1]-S[{sys.maxsize + 1},1]"],
+    ])
+    def test_parts_an_index_cannot_count_are_refused(self, capsys, argv):
+        # a part of sys.maxsize or more, in a partition operand or in a
+        # class-spec term, is input no range over its row could index: these
+        # argv ended in an OverflowError (exit 3) or ran away
+        assert f"parts must be below {sys.maxsize}" in _refused(capsys, argv)
 
     def test_infinite_depth_is_strict_json(self, capsys):
         def reject(name):

@@ -3,6 +3,7 @@ threshold behavior, all pinned to worked values or character oracles."""
 
 import random
 from fractions import Fraction
+from math import comb
 
 import hypothesis.strategies as st
 import pytest
@@ -14,6 +15,7 @@ from oracles import (
     char_poly_by_products,
     char_poly_of_class,
     eval_poly,
+    evaluate_monomials,
     plain_hilbert,
     remove_strips,
     stability_bound,
@@ -31,6 +33,7 @@ from tcalab.hilbert import (
     enhanced_of_simple,
     eval_char_poly,
     modification,
+    monomial_form,
     t1_derivative,
     umbral,
 )
@@ -38,14 +41,16 @@ from tcalab.ktheory import AClass, schur_derivative
 from tcalab.partitions import (
     aut_factor,
     hook_dimension,
+    multiplicities,
     partition,
     partitions_of,
     partitions_up_to,
     size,
     transpose,
+    vertical_strips,
 )
 from tcalab.polynomials import MPoly, exp_t0_truncated, mul_truncated
-from tcalab.symchar import VClass, mn_trace
+from tcalab.symchar import Combination, VClass, mn_trace
 
 
 def tmono(exps, num, den=1):
@@ -113,7 +118,7 @@ class TestUmbral:
         lhs = umbral(
             tmono({1: 3}, 1, 3) + tmono({3: 1}, -1) + tmono({1: 2}, -1) + tmono({1: 1}, 1)
         )
-        assert lhs == char_poly_simple((2, 1))
+        assert lhs == monomial_form(char_poly_simple((2, 1)))
 
     def test_linear_not_multiplicative(self):
         a = tmono({1: 1}, 1)
@@ -177,7 +182,7 @@ class TestUmbral:
         monkeypatch.setattr(hilbert, "_umbral_ints",
                             lambda terms, den: handed.append((terms, den)) or MPoly("a"))
         for lam in partitions_up_to(10) + [(1,) * k for k in range(11, 15)]:
-            char_poly_simple.__wrapped__(lam)
+            monomial_form(char_poly_simple(lam))
         assert len(handed) == 143
         for terms, den in handed:
             assert _umbral_ints(terms, den).coeffs == umbral_ints_per_term(terms, den).coeffs
@@ -203,8 +208,11 @@ class TestUmbral:
     def test_families_are_checked(self):
         with pytest.raises(ValueError, match="consumes the t family"):
             umbral(MPoly("a", {(): 1}))
-        with pytest.raises(ValueError, match="live in the a family"):
-            eval_char_poly(MPoly("t", {(): 1}), (1,))
+        for X in (MPoly("t", {(): 1}), MPoly("a", {(): 1}), Combination("S", {(): 1}), None):
+            with pytest.raises(ValueError, match="live in the binomial basis B"):
+                eval_char_poly(X, (1,))
+            with pytest.raises(ValueError, match="live in the binomial basis B"):
+                monomial_form(X)
 
 
 class TestCharacterPolynomials:
@@ -212,7 +220,7 @@ class TestCharacterPolynomials:
         # the integer binomial-basis route against the enhanced-series sums
         # and falling factorial products, on every partition up to size 8
         for lam in partitions_up_to(8):
-            assert char_poly_simple(lam) == char_poly_by_products(lam), lam
+            assert monomial_form(char_poly_simple(lam)) == char_poly_by_products(lam), lam
 
     def test_matches_the_fraction_series(self):
         # the integer hand-off to the umbral expansion against the t-series
@@ -220,19 +228,23 @@ class TestCharacterPolynomials:
         # columns 1^k, whose umbral images use the longest Stirling rows
         shapes = partitions_up_to(10) + [(1,) * k for k in range(11, 15)]
         for lam in shapes:
-            got = char_poly_simple(lam).coeffs
+            got = monomial_form(char_poly_simple(lam)).coeffs
             assert got == char_poly_by_fraction_series(lam).coeffs, lam
 
     def test_displayed_polynomials(self):
-        assert char_poly_simple(()) == MPoly("a", {(): 1})
-        assert char_poly_simple((1,)) == amono({1: 1}, 1) + amono({}, -1)
+        assert monomial_form(char_poly_simple(())) == MPoly("a", {(): 1})
+        assert monomial_form(char_poly_simple((1,))) == amono({1: 1}, 1) + amono({}, -1)
         expected = (
             amono({1: 3}, 1, 3)
             + amono({1: 2}, -2)
             + amono({1: 1}, 8, 3)
             + amono({3: 1}, -1)
         )
-        assert char_poly_simple((2, 1)) == expected
+        assert monomial_form(char_poly_simple((2, 1))) == expected
+        # 2 C(a1, 3) - 2 C(a1, 2) + C(a1, 1) - C(a3, 1) in the binomial basis
+        assert char_poly_simple((2, 1)) == Combination(
+            "B", {(1, 1, 1): 2, (1, 1): -2, (1,): 1, (3,): -1}
+        )
 
     def test_point_evaluations(self):
         X1 = char_poly_simple((1,))
@@ -262,7 +274,47 @@ class TestCharacterPolynomials:
     def test_integrality_on_integral_classes(self):
         X = char_poly_simple((2, 1))
         for mu in partitions_up_to(6):
-            assert eval_char_poly(X, mu).denominator == 1
+            assert type(eval_char_poly(X, mu)) is int
+
+
+def _binomial_route_fault() -> str | None:
+    """The first disagreement of the binomial route with the monomial one,
+    or None: the monomial form of every simple up to size 8 and of the
+    columns 1^k up to k = 14 against the Fraction t-series, then every
+    value at a class mu of size up to |lam| + lam_1 + 3, below the stable
+    range included, against the monomials evaluated at a_i = m_i(mu), for
+    lam up to size 6.  The cache is bypassed, so a patched module is seen."""
+    build = char_poly_simple.__wrapped__
+    for lam in partitions_up_to(8) + [(1,) * k for k in range(9, 15)]:
+        if monomial_form(build(lam)) != char_poly_by_fraction_series(lam):
+            return f"monomial form of {lam}"
+    for lam in partitions_up_to(6):
+        X = build(lam)
+        poly = monomial_form(X)
+        for mu in partitions_up_to(size(lam) + (lam[0] if lam else 0) + 3):
+            if eval_char_poly(X, mu) != evaluate_monomials(poly, multiplicities(mu)):
+                return f"value of {lam} at {mu}"
+    return None
+
+
+class TestBinomialRoute:
+    def test_matches_the_monomial_route(self):
+        assert _binomial_route_fault() is None
+
+    def test_mutants_are_caught(self, monkeypatch):
+        # a dropped nu term (the column 1^n of every trace table), C(m, k + 1)
+        # for C(m, k), and a plus sign on the strips of odd size d
+        mutants = [
+            ("_partitions_cached", lambda n: partitions_of(n)[:-1]),
+            ("comb", lambda m, k: comb(m, k + 1)),
+            ("vertical_strips", lambda lam: [
+                (c + (1,) if sum(c) & 1 else c, mu) for c, mu in vertical_strips(lam)
+            ]),
+        ]
+        for name, mutant in mutants:
+            with monkeypatch.context() as patch:
+                patch.setattr(hilbert, name, mutant)
+                assert _binomial_route_fault() is not None, name
 
 
 class TestModification:
