@@ -206,8 +206,8 @@ def eval_char_poly(X: Combination, mu: Partition) -> int:
     get = multiplicities(partition(mu)).get
     total = 0
     for nu, c in _binomial_form(X).coeffs.items():
-        for i in set(nu):
-            c *= comb(get(i, 0), nu.count(i))
+        for i, k in multiplicities(nu).items():
+            c *= comb(get(i, 0), k)
             if not c:
                 break
         else:
