@@ -784,8 +784,8 @@ def evaluate_monomials(p, values):
     at zero survive.  The sum runs in integers over the lcm den of the
     survivors' denominators, each coefficient c entering as c * den, and
     becomes one Fraction(total, den) at the end; with Fraction values the
-    total is a Fraction already.  This was `MPoly.evaluate` while the
-    character polynomials were evaluated in monomials."""
+    total is a Fraction already.  It is the monomial-basis reference for
+    `hilbert.eval_char_poly`."""
     for i, x in values.items():
         if type(x) is not int and type(x) is not Fraction:
             raise ValueError(f"inexact value {x!r} for {p.basis}{i}")
