@@ -34,9 +34,11 @@ def main() -> None:
                 continue
             table = local_cohomology(lam, D)
             d = depth(lam, D)
-            assert table.min_nonzero() == d
+            if table.min_nonzero() != d:
+                raise SystemExit(f"({D},{lam}): first cohomology row is not the depth {d}")
             if len(lam) == 1 and D > lam[0]:
-                assert depth_from_resolution(syzygy_shape_ln(lam[0], D, 5)) == d
+                if depth_from_resolution(syzygy_shape_ln(lam[0], D, 5)) != d:
+                    raise SystemExit(f"({D},{lam}): resolution depth is not {d}")
             q = q_from_local_cohomology(lam, D)
             shape = f"({D},{format_partition(lam)})"
             print(

@@ -9,7 +9,8 @@ gives the cohomological degree and the leftover partition the answer as a
 plain object of the semisimple category; only the generator is recorded as
 extra module data.  Depth is the multiplicity of D in (D, lam) and is
 cross-checked against both the first nonvanishing cohomology row and the
-stabilized row-count statistic of a resolution shape.
+stable row-count statistic, which the linear tail of a resolution shape
+gives in closed form.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .partitions import (
     prefixed_to_partition,
     size,
 )
-from .polynomials import MPoly, exp_t0_truncated, mul_truncated
+from .polynomials import MPoly
 from .symchar import VClass
 
 
@@ -40,10 +41,6 @@ class InvalidDError(ValueError):
 
 class UnstableError(ValueError):
     """A stabilized value was requested but cannot be certified."""
-
-
-class InsufficientShapeError(ValueError):
-    """The resolution shape does not cover the requested degree range."""
 
 
 # ---------------------------------------------------------------------------
@@ -107,68 +104,33 @@ def q_from_local_cohomology(lam, D: int) -> MPoly:
 # Resolution shapes
 
 
-class TailRule(NamedTuple):
-    """Past start, each generator gains one box at the bottom of the first
-    column per homological step (so generator degree grows by exactly one)."""
+class FreeResShape(NamedTuple):
+    """Generators of a minimal free resolution by homological degree:
+    explicit[i] in degree i, then, unless tail is None, the eventually
+    linear tail from degree len(explicit) on, where each generator gains one
+    box at the bottom of the first column per step."""
 
-    start: int
-    shapes: tuple[Partition, ...]
-
-
-class FreeResShape:
-    """Homological-degree-indexed generator multisets of a minimal free
-    resolution, with an optional eventually-linear tail rule."""
-
-    __slots__ = ("explicit", "tail")
-
-    def __init__(
-        self, explicit: dict[int, tuple[Partition, ...]], tail: TailRule | None = None
-    ):
-        if not explicit:
-            raise InsufficientShapeError("explicit range must be nonempty")
-        idx = sorted(explicit)
-        if idx != list(range(idx[0], idx[-1] + 1)) or idx[0] != 0:
-            raise InsufficientShapeError("explicit indices must run 0..n")
-        if tail is not None and tail.start != idx[-1] + 1:
-            raise InsufficientShapeError("tail must start right after explicit range")
-        self.explicit = explicit
-        self.tail = tail
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FreeResShape)
-            and self.explicit == other.explicit
-            and self.tail == other.tail
-        )
-
-    def __repr__(self) -> str:
-        return f"FreeResShape(explicit={self.explicit!r}, tail={self.tail!r})"
+    explicit: tuple[tuple[Partition, ...], ...]
+    tail: tuple[Partition, ...] | None = None
 
     def generators_at(self, i: int) -> tuple[Partition, ...]:
-        if i in self.explicit:
+        steps = i - len(self.explicit)
+        if steps < 0:
             return self.explicit[i]
-        if self.tail is None or i < self.tail.start:
+        if self.tail is None:
             return ()
-        steps = i - self.tail.start
-        return tuple(p + (1,) * steps for p in self.tail.shapes)
-
-    def is_finite(self) -> bool:
-        return self.tail is None
-
-    def max_explicit(self) -> int:
-        return max(self.explicit)
+        return tuple(p + (1,) * steps for p in self.tail)
 
     def to_json(self) -> dict:
         out = {
             "explicit": {
-                str(i): [list(p) for p in gens]
-                for i, gens in sorted(self.explicit.items())
+                str(i): [list(p) for p in gens] for i, gens in enumerate(self.explicit)
             }
         }
         if self.tail is not None:
             out["tail"] = {
-                "start": self.tail.start,
-                "shapes": [list(p) for p in self.tail.shapes],
+                "start": len(self.explicit),
+                "shapes": [list(p) for p in self.tail],
                 "column": 1,  # every tail grows in the first column
             }
         return out
@@ -195,9 +157,8 @@ def efw_resolution(alpha, e: int, bound: int) -> FreeResShape:
     if e < 1:
         raise ValueError("jump e must be a positive integer")
     cut = max(bound, len(alpha) + 1)
-    explicit = {i: (efw_shape(alpha, e, i),) for i in range(cut + 1)}
-    tail = TailRule(start=cut + 1, shapes=(efw_shape(alpha, e, cut + 1),))
-    return FreeResShape(explicit, tail)
+    explicit = tuple((efw_shape(alpha, e, i),) for i in range(cut + 1))
+    return FreeResShape(explicit, (efw_shape(alpha, e, cut + 1),))
 
 
 def syzygy_shape_ln(n: int, D: int, bound: int) -> FreeResShape:
@@ -205,117 +166,65 @@ def syzygy_shape_ln(n: int, D: int, bound: int) -> FreeResShape:
     partition (n) truncated at D > n: two generators per positive degree."""
     if not (D > n >= 1):
         raise InvalidDError(f"need D > n >= 1, got D={D}, n={n}")
-    explicit: dict[int, tuple[Partition, ...]] = {0: (partition((D, n)),)}
-    for i in range(1, bound + 1):
-        explicit[i] = (
-            partition((D, n) + (1,) * i),
-            partition((D, n + 1) + (1,) * (i - 1)),
-        )
-    tail = TailRule(
-        start=bound + 1,
-        shapes=(
-            partition((D, n) + (1,) * (bound + 1)),
-            partition((D, n + 1) + (1,) * bound),
-        ),
-    )
-    return FreeResShape(explicit, tail)
+
+    def gens(i: int) -> tuple[Partition, ...]:
+        if i == 0:
+            return (partition((D, n)),)
+        return (partition((D, n) + (1,) * i), partition((D, n + 1) + (1,) * (i - 1)))
+
+    cut = max(bound, 0)
+    return FreeResShape(tuple(gens(i) for i in range(cut + 1)), gens(cut + 1))
 
 
 def regularity(shape: FreeResShape) -> int:
     """Largest (generator degree - homological degree) over the shape,
     certified stable: the tail keeps strands constant, and without a tail
     the last two explicit strand values must agree."""
-    strands: dict[int, int] = {}
-    for i in sorted(shape.explicit):
-        gens = shape.explicit[i]
-        if gens:
-            strands[i] = max(size(g) for g in gens) - i
+    strands = [
+        max(map(size, gens)) - i for i, gens in enumerate(shape.explicit) if gens
+    ]
     if not strands:
         raise UnstableError("shape has no generators")
     if shape.tail is not None:
-        first_tail = max(size(g) for g in shape.generators_at(shape.tail.start))
-        strands[shape.tail.start] = first_tail - shape.tail.start
-        last = shape.max_explicit()
-        if shape.explicit[last] and strands[last] != strands[shape.tail.start]:
+        tail_strand = max(map(size, shape.tail)) - len(shape.explicit)
+        if shape.explicit[-1] and strands[-1] != tail_strand:
             raise UnstableError("strand value jumps at the tail boundary")
-    else:
-        idx = sorted(strands)
-        if len(idx) >= 2 and strands[idx[-1]] != strands[idx[-2]]:
-            raise UnstableError("no stabilization detectable in explicit range")
-    return max(strands.values())
+        strands.append(tail_strand)
+    elif len(strands) >= 2 and strands[-1] != strands[-2]:
+        raise UnstableError("no stabilization detectable in explicit range")
+    return max(strands)
 
 
 def depth_from_resolution(shape: FreeResShape) -> int | float:
-    """Stabilized value of (rank cap m) - (largest homological degree whose
-    generators fit in m rows); certified by two consecutive equal values
-    past the explicit/tail boundary.  A bare degree-zero shape reports
-    infinite depth."""
-    if shape.is_finite():
-        if shape.max_explicit() == 0 or all(
-            not shape.explicit[i] for i in shape.explicit if i > 0
-        ):
-            return math.inf
-        raise UnstableError("finite positive-length shapes cannot stabilize")
-
-    def pdim_at(m: int) -> int | None:
-        best = None
-        i = 0
-        while True:
-            gens = shape.generators_at(i)
-            if i > shape.tail.start and not gens:
-                break
-            if gens:
-                if min(len(g) for g in gens) <= m:
-                    best = i
-                elif i > shape.tail.start:
-                    break  # tail row counts only grow
-            i += 1
-        return best
-
-    boundary = shape.tail.start
-    prev = None
-    m = 1
-    while m < boundary + size(max(shape.tail.shapes, key=size)) + 4:
-        p = pdim_at(m)
-        if p is not None:
-            d = m - p
-            if prev == d and p > boundary:
-                return d
-            prev = d
-        m += 1
-    raise UnstableError("row statistic did not stabilize")
+    """Stable value of the row statistic m - (largest homological degree
+    whose generators fit in m rows).  In degree len(explicit) + k a tail
+    shape s has len(s) + k rows, so once m reaches the fewest rows L of a
+    tail shape that degree is m - L + len(explicit), and the statistic stays
+    L - len(explicit).  A shape with no tail and no generators past degree
+    zero is projective: infinite depth."""
+    if shape.tail is None:
+        if any(shape.explicit[1:]):
+            raise UnstableError("finite positive-length shapes cannot stabilize")
+        return math.inf
+    if not shape.tail:
+        raise UnstableError("a tail with no shapes never stabilizes")
+    return min(map(len, shape.tail)) - len(shape.explicit)
 
 
 # ---------------------------------------------------------------------------
 # Poincare series
 
 
-class PoincareTruncation:
+class PoincareTruncation(NamedTuple):
     """Exact coefficients of t^d q^n for d <= bound."""
 
-    __slots__ = ("bound", "coeffs")
-
-    def __init__(self, bound: int, coeffs: dict[tuple[int, int], Fraction]):
-        self.bound = bound
-        self.coeffs = coeffs
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PoincareTruncation)
-            and self.bound == other.bound
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self) -> str:
-        return f"PoincareTruncation(bound={self.bound!r}, coeffs={self.coeffs!r})"
-
-    def sorted_items(self):
-        return sorted(self.coeffs.items())
+    bound: int
+    coeffs: dict[tuple[int, int], Fraction]
 
     def to_json(self) -> list[dict]:
         return [
             {"t": d, "q": n, "num": c.numerator, "den": c.denominator}
-            for (d, n), c in self.sorted_items()
+            for (d, n), c in sorted(self.coeffs.items())
         ]
 
 
@@ -323,10 +232,10 @@ def poincare_truncated(shape: FreeResShape, bound: int) -> PoincareTruncation:
     """Coefficient of t^d q^n is (-1)^n (sum of dims of degree-d generators
     in homological degree n) / d!.  Past the tail start every generator
     gains one box per degree, so no degree after `last` reaches the bound."""
-    last = shape.max_explicit()
+    last = len(shape.explicit) - 1
     if shape.tail is not None:
-        smallest = min((size(p) for p in shape.tail.shapes), default=bound + 1)
-        last = max(last, shape.tail.start + bound - smallest)
+        smallest = min((size(p) for p in shape.tail), default=bound + 1)
+        last = max(last, len(shape.explicit) + bound - smallest)
     coeffs: dict[tuple[int, int], Fraction] = {}
     for n in range(last + 1):
         for g in shape.generators_at(n):
@@ -392,19 +301,12 @@ def fourier_class(x: AClass) -> AClass:
     )
 
 
-def fourier_hilbert_check(x: AClass, bound: int) -> bool:
+def fourier_hilbert_check(x: AClass) -> bool:
     """Verify that the transform swaps the p and q parts of the enhanced
-    series up to t -> -t, exactly on the polynomial parts and under
-    truncation for the assembled series identity."""
+    series H = exp(T0) p + q up to t -> -t: p_F(t) = q(-t) and
+    q_F(t) = p(-t), exactly.  The assembled identity
+    H(t) = p_F(-t) + exp(T0) q_F(-t) follows from the swap by substituting
+    it, so it is not checked again."""
     s = enhanced_of_class(x)
     fs = enhanced_of_class(fourier_class(x))
-    if fs.p != s.q.negate_variables() or fs.q != s.p.negate_variables():
-        return False
-    # assembled check: H(t) = exp(T0) H_F(-t) under truncation
-    e = exp_t0_truncated(bound)
-    lhs = mul_truncated(s.p, e, bound) + s.q.truncate(bound)
-    fp = fs.p.negate_variables()
-    fq = fs.q.negate_variables()
-    # exp(T0(-t)) = exp(-T0), and exp(T0) exp(-T0) = 1
-    rhs = fp.truncate(bound) + mul_truncated(fq, e, bound)
-    return lhs == rhs
+    return fs.p == s.q.negate_variables() and fs.q == s.p.negate_variables()

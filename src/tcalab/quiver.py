@@ -13,7 +13,7 @@ complex cohomology are then honest linear algebra over the rationals.
 
 One convention holds throughout: what is not stored is zero.  A
 representation's `dims` holds only the vertices of its support, in vertex
-order, and `QuiverRep.dim(v)` reads 0 off it; an arrow matrix or a map
+order, so a vertex it lacks has dimension 0; an arrow matrix or a map
 block that is not stored is the zero map.  Constructors refuse a key that
 is not a vertex in canonical form, check the shape and the entries of
 every block and drop the zero dimensions and blocks, and a product of
@@ -212,9 +212,6 @@ class QuiverRep:
             if not linalg.is_zero(m):
                 self.arrows[(i, j)] = m
         self.validate()
-
-    def dim(self, v) -> int:
-        return self.dims.get(partition(v), 0)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QuiverRep) and (

@@ -606,7 +606,7 @@ def realize_bgg_by_constructor(lam, vs=None):
                     s = res.signs.get((res.terms[t][b], res.terms[t + 1][a]))
                     if s is not None:
                         if v not in phi:
-                            phi[v] = linalg.zeros(dst.dim(v), src.dim(v))
+                            phi[v] = linalg.zeros(dst.dims.get(v, 0), src.dims.get(v, 0))
                         phi[v][row][col] = s
         maps.append(phi)
     return quiver.RepComplex([rep for rep, _ in sums], maps)
@@ -619,25 +619,26 @@ def hom_space_all_pairs(r1, r2):
     from tcalab import linalg
 
     vs = r1.vs
+    d1, d2 = r1.dims, r2.dims
     offset = {}
     n = 0
     for v in vs.vertices:
         offset[v] = n
-        n += r2.dim(v) * r1.dim(v)
+        n += d2.get(v, 0) * d1.get(v, 0)
     rows = []
     for (i, j) in [(i, j) for i in vs.vertices for j in vs.up[i]]:
         a1 = r1.arrows.get((i, j))
         a2 = r2.arrows.get((i, j))
         # constraint: phi_j a1 - a2 phi_i = 0, entrywise
-        for p in range(r2.dim(j)):
-            for q in range(r1.dim(i)):
+        for p in range(d2.get(j, 0)):
+            for q in range(d1.get(i, 0)):
                 row = [0] * n
                 if a1 is not None:
-                    for s in range(r1.dim(j)):
-                        row[offset[j] + p * r1.dim(j) + s] += a1[s][q]
+                    for s in range(d1.get(j, 0)):
+                        row[offset[j] + p * d1.get(j, 0) + s] += a1[s][q]
                 if a2 is not None:
-                    for s in range(r2.dim(i)):
-                        row[offset[i] + s * r1.dim(i) + q] -= a2[p][s]
+                    for s in range(d2.get(i, 0)):
+                        row[offset[i] + s * d1.get(i, 0) + q] -= a2[p][s]
                 if any(x != 0 for x in row):
                     rows.append(row)
     basis_vecs = linalg.nullspace(rows, n)
@@ -645,10 +646,10 @@ def hom_space_all_pairs(r1, r2):
     for vec in basis_vecs:
         phi = {}
         for v in vs.vertices:
-            if r2.dim(v) and r1.dim(v):
+            if v in d2 and v in d1:
                 phi[v] = [
-                    [vec[offset[v] + a * r1.dim(v) + b] for b in range(r1.dim(v))]
-                    for a in range(r2.dim(v))
+                    [vec[offset[v] + a * d1.get(v, 0) + b] for b in range(d1.get(v, 0))]
+                    for a in range(d2.get(v, 0))
                 ]
         basis.append(phi)
     return len(basis_vecs), basis
@@ -668,7 +669,7 @@ def complex_cohomology_all_vertices(cx):
         in_rank = ranks[t - 1] if t > 0 else {}
         table = {}
         for v in vs.vertices:
-            h = rep.dim(v) - out_rank.get(v, 0) - in_rank.get(v, 0)
+            h = rep.dims.get(v, 0) - out_rank.get(v, 0) - in_rank.get(v, 0)
             if h:
                 table[v] = h
         out.append(table)
@@ -889,15 +890,15 @@ def poincare_by_break_conditions(shape, bound):
     while True:
         gens = shape.generators_at(n)
         if not gens:
-            if shape.is_finite():
-                if n > shape.max_explicit():
+            if shape.tail is None:
+                if n >= len(shape.explicit):
                     break
-            elif n > shape.tail.start:
+            elif n > len(shape.explicit):
                 break
             n += 1
             continue
         if min(size(g) for g in gens) > bound and (
-            shape.tail is not None and n >= shape.tail.start
+            shape.tail is not None and n >= len(shape.explicit)
         ):
             break  # tail degrees only grow past the bound
         for g in gens:
@@ -911,3 +912,51 @@ def poincare_by_break_conditions(shape, bound):
                 del coeffs[key]
         n += 1
     return PoincareTruncation(bound, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Depth of a resolution shape by the row search
+
+
+def depth_by_row_search(shape):
+    """`homalg.depth_from_resolution` as it was first written: for m = 1, 2,
+    ... find the largest homological degree whose generators fit in m rows
+    and return m minus it once two consecutive values agree past the tail
+    start.  A tail with no shapes fails at its `max`."""
+    import math
+
+    from tcalab.homalg import UnstableError
+    from tcalab.partitions import size
+
+    if shape.tail is None:
+        if all(not gens for gens in shape.explicit[1:]):
+            return math.inf
+        raise UnstableError("finite positive-length shapes cannot stabilize")
+    boundary = len(shape.explicit)
+
+    def pdim_at(m):
+        best = None
+        i = 0
+        while True:
+            gens = shape.generators_at(i)
+            if i > boundary and not gens:
+                break
+            if gens:
+                if min(len(g) for g in gens) <= m:
+                    best = i
+                elif i > boundary:
+                    break  # tail row counts only grow
+            i += 1
+        return best
+
+    prev = None
+    m = 1
+    while m < boundary + size(max(shape.tail, key=size)) + 4:
+        p = pdim_at(m)
+        if p is not None:
+            d = m - p
+            if prev == d and p > boundary:
+                return d
+            prev = d
+        m += 1
+    raise UnstableError("row statistic did not stabilize")

@@ -218,8 +218,8 @@ def test_criterion_6_hilbert_coherence():
                 q.truncate(bound)
             ), lam
         for lam in partitions_up_to(5):
-            assert homalg.fourier_hilbert_check(AClass.simple(lam), 8), lam
-            assert homalg.fourier_hilbert_check(AClass.free(lam), 8), lam
+            assert homalg.fourier_hilbert_check(AClass.simple(lam)), lam
+            assert homalg.fourier_hilbert_check(AClass.free(lam)), lam
 
 
 def test_criterion_7_efw_and_poincare():

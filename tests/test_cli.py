@@ -124,6 +124,15 @@ STABLE_STDOUT = (
      '[{"coeff": 1, "partition": [3, 1]}, {"coeff": 1, "partition": '
      '[2, 2]}, {"coeff": 1, "partition": [2, 1, 1]}]}, '
      '"schema": "tcalab/1"}' "\n"),
+    # a tail, and explicit keys "0" to "10", where "10" sorts before "2"
+    (["efw", "2,1", "2", "--bound", "10"],
+     '{"alpha": [2, 1], "command": "efw", "e": 2, "schema": "tcalab/1", '
+     '"shape": {"explicit": {"0": [[2, 1]], "1": [[4, 1]], "10": [[4, 3, '
+     '2, 1, 1, 1, 1, 1, 1, 1]], "2": [[4, 3]], "3": [[4, 3, 2]], "4": [[4, '
+     '3, 2, 1]], "5": [[4, 3, 2, 1, 1]], "6": [[4, 3, 2, 1, 1, 1]], "7": '
+     '[[4, 3, 2, 1, 1, 1, 1]], "8": [[4, 3, 2, 1, 1, 1, 1, 1]], "9": [[4, '
+     '3, 2, 1, 1, 1, 1, 1, 1]]}, "tail": {"column": 1, "shapes": [[4, 3, 2, '
+     '1, 1, 1, 1, 1, 1, 1, 1]], "start": 11}}}' "\n"),
 )
 
 

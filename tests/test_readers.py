@@ -1,15 +1,19 @@
 """Every public name of the package has a reader.
 
-A reader is an occurrence outside the name's own definition in the
-package, the scripts, the benchmark harness or the acceptance gate; the
-other tests do not count, so a helper kept alive only by its own tests is
-caught.  The scan covers public top-level functions and classes of
-`src/tcalab/*.py` and the public methods defined in those classes.  A
-method is read as `.name`, anything else as the bare word `name`.
+A reader is an occurrence outside the name's own definition in the code
+of the package, the scripts, the benchmark harness or the acceptance gate;
+the other tests do not count, so a helper kept alive only by its own tests
+is caught.  Docstrings and comments are prose and do not count; string
+literals do, since `perfbench/spans.py` names caches by string.  The scan
+covers public top-level functions and classes of `src/tcalab/*.py` and the
+public methods defined in those classes.  A method is read as `.name`,
+anything else as the bare word `name`.
 """
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,8 +49,25 @@ def _definitions():
                                rf"\.{sub.name}\b", sub.lineno, sub.end_lineno)
 
 
+def _code_lines(path) -> list[str]:
+    """The lines of path with its docstrings and comments blanked, so line
+    numbers still match the source."""
+    text = path.read_text()
+    lines = text.splitlines()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.COMMENT:
+            row, col = tok.start
+            lines[row - 1] = lines[row - 1][:col]
+    for node in ast.walk(ast.parse(text, str(path))):
+        if isinstance(node, (ast.Module, *DEFS)) and ast.get_docstring(node):
+            doc = node.body[0]
+            for k in range(doc.lineno - 1, doc.end_lineno):
+                lines[k] = ""
+    return lines
+
+
 def _unread() -> list[str]:
-    texts = {path: path.read_text().splitlines() for path in READERS}
+    texts = {path: _code_lines(path) for path in READERS}
     unread = []
     for path, name, pattern, first, last in _definitions():
         found = re.compile(pattern)
