@@ -32,15 +32,15 @@ def main() -> None:
         for D in range(top, top + args.extra_d + 1):
             if D == 0 and not lam:
                 continue
+            shape = f"({D},{format_partition(lam)})"
             table = local_cohomology(lam, D)
             d = depth(lam, D)
             if table.min_nonzero() != d:
-                raise SystemExit(f"({D},{lam}): first cohomology row is not the depth {d}")
+                raise SystemExit(f"{shape}: depth {d} is not the first cohomology row")
             if len(lam) == 1 and D > lam[0]:
                 if depth_from_resolution(syzygy_shape_ln(lam[0], D, 5)) != d:
-                    raise SystemExit(f"({D},{lam}): resolution depth is not {d}")
+                    raise SystemExit(f"{shape}: the resolution does not give depth {d}")
             q = q_from_local_cohomology(lam, D)
-            shape = f"({D},{format_partition(lam)})"
             print(
                 f"{shape:>14s} {d:>6d} "
                 f"{table.min_nonzero() or '-':>6} {table.max_nonzero() or '-':>6} "

@@ -124,7 +124,8 @@ class FreeResShape(NamedTuple):
     def to_json(self) -> dict:
         out = {
             "explicit": {
-                str(i): [list(p) for p in gens] for i, gens in enumerate(self.explicit)
+                str(i): [list(p) for p in gens]
+                for i, gens in enumerate(self.explicit)
             }
         }
         if self.tail is not None:

@@ -606,7 +606,8 @@ def realize_bgg_by_constructor(lam, vs=None):
                     s = res.signs.get((res.terms[t][b], res.terms[t + 1][a]))
                     if s is not None:
                         if v not in phi:
-                            phi[v] = linalg.zeros(dst.dims.get(v, 0), src.dims.get(v, 0))
+                            phi[v] = linalg.zeros(
+                                dst.dims.get(v, 0), src.dims.get(v, 0))
                         phi[v][row][col] = s
         maps.append(phi)
     return quiver.RepComplex([rep for rep, _ in sums], maps)
@@ -648,8 +649,8 @@ def hom_space_all_pairs(r1, r2):
         for v in vs.vertices:
             if v in d2 and v in d1:
                 phi[v] = [
-                    [vec[offset[v] + a * d1.get(v, 0) + b] for b in range(d1.get(v, 0))]
-                    for a in range(d2.get(v, 0))
+                    [vec[offset[v] + a * d1[v] + b] for b in range(d1[v])]
+                    for a in range(d2[v])
                 ]
         basis.append(phi)
     return len(basis_vecs), basis
