@@ -6,7 +6,13 @@ tables, and the closed-form Poincare series of the small quotient modules.
 Usage: python scripts/worked_examples.py
 """
 
-from tcalab.hilbert import char_poly_simple, enhanced_of_simple, modification, monomial_form
+from tcalab.hilbert import (
+    char_poly_simple,
+    enhanced_of_simple,
+    modification,
+    monomial_form,
+    series_form,
+)
 from tcalab.homalg import (
     closed_form_m0e,
     depth,
@@ -23,7 +29,7 @@ def show_charpolys():
     for lam in [(), (1,), (2,), (1, 1), (2, 1)]:
         lam = partition(lam)
         print(f"  X[{format_partition(lam)}] = {monomial_form(char_poly_simple(lam))!r}")
-        print(f"  Y[{format_partition(lam)}] = {enhanced_of_simple(lam)!r}")
+        print(f"  Y[{format_partition(lam)}] = {series_form(enhanced_of_simple(lam))!r}")
     print()
 
 

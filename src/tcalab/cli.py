@@ -164,14 +164,15 @@ def _charpoly(partition):
 
 
 def _hilbert(class_spec):
-    from .hilbert import enhanced_of_class
+    from .hilbert import enhanced_of_class, series_form
     from .ktheory import AClass
 
     cls = parse_class_spec(class_spec)
     if not isinstance(cls, AClass):
         raise InputError("hilbert expects an S/P class spec")
     series = enhanced_of_class(cls)
-    return {"command": "hilbert", "p": series.p.to_json(), "q": series.q.to_json()}
+    return {"command": "hilbert", "p": series_form(series.p).to_json(),
+            "q": series_form(series.q).to_json()}
 
 
 def _modify(partition, n):

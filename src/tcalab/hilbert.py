@@ -7,6 +7,15 @@ and q honest polynomials; p carries the character polynomial through the
 umbral substitution t^nu -> falling factorials in the variables a_i, and q
 is the low-degree correction governed by local cohomology.
 
+In the divided-power basis t^mu / mu! the coefficients of an enhanced
+series are the integer traces themselves, so every series is kept as a
+`Combination` tagged D (`enhanced_of_simple`, `enhanced_sum`,
+`EnhancedSeries`) and summed in ints.  The derivative in t_1 is a re-key
+there, since d/dt_1 (t^mu / mu!) is t^nu / nu! for mu = nu + (1,)
+(`t1_derivative`), and t -> -t is the sign (-1)^len(mu)
+(`negate_variables`).  The Fraction t-monomials c / mu! are made only for
+output (`series_form`).
+
 The umbral map sends t^nu / nu! to prod_i (a_i)_{m_i} / m_i! =
 prod_i C(a_i, m_i), the binomial C(a, nu) with m_i = m_i(nu).  In that
 basis a character polynomial has integer coefficients: the one of the
@@ -54,44 +63,50 @@ from .polynomials import MPoly
 from .symchar import Combination, _mn, mn_trace
 
 
+def _divided_form(X: Combination) -> Combination:
+    """X itself, refused with a ValueError unless it is a combination in
+    the divided-power basis D."""
+    if not isinstance(X, Combination) or X.basis != "D":
+        raise ValueError("enhanced series live in the divided-power basis D")
+    return X
+
+
 class EnhancedSeries:
-    """The pair (p, q) representing p * exp(T_0) + q."""
+    """The pair (p, q) of D combinations representing p * exp(T_0) + q."""
 
     __slots__ = ("p", "q")
 
-    def __init__(self, p: MPoly, q: MPoly):
-        if p.basis != "t" or q.basis != "t":
-            raise ValueError("enhanced series parts live in the t family")
-        self.p = p
-        self.q = q
+    def __init__(self, p: Combination, q: Combination):
+        self.p = _divided_form(p)
+        self.q = _divided_form(q)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, EnhancedSeries) and self.p == other.p and self.q == other.q
 
     def __repr__(self) -> str:
-        return f"({self.p!r})*exp(T0) + ({self.q!r})"
+        return f"({series_form(self.p)!r})*exp(T0) + ({series_form(self.q)!r})"
 
 
 @lru_cache(maxsize=None)
-def enhanced_of_simple(lam: Partition) -> MPoly:
-    """Enhanced series of a single simple: sum over cycle types mu of
-    trace(c_mu) t^mu / mu!.  Homogeneous of weighted degree |lam|."""
+def enhanced_of_simple(lam: Partition) -> Combination:
+    """Enhanced series of a single simple in the divided-power basis D: the
+    coefficient on mu, standing for t^mu / mu!, is the integer trace(c_mu)
+    read from the MN table `_mn`, as mu runs over the partitions of |lam|.
+    Homogeneous of weighted degree |lam|."""
     lam = partition(lam)
-    return MPoly("t", {
-        mu: Fraction(mn_trace(mu, lam), aut_factor(mu))
-        for mu in _partitions_cached(size(lam))
-    })
+    return Combination("D", {mu: _mn(mu, lam) for mu in _partitions_cached(size(lam))})
 
 
-def enhanced_sum(terms: Iterable[tuple[Partition, int]]) -> MPoly:
+def enhanced_sum(terms: Iterable[tuple[Partition, int]]) -> Combination:
     """Sum of c times the enhanced series of the simple at lam over the
-    pairs (lam, c), accumulated in one dict."""
-    out: dict[Partition, Fraction] = {}
+    pairs (lam, c), accumulated in one dict of ints."""
+    out: dict[Partition, int] = {}
+    get = out.get
     for lam, c in terms:
         if c:
             for mu, v in enhanced_of_simple(lam).coeffs.items():
-                out[mu] = out.get(mu, 0) + c * v
-    return MPoly("t", out)
+                out[mu] = get(mu, 0) + c * v
+    return Combination("D", out)
 
 
 def enhanced_of_class(x: AClass) -> EnhancedSeries:
@@ -99,6 +114,33 @@ def enhanced_of_class(x: AClass) -> EnhancedSeries:
     return EnhancedSeries(
         enhanced_sum(x.projective.coeffs.items()), enhanced_sum(x.torsion.coeffs.items())
     )
+
+
+def t1_derivative(s: Combination) -> Combination:
+    """Formal partial derivative in t_1; the series-level shadow of the
+    single-box branching operator.  In D it is a re-key: d/dt_1 of
+    t^mu / mu! is t^nu / nu! with nu = mu less one part 1, so the
+    coefficient on a mu that ends in a 1 moves unchanged to mu[:-1], and
+    every other term vanishes."""
+    return Combination("D", {
+        mu[:-1]: c for mu, c in _divided_form(s).coeffs.items() if mu and mu[-1] == 1
+    })
+
+
+def negate_variables(s: Combination) -> Combination:
+    """The substitution t_i -> -t_i for every i, in D: the coefficient on
+    mu picks up (-1)^len(mu)."""
+    return Combination("D", {
+        mu: -c if len(mu) & 1 else c for mu, c in _divided_form(s).coeffs.items()
+    })
+
+
+def series_form(X: Combination) -> MPoly:
+    """The t-monomials of a D combination, for output: c t^mu / mu! becomes
+    the Fraction c / mu! on t^mu."""
+    return MPoly("t", {
+        mu: Fraction(c, aut_factor(mu)) for mu, c in _divided_form(X).coeffs.items()
+    })
 
 
 def _stirling_rows(top: int) -> list[list[int]]:
@@ -233,10 +275,3 @@ def character_value(lam: Partition, mu: Partition) -> int:
     sign, target = result
     return sign * mn_trace(mu, target)
 
-
-def t1_derivative(s: MPoly) -> MPoly:
-    """Formal partial derivative in t_1; the series-level shadow of the
-    single-box branching operator."""
-    if s.basis != "t":
-        raise ValueError("t1_derivative consumes the t family")
-    return s.partial(1)

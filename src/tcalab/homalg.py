@@ -21,7 +21,7 @@ from math import factorial
 from typing import NamedTuple
 
 from . import InternalError
-from .hilbert import enhanced_of_class, enhanced_sum
+from .hilbert import enhanced_of_class, enhanced_sum, negate_variables
 from .ktheory import AClass, signed_transpose
 from .partitions import (
     Partition,
@@ -31,8 +31,7 @@ from .partitions import (
     prefixed_to_partition,
     size,
 )
-from .polynomials import MPoly
-from .symchar import VClass
+from .symchar import Combination, VClass
 
 
 class InvalidDError(ValueError):
@@ -91,9 +90,10 @@ def depth(lam, D: int) -> int | float:
     return 1 + sum(1 for x in lam if x == D)
 
 
-def q_from_local_cohomology(lam, D: int) -> MPoly:
+def q_from_local_cohomology(lam, D: int) -> Combination:
     """Alternating sum over rows of the enhanced series of their entries;
-    the q-part of the enhanced series of the tail module."""
+    the q-part of the enhanced series of the tail module, in the
+    divided-power basis D."""
     table = local_cohomology(lam, D)
     return enhanced_sum(
         (nu, (-1) ** i) for i, entries in table.rows.items() for nu in entries
@@ -187,6 +187,8 @@ def regularity(shape: FreeResShape) -> int:
     if not strands:
         raise UnstableError("shape has no generators")
     if shape.tail is not None:
+        if not shape.tail:
+            raise UnstableError("a tail with no shapes never stabilizes")
         tail_strand = max(map(size, shape.tail)) - len(shape.explicit)
         if shape.explicit[-1] and strands[-1] != tail_strand:
             raise UnstableError("strand value jumps at the tail boundary")
@@ -307,7 +309,8 @@ def fourier_hilbert_check(x: AClass) -> bool:
     series H = exp(T0) p + q up to t -> -t: p_F(t) = q(-t) and
     q_F(t) = p(-t), exactly.  The assembled identity
     H(t) = p_F(-t) + exp(T0) q_F(-t) follows from the swap by substituting
-    it, so it is not checked again."""
+    it, so it is not checked again.  Both sides stay in the divided-power
+    basis D, where t -> -t is the sign (-1)^len(mu) on the term at mu."""
     s = enhanced_of_class(x)
     fs = enhanced_of_class(fourier_class(x))
-    return fs.p == s.q.negate_variables() and fs.q == s.p.negate_variables()
+    return fs.p == negate_variables(s.q) and fs.q == negate_variables(s.p)

@@ -11,9 +11,12 @@ the product of two monomials is the merged partition.  This matches the
 size grading on partitions: the enhanced series weighs t^mu by a trace at
 the cycle type mu.  Sums, negation, integer multiples, equality and hashing
 are Combination's; exponent pairs (i, m_i) appear only in the presentation.
-Nothing here evaluates a polynomial: character polynomials are evaluated in
-the binomial basis (`hilbert.eval_char_poly`), and their `Fraction`
-monomials are made only for output (`hilbert.monomial_form`).
+Nothing here evaluates or differentiates a polynomial.  MPoly is the output
+form of the two integer bases the computations keep: character polynomials
+live in the binomial basis B (`hilbert.eval_char_poly`) and enhanced series
+in the divided-power basis D (`hilbert.t1_derivative`), and their `Fraction`
+monomials in a and t are made only for output (`hilbert.monomial_form`,
+`hilbert.series_form`).
 
 exp(T_0) with T_0 = sum t_i is never materialized; identities involving it
 are checked under truncation by weighted degree.
@@ -95,20 +98,6 @@ class MPoly(Combination):
 
     def truncate(self, bound: int) -> "MPoly":
         return self._new({mu: c for mu, c in self.coeffs.items() if size(mu) <= bound})
-
-    def negate_variables(self) -> "MPoly":
-        """Substitute x_i -> -x_i for every i."""
-        return self._new({mu: c * (-1) ** len(mu) for mu, c in self.coeffs.items()})
-
-    def partial(self, index: int) -> "MPoly":
-        """Formal partial derivative with respect to x_index: a monomial with
-        d parts equal to index loses one of them and is multiplied by d."""
-        out: dict[Partition, Fraction] = {}
-        for mu, c in self.coeffs.items():
-            if index in mu:
-                j = mu.index(index)
-                out[mu[:j] + mu[j + 1:]] = c * mu.count(index)
-        return self._new(out)
 
     # -- presentation
 

@@ -774,9 +774,9 @@ def char_poly_of_class(x):
     """Umbral image of the p-part of the enhanced series of a class, the
     character polynomial of its projective part; a reader of
     `hilbert.enhanced_of_class` on classes that are not simples."""
-    from tcalab.hilbert import enhanced_of_class, umbral
+    from tcalab.hilbert import enhanced_of_class, series_form, umbral
 
-    return umbral(enhanced_of_class(x).p)
+    return umbral(series_form(enhanced_of_class(x).p))
 
 
 def evaluate_monomials(p, values):
@@ -827,6 +827,40 @@ def evaluate_by_fractions(p, values):
 
 
 # ---------------------------------------------------------------------------
+# Enhanced series as Fraction t-monomials
+
+
+def enhanced_by_fractions(lam):
+    """`hilbert.enhanced_of_simple` as a Fraction `MPoly`: the trace on each
+    cycle type mu of size |lam|, through the size-checked `mn_trace`,
+    divided by mu! on t^mu."""
+    from tcalab.partitions import aut_factor, partitions_of
+    from tcalab.polynomials import MPoly
+    from tcalab.symchar import mn_trace
+
+    return MPoly("t", {
+        mu: Fraction(mn_trace(mu, lam), aut_factor(mu)) for mu in partitions_of(sum(lam))
+    })
+
+
+def partial_derivative(p, index):
+    """Formal partial derivative of an `MPoly` with respect to x_index: a
+    monomial with d parts equal to index loses one of them and is
+    multiplied by d."""
+    out = {}
+    for mu, c in p.terms.items():
+        if index in mu:
+            j = mu.index(index)
+            out[mu[:j] + mu[j + 1:]] = c * mu.count(index)
+    return type(p)(p.basis, out)
+
+
+def negate_monomials(p):
+    """Substitute x_i -> -x_i for every i in an `MPoly`."""
+    return type(p)(p.basis, {mu: c * (-1) ** len(mu) for mu, c in p.terms.items()})
+
+
+# ---------------------------------------------------------------------------
 # Series bounds read off the enhanced series
 
 
@@ -842,8 +876,10 @@ def restrict_to_first(p):
 def plain_hilbert(s):
     """Set t_i = 0 for i >= 2 in an `hilbert.EnhancedSeries`: coefficient
     tuples (p0, q0) of the univariate series p0(t) e^t + q0(t), degree
-    ascending."""
-    return restrict_to_first(s.p), restrict_to_first(s.q)
+    ascending, read off the t-monomials of its parts."""
+    from tcalab.hilbert import series_form
+
+    return restrict_to_first(series_form(s.p)), restrict_to_first(series_form(s.q))
 
 
 def _stable_range_defect(lam) -> int:

@@ -14,8 +14,11 @@ from oracles import (
     char_poly_by_fraction_series,
     char_poly_by_products,
     char_poly_of_class,
+    enhanced_by_fractions,
     eval_poly,
     evaluate_monomials,
+    negate_monomials,
+    partial_derivative,
     plain_hilbert,
     remove_strips,
     stability_bound,
@@ -34,6 +37,8 @@ from tcalab.hilbert import (
     eval_char_poly,
     modification,
     monomial_form,
+    negate_variables,
+    series_form,
     t1_derivative,
     umbral,
 )
@@ -50,7 +55,12 @@ from tcalab.partitions import (
     vertical_strips,
 )
 from tcalab.polynomials import MPoly, exp_t0_truncated, mul_truncated
-from tcalab.symchar import Combination, VClass, mn_trace
+from tcalab.symchar import Combination, VClass, _mn, mn_trace
+
+
+def series_pair(s):
+    """The t-monomials of the parts (p, q) of an enhanced series."""
+    return series_form(s.p), series_form(s.q)
 
 
 def tmono(exps, num, den=1):
@@ -63,32 +73,46 @@ def amono(exps, num, den=1):
 
 class TestEnhancedSeries:
     def test_simple_examples(self):
-        assert enhanced_of_simple(()) == MPoly("t", {(): 1})
-        assert enhanced_of_simple((2, 1)) == tmono({1: 3}, 1, 3) + tmono({3: 1}, -1)
-        assert enhanced_of_simple((1, 1)) == tmono({1: 2}, 1, 2) + tmono({2: 1}, -1)
-        assert enhanced_of_simple((2,)) == tmono({1: 2}, 1, 2) + tmono({2: 1}, 1)
-        assert enhanced_of_simple((1,)) == tmono({1: 1}, 1)
+        assert series_form(enhanced_of_simple(())) == MPoly("t", {(): 1})
+        assert series_form(enhanced_of_simple((2, 1))) == tmono({1: 3}, 1, 3) + tmono({3: 1}, -1)
+        assert series_form(enhanced_of_simple((1, 1))) == tmono({1: 2}, 1, 2) + tmono({2: 1}, -1)
+        assert series_form(enhanced_of_simple((2,))) == tmono({1: 2}, 1, 2) + tmono({2: 1}, 1)
+        assert series_form(enhanced_of_simple((1,))) == tmono({1: 1}, 1)
 
     @given(partitions_st(max_part=4, max_rows=3))
     def test_homogeneous_of_weighted_degree(self, lam):
-        series = enhanced_of_simple(lam)
+        series = series_form(enhanced_of_simple(lam))
         assert all(size(mu) == size(lam) for mu in series.terms)
 
     def test_class_examples(self):
-        assert enhanced_of_class(AClass.free(())) == EnhancedSeries(
+        assert series_pair(enhanced_of_class(AClass.free(()))) == (
             MPoly("t", {(): 1}), MPoly.zero("t")
         )
-        assert enhanced_of_class(AClass.simple((1,))) == EnhancedSeries(
+        assert series_pair(enhanced_of_class(AClass.simple((1,)))) == (
             MPoly.zero("t"), tmono({1: 1}, 1)
         )
-        assert enhanced_of_class(AClass.free((2,))) == EnhancedSeries(
+        assert series_pair(enhanced_of_class(AClass.free((2,)))) == (
             tmono({1: 2}, 1, 2) + tmono({2: 1}, 1), MPoly.zero("t")
         )
+        # the parts are integer traces in the divided-power basis D
+        assert enhanced_of_class(AClass.free((2,))) == EnhancedSeries(
+            Combination("D", {(1, 1): 1, (2,): 1}), Combination("D")
+        )
+
+    def test_parts_live_in_the_divided_power_basis(self):
+        for X in (MPoly("t", {(): 1}), Combination("B", {(): 1}), None):
+            with pytest.raises(ValueError, match="divided-power basis D"):
+                EnhancedSeries(X, Combination("D"))
+            with pytest.raises(ValueError, match="divided-power basis D"):
+                EnhancedSeries(Combination("D"), X)
+            for f in (series_form, t1_derivative, negate_variables):
+                with pytest.raises(ValueError, match="divided-power basis D"):
+                    f(X)
 
     def test_plain_hilbert(self):
         p0, q0 = plain_hilbert(enhanced_of_class(AClass.free(())))
         assert p0 == (1,) and q0 == ()
-        series = EnhancedSeries(MPoly.zero("t"), enhanced_of_simple((2, 1)))
+        series = EnhancedSeries(Combination("D"), enhanced_of_simple((2, 1)))
         p0, q0 = plain_hilbert(series)
         assert p0 == ()
         assert q0 == (0, 0, 0, Fraction(1, 3))
@@ -106,8 +130,8 @@ class TestEnhancedSeries:
                     projective=k_product(VClass.simple(lam), VClass.simple(mu))
                 )
                 assert (
-                    enhanced_of_class(prod).p
-                    == enhanced_of_class(x).p * enhanced_of_class(y).p
+                    series_form(enhanced_of_class(prod).p)
+                    == series_form(enhanced_of_class(x).p) * series_form(enhanced_of_class(y).p)
                 )
 
 
@@ -268,7 +292,7 @@ class TestCharacterPolynomials:
     def test_class_linearity(self):
         x = AClass.free((2,)) - AClass.free((1,))
         assert char_poly_of_class(x) == umbral(
-            enhanced_of_simple((2,)) - enhanced_of_simple((1,))
+            series_form(enhanced_of_simple((2,))) - series_form(enhanced_of_simple((1,)))
         )
 
     def test_integrality_on_integral_classes(self):
@@ -315,6 +339,51 @@ class TestBinomialRoute:
             with monkeypatch.context() as patch:
                 patch.setattr(hilbert, name, mutant)
                 assert _binomial_route_fault() is not None, name
+
+
+def _divided_power_fault() -> str | None:
+    """The first disagreement of the divided-power route with the Fraction
+    t-series, or None: for every simple lam up to size 8, its series, its
+    t_1 derivative and its image under t -> -t, each made into t-monomials
+    by `series_form`, against the oracle's Fraction series and that series'
+    own partial derivative and negation.  The cache is bypassed and the
+    transforms are looked up on the module, so a patched module is seen."""
+    build = enhanced_of_simple.__wrapped__
+    for lam in partitions_up_to(8):
+        X, want = build(lam), enhanced_by_fractions(lam)
+        if series_form(X) != want:
+            return f"series of {lam}"
+        if series_form(hilbert.t1_derivative(X)) != partial_derivative(want, 1):
+            return f"t1 derivative of {lam}"
+        if series_form(hilbert.negate_variables(X)) != negate_monomials(want):
+            return f"negated series of {lam}"
+    return None
+
+
+class TestDividedPowerRoute:
+    def test_matches_the_fraction_series(self):
+        assert _divided_power_fault() is None
+
+    def test_traces_are_ints(self):
+        for lam in partitions_up_to(6):
+            assert all(type(c) is int for c in enhanced_of_simple(lam).coeffs.values())
+
+    def test_mutants_are_caught(self, monkeypatch):
+        # an off-by-one trace, a re-key that drops the first part instead of
+        # the trailing 1, and the sign (-1)^len(mu) flipped
+        mutants = [
+            ("_mn", lambda mu, lam, mn=_mn: mn(mu, lam) + 1),
+            ("t1_derivative", lambda s: Combination("D", {
+                mu[1:]: c for mu, c in s.coeffs.items() if mu and mu[-1] == 1
+            })),
+            ("negate_variables", lambda s: Combination("D", {
+                mu: c if len(mu) & 1 else -c for mu, c in s.coeffs.items()
+            })),
+        ]
+        for name, mutant in mutants:
+            with monkeypatch.context() as patch:
+                patch.setattr(hilbert, name, mutant)
+                assert _divided_power_fault() is not None, name
 
 
 class TestModification:
@@ -370,30 +439,31 @@ class TestTruncationConsistency:
             bound = size(lam) + top + 2
             total = MPoly.zero("t")
             for d in range(top, bound - size(lam) + 1):
-                total = total + enhanced_of_simple(partition((d,) + lam))
+                total = total + series_form(enhanced_of_simple(partition((d,) + lam)))
             total = total.truncate(bound)
             p = MPoly.zero("t")
             for dd in range(size(lam) + 1):
                 for mu in remove_strips(lam, dd, "VS"):
-                    p = p + enhanced_of_simple(mu).scale((-1) ** dd)
-            q = q_from_local_cohomology(lam, top)
+                    p = p + series_form(enhanced_of_simple(mu)).scale((-1) ** dd)
+            q = series_form(q_from_local_cohomology(lam, top))
             rhs = mul_truncated(p, exp_t0_truncated(bound), bound) + q.truncate(bound)
             assert total == rhs, lam
 
 
 class TestDerivativeAndBounds:
     def test_t1_derivative_examples(self):
-        p = tmono({1: 2}, 1, 2) + tmono({2: 1}, 1)
-        assert t1_derivative(p) == tmono({1: 1}, 1)
-        assert t1_derivative(MPoly("t", {(): 3})) == MPoly.zero("t")
+        # t1^2/2 + t2 and the constant 3, in the divided-power basis D
+        p = Combination("D", {(1, 1): 1, (2,): 1})
+        assert series_form(t1_derivative(p)) == tmono({1: 1}, 1)
+        assert series_form(t1_derivative(Combination("D", {(): 3}))) == MPoly.zero("t")
 
     def test_branching_matches_derivative(self):
         for lam in partitions_up_to(6):
             derived = schur_derivative(VClass.simple(lam))
             series = MPoly.zero("t")
             for mu, c in derived.coeffs.items():
-                series = series + enhanced_of_simple(mu).scale(c)
-            assert series == t1_derivative(enhanced_of_simple(lam)), lam
+                series = series + series_form(enhanced_of_simple(mu)).scale(c)
+            assert series == series_form(t1_derivative(enhanced_of_simple(lam))), lam
 
     def test_stability_bound_values(self):
         # defect values from the degree formula
@@ -417,6 +487,6 @@ class TestDerivativeAndBounds:
 
         for lam in partitions_up_to(4):
             top = lam[0] if lam else 0
-            q = q_from_local_cohomology(lam, top)
+            q = series_form(q_from_local_cohomology(lam, top))
             cls = AClass(projective=VClass.simple(lam))  # image has support lam
             assert q.degree() <= max(stability_bound(cls), 0) or not q

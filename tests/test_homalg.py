@@ -15,7 +15,7 @@ from oracles import (
     remove_strips,
 )
 from tcalab import homalg
-from tcalab.hilbert import enhanced_of_simple
+from tcalab.hilbert import enhanced_of_simple, series_form
 from tcalab.homalg import (
     FreeResShape,
     InvalidDError,
@@ -148,10 +148,10 @@ class TestLocalCohomology:
             assert t.max_nonzero() == len(lam) + 1
 
     def test_q_values(self):
-        assert q_from_local_cohomology((1,), 1) == MPoly("t", {(): 1})
+        assert series_form(q_from_local_cohomology((1,), 1)) == MPoly("t", {(): 1})
         expected = enhanced_of_simple((1,)) + enhanced_of_simple((1, 1))
         assert q_from_local_cohomology((2,), 2) == expected
-        assert q_from_local_cohomology((), 0) == MPoly.zero("t")
+        assert series_form(q_from_local_cohomology((), 0)) == MPoly.zero("t")
 
 
 HAND_MADE_SHAPES = [
@@ -196,6 +196,11 @@ class TestResolutionShapes:
         shape = FreeResShape((((1,),), ((3,),)))
         with pytest.raises(UnstableError):
             regularity(shape)
+
+    def test_regularity_of_an_empty_tail(self):
+        # a tail with no shapes has no strand to keep constant
+        with pytest.raises(UnstableError, match="a tail with no shapes never stabilizes"):
+            regularity(FreeResShape((((1,),),), ()))
 
     def test_syzygy_shape(self):
         shape = syzygy_shape_ln(1, 2, 4)
