@@ -29,9 +29,9 @@ basis and in ints: the value is sum c prod_i C(m_i(mu), m_i(nu)), one
 
 The monomials in the a_i are made only for output (`monomial_form`), by
 expanding each falling factorial (x)_d = sum_k s(d, k) x^k through the
-signed Stirling numbers of the first kind.  No t-series is built: with D
+signed Stirling numbers of the first kind.  No t-series is built: with den
 the lcm of the nu!, the coefficient c on C(a, nu) enters the umbral
-expansion as the integer c * D / nu!, and the only Fractions of the route
+expansion as the integer c * den / nu!, and the only Fractions of the route
 are its output monomials, one each.  The expansion of nu is its largest
 run of equal parts times the expansion of the rest, and each such suffix
 is expanded once per polynomial, so the many nu that end in the same shape
@@ -233,8 +233,8 @@ def char_poly_simple(lam: Partition) -> Combination:
 
 def monomial_form(X: Combination) -> MPoly:
     """The monomials in the variables a_i of a B combination: the umbral
-    image of sum c t^nu / nu!.  Over the lcm D of the nu!, the ints
-    c * D / nu! go straight to the umbral expansion, which expands each
+    image of sum c t^nu / nu!.  Over the lcm den of the nu!, the ints
+    c * den / nu! go straight to the umbral expansion, which expands each
     suffix of the nu once and makes the Fractions of the output."""
     auts = {nu: aut_factor(nu) for nu in _binomial_form(X).coeffs}
     den = lcm(*auts.values())
