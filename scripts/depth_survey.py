@@ -8,7 +8,6 @@ Usage: python scripts/depth_survey.py [--max-size N] [--extra-d K]
 
 import argparse
 
-from tcalab.hilbert import series_form
 from tcalab.homalg import (
     depth,
     depth_from_resolution,
@@ -41,11 +40,11 @@ def main() -> None:
             if len(lam) == 1 and D > lam[0]:
                 if depth_from_resolution(syzygy_shape_ln(lam[0], D, 5)) != d:
                     raise SystemExit(f"{shape}: the resolution does not give depth {d}")
-            q = series_form(q_from_local_cohomology(lam, D))
+            q = q_from_local_cohomology(lam, D)
             print(
                 f"{shape:>14s} {d:>6d} "
                 f"{table.min_nonzero() or '-':>6} {table.max_nonzero() or '-':>6} "
-                f"{q.degree() if q else '-':>6}"
+                f"{q.max_size() if q else '-':>6}"
             )
 
 

@@ -6,6 +6,9 @@ tables, and the closed-form Poincare series of the small quotient modules.
 Usage: python scripts/worked_examples.py
 """
 
+from fractions import Fraction
+from math import factorial
+
 from tcalab.hilbert import (
     char_poly_simple,
     enhanced_of_simple,
@@ -73,7 +76,7 @@ def show_poincare():
             raise SystemExit(f"e={e}: the resolution's series is not the closed form")
         print(f"  e={e}: regularity {reg}, coefficients through t^10:")
         for (d, n), c in sorted(series.coeffs.items()):
-            print(f"    t^{d} q^{n}: {c}")
+            print(f"    t^{d} q^{n}: {Fraction(c, factorial(d))}")
     print()
 
 

@@ -7,7 +7,9 @@ Modules are organized by what they compute:
     symchar      symmetric group characters, Littlewood-Richardson rule,
                  the Combination core shared by the S/L/Q classes and the
                  t/a polynomials
-    polynomials  exact polynomials whose monomials are partitions
+    polynomials  the output form of series and character polynomials:
+                 Fraction polynomials whose monomials are partitions;
+                 exp(T_0) as the all-ones D combination
     ktheory      Grothendieck group bases, products, pairing, Fourier involution
     hilbert      enhanced Hilbert series and character polynomials
     homalg       local cohomology, depth, resolution shapes, regularity,

@@ -2,8 +2,9 @@
 
 Every subcommand validates its inputs, computes through the library, and
 prints one JSON document (schema-tagged) to stdout; diagnostics go to
-stderr.  Exit codes: 0 success, 2 input error, 3 internal invariant
-violation (`tcalab.InternalError`) or any other failure.
+stderr.  Exit codes: 0 success, 2 input error or a request that runs out of
+memory, 3 internal invariant violation (`tcalab.InternalError`) or any
+other failure.
 
 Each subcommand, and each `ktheory` and `quiver` operation, is one row of
 `COMMANDS`, from which the parser and the operand-count check are derived.
@@ -436,6 +437,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(3, invariant_violation=str(exc))
     except ValueError as exc:
         return _fail(2, error=str(exc))
+    except MemoryError:  # input too large for this machine; no invariant failed
+        return _fail(2, error="not enough memory for this request")
     except Exception as exc:  # any other failure is reported, never a traceback
         return _fail(3, internal_error=type(exc).__name__, message=str(exc))
     return 0

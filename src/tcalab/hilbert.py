@@ -194,17 +194,6 @@ def _umbral_ints(terms: list[tuple[Partition, int]], den: int) -> MPoly:
     return MPoly("a", {k: Fraction(v, den) for k, v in out.items() if v})
 
 
-def umbral(p: MPoly) -> MPoly:
-    """Linear (not multiplicative) substitution prod t_i^{d_i} ->
-    prod (a_i)_{d_i}, expanded in ints: each c enters as c * den over the
-    lcm den of the denominators, and only the output monomials are Fractions."""
-    if p.basis != "t":
-        raise ValueError("umbral substitution consumes the t family")
-    den = lcm(*(c.denominator for c in p.coeffs.values()))
-    return _umbral_ints([(mu, c.numerator * (den // c.denominator))
-                         for mu, c in p.coeffs.items()], den)
-
-
 def _binomial_form(X: Combination) -> Combination:
     """X itself, refused with a ValueError unless it is a combination in
     the binomial basis B."""

@@ -219,33 +219,36 @@ def depth_from_resolution(shape: FreeResShape) -> int | float:
 
 
 class PoincareTruncation(NamedTuple):
-    """Exact coefficients of t^d q^n for d <= bound."""
+    """Exact coefficients for d <= bound: coeffs[(d, n)] is the int c on
+    t^d q^n / d!, that is (-1)^n times a sum of dimensions."""
 
     bound: int
-    coeffs: dict[tuple[int, int], Fraction]
+    coeffs: dict[tuple[int, int], int]
 
     def to_json(self) -> list[dict]:
-        return [
-            {"t": d, "q": n, "num": c.numerator, "den": c.denominator}
-            for (d, n), c in sorted(self.coeffs.items())
-        ]
+        out = []
+        for (d, n), c in sorted(self.coeffs.items()):
+            c = Fraction(c, factorial(d))
+            out.append({"t": d, "q": n, "num": c.numerator, "den": c.denominator})
+        return out
 
 
 def poincare_truncated(shape: FreeResShape, bound: int) -> PoincareTruncation:
-    """Coefficient of t^d q^n is (-1)^n (sum of dims of degree-d generators
-    in homological degree n) / d!.  Past the tail start every generator
-    gains one box per degree, so no degree after `last` reaches the bound."""
+    """Coefficient of t^d q^n / d! is (-1)^n times the sum of dims of the
+    degree-d generators in homological degree n.  Past the tail start
+    every generator gains one box per degree, so no degree after `last`
+    reaches the bound."""
     last = len(shape.explicit) - 1
     if shape.tail is not None:
         smallest = min((size(p) for p in shape.tail), default=bound + 1)
         last = max(last, len(shape.explicit) + bound - smallest)
-    coeffs: dict[tuple[int, int], Fraction] = {}
+    coeffs: dict[tuple[int, int], int] = {}
     for n in range(last + 1):
         for g in shape.generators_at(n):
             d = size(g)
             if d <= bound:
-                c = Fraction((-1) ** n * hook_dimension(g), factorial(d))
-                coeffs[(d, n)] = coeffs.get((d, n), 0) + c
+                c = hook_dimension(g)
+                coeffs[(d, n)] = coeffs.get((d, n), 0) + (-c if n & 1 else c)
     return PoincareTruncation(bound, {k: c for k, c in coeffs.items() if c})
 
 
@@ -253,41 +256,30 @@ def closed_form_m0e(e: int, bound: int) -> PoincareTruncation:
     """Truncated expansion of the closed form for the quotient by the e-th
     power of the maximal ideal: an exponential part with Laurent prefactor
     plus a Laurent polynomial f with f(t, 1) = 0, which is reconstructed
-    and asserted on the truncation."""
+    and asserted on the truncation.  Every coefficient is the int on
+    t^d q^n / d!: the series has (-1)^{n+e-1} C(n-1, e-1) on t^n q^{n-e+1}
+    for n >= e, besides the constant 1."""
     if e < 1:
         raise ValueError("e must be a positive integer")
-    coeffs: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
-    lead = Fraction((-1) ** (e - 1), factorial(e - 1))
+    coeffs = {(0, 0): 1}
     for n in range(e, bound + 1):
-        ff = 1
-        for k in range(1, e):
-            ff *= n - k
-        c = lead * Fraction((-1) ** n * ff, factorial(n))
-        if c:
-            coeffs[(n, n - e + 1)] = c
+        coeffs[(n, n - e + 1)] = (-1) ** (n + e - 1) * math.comb(n - 1, e - 1)
     series = PoincareTruncation(bound, coeffs)
 
-    # exponential part: (sum_{i<e} t^{e-1-i} q^{-i}/(e-1-i)!) e^{-qt}
-    expo: dict[tuple[int, int], Fraction] = {}
+    # exponential part: (sum_{i<e} t^{e-1-i} q^{-i}/(e-1-i)!) e^{-qt}, whose
+    # term at i and k is (-1)^k C(d, k) on t^d q^{k-i} / d!, d = e-1-i+k
+    expo: dict[tuple[int, int], int] = {}
     for i in range(e):
         for k in range(bound + 1):
             d = e - 1 - i + k
             if d > bound:
                 continue
             key = (d, k - i)
-            c = Fraction((-1) ** k, factorial(e - 1 - i) * factorial(k))
-            expo[key] = expo.get(key, Fraction(0)) + c
-    f: dict[tuple[int, int], Fraction] = {}
-    for key in set(coeffs) | set(expo):
-        c = coeffs.get(key, Fraction(0)) - expo.get(key, Fraction(0))
-        if c:
-            f[key] = c
-    if any(d >= e for (d, _) in f):
+            expo[key] = expo.get(key, 0) + (-1) ** k * math.comb(d, k)
+    f = {key: coeffs.get(key, 0) - expo.get(key, 0) for key in coeffs.keys() | expo}
+    if any(c and d >= e for (d, _), c in f.items()):
         raise InternalError("Laurent remainder exceeds its degree bound")
-    collapse: dict[int, Fraction] = {}
-    for (d, _), c in f.items():
-        collapse[d] = collapse.get(d, Fraction(0)) + c
-    if any(v != 0 for v in collapse.values()):
+    if any(sum(c for (d, _), c in f.items() if d == k) for k in range(e)):
         raise InternalError("Laurent remainder does not vanish at q = 1")
     return series
 

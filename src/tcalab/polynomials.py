@@ -1,4 +1,4 @@
-"""Sparse exact multivariate polynomials over the rationals.
+"""Exact multivariate polynomials over the rationals, as output.
 
 An MPoly is a `symchar.Combination` of monomials over a countable variable
 family x_1, x_2, ..., tagged 't' or 'a' as its basis, with Fraction
@@ -6,20 +6,26 @@ coefficients: a Fraction is kept as given, an int (not a bool) coerced, any
 other coefficient refused with a ValueError.  A monomial is a partition: mu
 stands for prod_i x_i^{m_i(mu)}, where m_i(mu) counts the parts of mu equal
 to i, and the empty partition is the constant term.  The weighted degree
-deg x_i = i of a monomial is then |mu|, its total degree is len(mu), and
-the product of two monomials is the merged partition.  This matches the
-size grading on partitions: the enhanced series weighs t^mu by a trace at
-the cycle type mu.  Sums, negation, integer multiples, equality and hashing
-are Combination's; exponent pairs (i, m_i) appear only in the presentation.
-Nothing here evaluates or differentiates a polynomial.  MPoly is the output
-form of the two integer bases the computations keep: character polynomials
-live in the binomial basis B (`hilbert.eval_char_poly`) and enhanced series
-in the divided-power basis D (`hilbert.t1_derivative`), and their `Fraction`
-monomials in a and t are made only for output (`hilbert.monomial_form`,
-`hilbert.series_form`).
+deg x_i = i of a monomial is then |mu|.  Sums, negation, integer multiples,
+equality and hashing are Combination's; exponent pairs (i, m_i) appear only
+in the presentation.
 
-exp(T_0) with T_0 = sum t_i is never materialized; identities involving it
-are checked under truncation by weighted degree.
+MPoly is the output form of the two integer bases the computations keep:
+character polynomials live in the binomial basis B
+(`hilbert.eval_char_poly`) and enhanced series in the divided-power basis D
+(`hilbert.t1_derivative`), and their `Fraction` monomials in a and t are
+made only for output (`hilbert.monomial_form`, `hilbert.series_form`).
+Nothing here multiplies, evaluates or differentiates a polynomial.
+
+exp(T_0) with T_0 = sum t_i is sum_mu t^mu / mu!, the D combination with
+every coefficient 1.  Its product with a D combination p needs no
+polynomial product: t^mu / mu! times t^nu / nu! is
+prod_i C(m_i(rho), m_i(mu)) t^rho / rho! for rho = mu + nu, so
+
+    (p exp(T_0))_rho = sum_mu p_mu prod_i C(m_i(rho), m_i(mu)),
+
+which is p read as a B combination and evaluated at rho
+(`hilbert.eval_char_poly`).
 """
 
 from __future__ import annotations
@@ -27,13 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .partitions import (
-    Partition,
-    aut_factor,
-    multiplicities,
-    partitions_up_to,
-    size,
-)
+from .partitions import Partition, multiplicities, partitions_up_to, size
 from .symchar import Combination
 
 
@@ -45,7 +45,8 @@ def _monomial(exps: dict[int, int]) -> Partition:
 
 
 class MPoly(Combination):
-    """Immutable sparse polynomial; arithmetic requires matching families."""
+    """Immutable sparse polynomial, built and printed; sums require
+    matching families."""
 
     __slots__ = ()
 
@@ -64,40 +65,12 @@ class MPoly(Combination):
 
     @property
     def terms(self) -> dict[Partition, Fraction]:
-        # perfbench/spans.py meters the terms of every product through this name
+        # perfbench/spans.py meters an MPoly's terms through this name
         return self.coeffs
-
-    # -- constructors
-
-    @classmethod
-    def zero(cls, family: str = "t") -> "MPoly":
-        return cls(family)
 
     @classmethod
     def monomial(cls, exps: dict[int, int], coeff, family: str = "t") -> "MPoly":
         return cls(family, {_monomial(exps): coeff})
-
-    # -- ring structure beyond Combination's
-
-    def scale(self, value) -> "MPoly":
-        return Fraction(value) * self
-
-    def __mul__(self, other: "MPoly") -> "MPoly":
-        self._check(other)
-        out: dict[Partition, Fraction] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = tuple(sorted(m1 + m2, reverse=True))
-                out[m] = out.get(m, 0) + c1 * c2
-        return self._new(out)
-
-    # -- queries and transforms
-
-    # max weighted degree (deg x_i = i); the zero polynomial has degree 0
-    degree = Combination.max_size
-
-    def truncate(self, bound: int) -> "MPoly":
-        return self._new({mu: c for mu, c in self.coeffs.items() if size(mu) <= bound})
 
     # -- presentation
 
@@ -134,13 +107,8 @@ class MPoly(Combination):
 
 
 @lru_cache(maxsize=None)
-def exp_t0_truncated(bound: int) -> MPoly:
-    """exp(T_0) truncated at weighted degree bound: sum over partitions mu
-    of size <= bound of t^mu / mu!."""
-    return MPoly("t", {
-        mu: Fraction(1, aut_factor(mu)) for mu in partitions_up_to(bound)
-    })
-
-
-def mul_truncated(a: MPoly, b: MPoly, bound: int) -> MPoly:
-    return (a * b).truncate(bound)
+def exp_t0_truncated(bound: int) -> Combination:
+    """exp(T_0) truncated at weighted degree bound, in the divided-power
+    basis D: coefficient 1 on every partition mu of size <= bound, standing
+    for t^mu / mu!."""
+    return Combination("D", dict.fromkeys(partitions_up_to(bound), 1))

@@ -11,8 +11,10 @@ partitions: `Combination`, a finitely supported combination tagged with its
 basis.  `VClass` (simples [S_lam]) is its S-basis constructor here;
 `ktheory.KClassK` (the L and Q bases) and `ktheory.AClass` build on it, and
 `ktheory.k_product` is the Littlewood-Richardson product for all of them.
-`polynomials.MPoly` is a Combination too: its basis is the variable family
-'t' or 'a', its monomials are partitions and its coefficients Fractions.
+`polynomials.MPoly` is a Combination too, the output form of the integer
+bases B and D: its basis is the variable family 't' or 'a', its monomials
+are partitions and its coefficients Fractions, and it is only built, summed
+and printed.  exp(T_0) is the D combination with every coefficient 1.
 
 Everything else here is an exact integer.
 """
@@ -146,8 +148,9 @@ def _term_order(p: Partition):
 class Combination:
     """Finitely supported combination of basis elements indexed by
     partitions, tagged with the name of the basis; coefficients are
-    integers (Fractions for polynomials.MPoly).  Zero coefficients are never
-    stored; arithmetic across two bases raises BasisMismatchError."""
+    integers (Fractions for polynomials.MPoly, the output form).  Zero
+    coefficients are never stored; arithmetic across two bases raises
+    BasisMismatchError."""
 
     __slots__ = ("basis", "coeffs")
 

@@ -678,6 +678,40 @@ def complex_cohomology_all_vertices(cx):
 
 
 # ---------------------------------------------------------------------------
+# Products of Fraction polynomials
+
+
+def mpoly_product(a, b):
+    """Product of two `MPoly`s of one family, term by term: the monomials of
+    a pair of terms merge into one partition."""
+    a._check(b)
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = tuple(sorted(m1 + m2, reverse=True))
+            out[m] = out.get(m, 0) + c1 * c2
+    return type(a)(a.basis, out)
+
+
+def truncate(p, bound):
+    """The terms of an `MPoly` of weighted degree at most bound."""
+    return type(p)(p.basis, {mu: c for mu, c in p.terms.items() if sum(mu) <= bound})
+
+
+def mul_truncated(a, b, bound):
+    return truncate(mpoly_product(a, b), bound)
+
+
+def exp_t0_by_fractions(bound):
+    """exp(T_0) truncated at weighted degree bound as a Fraction `MPoly`:
+    1 / mu! on t^mu for every partition mu of size <= bound."""
+    from tcalab.partitions import aut_factor, partitions_up_to
+    from tcalab.polynomials import MPoly
+
+    return MPoly("t", {mu: Fraction(1, aut_factor(mu)) for mu in partitions_up_to(bound)})
+
+
+# ---------------------------------------------------------------------------
 # Character polynomials by polynomial products
 
 
@@ -689,8 +723,22 @@ def falling_factorial_poly(index: int, depth: int, family: str = "a"):
     out = MPoly(family, {(): 1})
     x = MPoly.monomial({index: 1}, 1, family)
     for k in range(depth):
-        out = out * (x - MPoly(family, {(): k}))
+        out = mpoly_product(out, x - MPoly(family, {(): k}))
     return out
+
+
+def umbral(p):
+    """The umbral map on a t-family `MPoly`: the linear (not multiplicative)
+    substitution prod t_i^{d_i} -> prod (a_i)_{d_i}, handed to
+    `hilbert._umbral_ints` in ints, each c as c * den over the lcm den of
+    the denominators."""
+    from tcalab.hilbert import _umbral_ints
+
+    if p.basis != "t":
+        raise ValueError("umbral substitution consumes the t family")
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return _umbral_ints([(mu, c.numerator * (den // c.denominator))
+                         for mu, c in p.terms.items()], den)
 
 
 def umbral_by_products(p):
@@ -698,11 +746,11 @@ def umbral_by_products(p):
     product of falling factorial polynomials."""
     from tcalab.polynomials import MPoly
 
-    out = MPoly.zero("a")
+    out = MPoly("a")
     for mu, c in p.terms.items():
         term = MPoly("a", {(): c})
         for i in set(mu):
-            term = term * falling_factorial_poly(i, mu.count(i))
+            term = mpoly_product(term, falling_factorial_poly(i, mu.count(i)))
         out = out + term
     return out
 
@@ -740,7 +788,7 @@ def char_poly_by_products(lam):
     from tcalab.polynomials import MPoly
     from tcalab.symchar import mn_trace
 
-    series = MPoly.zero("t")
+    series = MPoly("t")
     for d in range(len(lam) + 1):
         for mu in remove_strips(lam, d, "VS"):
             for nu in partitions_of(sum(mu)):
@@ -754,8 +802,7 @@ def char_poly_by_products(lam):
 def char_poly_by_fraction_series(lam):
     """`hilbert.char_poly_simple` by the Fraction t-series route: the
     integer binomial-basis sums divided by nu! into the t-series
-    sum c t^nu / nu!, handed to `hilbert.umbral`."""
-    from tcalab.hilbert import umbral
+    sum c t^nu / nu!, handed to `umbral`."""
     from tcalab.partitions import aut_factor, partitions_of, vertical_strips
     from tcalab.polynomials import MPoly
     from tcalab.symchar import mn_trace
@@ -774,7 +821,7 @@ def char_poly_of_class(x):
     """Umbral image of the p-part of the enhanced series of a class, the
     character polynomial of its projective part; a reader of
     `hilbert.enhanced_of_class` on classes that are not simples."""
-    from tcalab.hilbert import enhanced_of_class, series_form, umbral
+    from tcalab.hilbert import enhanced_of_class, series_form
 
     return umbral(series_form(enhanced_of_class(x).p))
 
@@ -908,18 +955,26 @@ def stability_bound(x, lc_degrees=None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Poincare series by the first degree walk
+# Poincare series as Fractions
+
+
+def poincare_fractions(series):
+    """The coefficients of a `homalg.PoincareTruncation`, each int c on
+    t^d q^n / d! made the Fraction c / d! on t^d q^n."""
+    from math import factorial
+
+    return {(d, n): Fraction(c, factorial(d)) for (d, n), c in series.coeffs.items()}
 
 
 def poincare_by_break_conditions(shape, bound):
-    """`homalg.poincare_truncated` as it was first written: walk the
-    homological degrees until one of three break conditions holds (past a
-    finite shape, past an empty tail start, or a tail degree whose smallest
-    generator exceeds the bound), dropping each coefficient as it sums to
-    zero."""
+    """`homalg.poincare_truncated` as it was first written, in Fractions:
+    walk the homological degrees until one of three break conditions holds
+    (past a finite shape, past an empty tail start, or a tail degree whose
+    smallest generator exceeds the bound), adding each generator's
+    Fraction(+-hook_dimension(g), d!) on t^d q^n and dropping each
+    coefficient as it sums to zero."""
     from math import factorial
 
-    from tcalab.homalg import PoincareTruncation
     from tcalab.partitions import hook_dimension, size
 
     coeffs = {}
@@ -948,7 +1003,54 @@ def poincare_by_break_conditions(shape, bound):
             if coeffs[key] == 0:
                 del coeffs[key]
         n += 1
-    return PoincareTruncation(bound, coeffs)
+    return coeffs
+
+
+def closed_form_m0e_by_fractions(e: int, bound: int):
+    """`homalg.closed_form_m0e` as it was written in Fractions: the
+    coefficient of t^n q^{n-e+1} is (-1)^{e-1} / (e-1)! times
+    (-1)^n (n-1)...(n-e+1) / n!, and the Laurent remainder against the
+    exponential part is checked in Fractions.  Returns the Fraction
+    coefficients on t^d q^n."""
+    from math import factorial
+
+    from tcalab import InternalError
+
+    if e < 1:
+        raise ValueError("e must be a positive integer")
+    coeffs = {(0, 0): Fraction(1)}
+    lead = Fraction((-1) ** (e - 1), factorial(e - 1))
+    for n in range(e, bound + 1):
+        ff = 1
+        for k in range(1, e):
+            ff *= n - k
+        c = lead * Fraction((-1) ** n * ff, factorial(n))
+        if c:
+            coeffs[(n, n - e + 1)] = c
+
+    # exponential part: (sum_{i<e} t^{e-1-i} q^{-i}/(e-1-i)!) e^{-qt}
+    expo = {}
+    for i in range(e):
+        for k in range(bound + 1):
+            d = e - 1 - i + k
+            if d > bound:
+                continue
+            key = (d, k - i)
+            c = Fraction((-1) ** k, factorial(e - 1 - i) * factorial(k))
+            expo[key] = expo.get(key, Fraction(0)) + c
+    f = {}
+    for key in set(coeffs) | set(expo):
+        c = coeffs.get(key, Fraction(0)) - expo.get(key, Fraction(0))
+        if c:
+            f[key] = c
+    if any(d >= e for (d, _) in f):
+        raise InternalError("Laurent remainder exceeds its degree bound")
+    collapse = {}
+    for (d, _), c in f.items():
+        collapse[d] = collapse.get(d, Fraction(0)) + c
+    if any(v != 0 for v in collapse.values()):
+        raise InternalError("Laurent remainder does not vanish at q = 1")
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ from tcalab.partitions import (
     size,
     transpose,
 )
-from tcalab.polynomials import MPoly, exp_t0_truncated, mul_truncated
+from tcalab.polynomials import MPoly
 from tcalab.quiver import (
     VertexSet,
     build_injective,
@@ -64,7 +64,7 @@ from tcalab.quiver import (
     realize_bgg,
     tau_contractibility_check,
 )
-from tcalab.symchar import VClass, lr_coefficient, mn_trace
+from tcalab.symchar import Combination, VClass, lr_coefficient, mn_trace
 from oracles import centralizer_order, remove_strips
 
 
@@ -203,21 +203,25 @@ def test_criterion_5_bgg_machine_verification():
 
 def test_criterion_6_hilbert_coherence():
     with criterion(6, "Hilbert series coherence"):
+        # total = p exp(T_0) + q through the bound, in the divided-power
+        # basis D, where (p exp(T_0))_rho is p read in the binomial basis B
+        # and evaluated at rho
         for lam in partitions_up_to(3):
             top = lam[0] if lam else 0
             bound = size(lam) + top + 2
-            total = MPoly.zero("t")
+            total = Combination("D")
             for d in range(top, bound - size(lam) + 1):
-                total = total + series_form(enhanced_of_simple(partition((d,) + lam)))
-            total = total.truncate(bound)
-            p = MPoly.zero("t")
+                total = total + enhanced_of_simple(partition((d,) + lam))
+            p = Combination("D")
             for dd in range(size(lam) + 1):
                 for mu in remove_strips(lam, dd, VS):
-                    p = p + series_form(enhanced_of_simple(mu)).scale((-1) ** dd)
-            q = series_form(q_from_local_cohomology(lam, top))
-            assert total - mul_truncated(p, exp_t0_truncated(bound), bound) == (
-                q.truncate(bound)
-            ), lam
+                    p = p + (-1) ** dd * enhanced_of_simple(mu)
+            q = q_from_local_cohomology(lam, top)
+            p_binomial = Combination("B", p.coeffs)
+            for rho in partitions_up_to(bound):
+                assert total.coeffs.get(rho, 0) - eval_char_poly(p_binomial, rho) == (
+                    q.coeffs.get(rho, 0)
+                ), (lam, rho)
         for lam in partitions_up_to(5):
             assert homalg.fourier_hilbert_check(AClass.simple(lam)), lam
             assert homalg.fourier_hilbert_check(AClass.free(lam)), lam
@@ -240,7 +244,10 @@ def test_criterion_7_efw_and_poincare():
             expected[(n, n - 1)] = Fraction(
                 (-1) ** (n - 1) * (n - 1), math.factorial(n)
             )
-        assert series.coeffs == expected
+        # each coefficient is the int c on t^d q^n / d!
+        assert {
+            (d, n): Fraction(c, math.factorial(d)) for (d, n), c in series.coeffs.items()
+        } == expected
 
 
 def test_criterion_8_differential_operators():
@@ -250,10 +257,10 @@ def test_criterion_8_differential_operators():
             assert diff_annihilator(AClass.free(lam)) == (size(lam) + 1, 0)
         for lam in partitions_up_to(6):
             derived = schur_derivative(VClass.simple(lam))
-            series = MPoly.zero("t")
+            series = Combination("D")
             for mu, c in derived.coeffs.items():
-                series = series + series_form(enhanced_of_simple(mu)).scale(c)
-            assert series == series_form(t1_derivative(enhanced_of_simple(lam))), lam
+                series = series + c * enhanced_of_simple(mu)
+            assert series == t1_derivative(enhanced_of_simple(lam)), lam
 
 
 def test_criterion_9_property_suites():

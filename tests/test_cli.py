@@ -397,8 +397,17 @@ class TestInputContract:
         assert doc["depth"] == 1 and "infinite" not in doc
 
 
+# SHA-256 of each script's stdout with default arguments; a digest changes
+# only with an entry in CHANGES.md that says why the output changed
+SCRIPT_STDOUT_SHA256 = {
+    "depth_survey.py": "009a8688a276de026268a65af11af05f51036668f4004fdbdb2d72a866330645",
+    "worked_examples.py": "be92d05df7aa6b3f2a574fc83aaee9e7e26a8f4d584467eb67db292c3d32168e",
+}
+
+
 @pytest.mark.parametrize("script", ["depth_survey.py", "worked_examples.py"])
 def test_scripts_run(script):
+    import hashlib
     import os
 
     root = pathlib.Path(__file__).resolve().parent.parent
@@ -414,6 +423,8 @@ def test_scripts_run(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == SCRIPT_STDOUT_SHA256[script], proc.stdout
 
 
 def test_stdout_diff_names_the_first_difference(tmp_path):
@@ -504,6 +515,19 @@ class TestMainEntry:
         out, err = capsys.readouterr()
         assert out == ""
         assert key in json.loads(err) and "broken" in err
+
+    def test_memory_error_is_refused_input(self, capsys, monkeypatch):
+        """A request too large for memory fails no invariant: exit 2 with
+        one JSON error line, as `fourier 'S[4611686018427387903]'` does
+        under a small address-space limit."""
+        import tcalab.cli as cli
+
+        def exhaust(spec):
+            raise MemoryError
+
+        help_, operands, _ = COMMANDS["fourier"]
+        monkeypatch.setitem(cli.COMMANDS, "fourier", (help_, operands, exhaust))
+        assert "memory" in _refused(capsys, ["fourier", "S[1]"])
 
 
 def test_no_assert_statements_in_package():

@@ -1,8 +1,8 @@
 """Injective resolutions, local cohomology, depth, resolution shapes,
 Poincare series, and the Fourier transform on classes."""
 
+import inspect
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from conftest import partitions_st
 from oracles import (
     bgg_signs_by_profile,
+    closed_form_m0e_by_fractions,
     depth_by_row_search,
     poincare_by_break_conditions,
+    poincare_fractions,
     remove_strips,
 )
-from tcalab import homalg
+from tcalab import InternalError, homalg
 from tcalab.hilbert import enhanced_of_simple, series_form
 from tcalab.homalg import (
     FreeResShape,
@@ -151,7 +153,7 @@ class TestLocalCohomology:
         assert series_form(q_from_local_cohomology((1,), 1)) == MPoly("t", {(): 1})
         expected = enhanced_of_simple((1,)) + enhanced_of_simple((1, 1))
         assert q_from_local_cohomology((2,), 2) == expected
-        assert series_form(q_from_local_cohomology((), 0)) == MPoly.zero("t")
+        assert series_form(q_from_local_cohomology((), 0)) == MPoly("t")
 
 
 HAND_MADE_SHAPES = [
@@ -254,17 +256,14 @@ class TestResolutionShapes:
 class TestPoincare:
     def test_projective_is_one(self):
         series = poincare_truncated(FreeResShape((((),),)), 8)
-        assert series.coeffs == {(0, 0): Fraction(1)}
+        assert series.coeffs == {(0, 0): 1}
 
     def test_e2_coefficients(self):
         series = poincare_truncated(efw_resolution((), 2, 14), 12)
-        # closed form: coefficient of t^n q^{n-1} is (-1)^(n-1) (n-1)/n!
+        # closed form: coefficient of t^n q^{n-1} is (-1)^(n-1) (n-1)/n!,
+        # kept as the int (-1)^(n-1) (n-1) on t^n q^{n-1} / n!
         for n in range(2, 13):
-            import math as _m
-
-            assert series.coeffs.get((n, n - 1), 0) == Fraction(
-                (-1) ** (n - 1) * (n - 1), _m.factorial(n)
-            )
+            assert series.coeffs.get((n, n - 1), 0) == (-1) ** (n - 1) * (n - 1)
 
     def test_matches_closed_form(self):
         for e in range(1, 5):
@@ -272,11 +271,17 @@ class TestPoincare:
             assert poincare_truncated(shape, 12) == closed_form_m0e(e, 12)
 
     def test_koszul_tail_for_e1(self):
+        # (-1)^n / n! on t^n q^n, kept as (-1)^n on t^n q^n / n!
         series = poincare_truncated(efw_resolution((), 1, 14), 10)
-        import math as _m
-
         for n in range(11):
-            assert series.coeffs.get((n, n), 0) == Fraction((-1) ** n, _m.factorial(n))
+            assert series.coeffs.get((n, n), 0) == (-1) ** n
+
+    def test_json_reduces_each_coefficient(self):
+        # the shape `poincare 1 2 --trunc 6` resolves: -16 on t^6 q^3 / 6!
+        series = poincare_truncated(efw_resolution((1,), 2, 9), 6)
+        assert series.coeffs[(6, 3)] == -16
+        assert series.to_json()[-1] == {"t": 6, "q": 3, "num": -1, "den": 45}
+        assert all(type(c) is int for c in series.coeffs.values())
 
     def test_matches_the_break_condition_walk(self):
         shapes = [
@@ -291,7 +296,55 @@ class TestPoincare:
         for shape in shapes:
             for bound in range(16):
                 got = poincare_truncated(shape, bound)
-                assert got == poincare_by_break_conditions(shape, bound), (shape, bound)
+                assert got.bound == bound
+                assert poincare_fractions(got) == poincare_by_break_conditions(shape, bound), (
+                    shape, bound)
+
+
+def _integer_poincare_fault() -> str | None:
+    """The first disagreement of the integer Poincare forms with the
+    Fraction ones, or None: `closed_form_m0e` (a failed Laurent check
+    included) against the Fraction closed form for e <= 6 and bound <= 15,
+    then `poincare_truncated` against the per-generator Fraction sums for
+    efw_resolution(alpha, e, .) with alpha up to size 3.  Both are looked
+    up on the module, so a patched module is seen."""
+    for e in range(1, 7):
+        for bound in range(16):
+            try:
+                got = homalg.closed_form_m0e(e, bound)
+            except InternalError as exc:
+                return f"closed form e={e} bound={bound}: {exc}"
+            if poincare_fractions(got) != closed_form_m0e_by_fractions(e, bound):
+                return f"closed form e={e} bound={bound}"
+    for alpha in partitions_up_to(3):
+        for e in range(1, 4):
+            for bound in range(16):
+                shape = efw_resolution(alpha, e, bound + len(alpha) + 2)
+                got = homalg.poincare_truncated(shape, bound)
+                if poincare_fractions(got) != poincare_by_break_conditions(shape, bound):
+                    return f"series of alpha={alpha} e={e} bound={bound}"
+    return None
+
+
+class TestIntegerPoincare:
+    def test_matches_the_fractions(self):
+        assert _integer_poincare_fault() is None
+
+    def test_mutants_are_caught(self, monkeypatch):
+        # C(n-1, e) for C(n-1, e-1) in the series, and the exponential
+        # part's sign (-1)^k dropped, which only the Laurent checks see
+        mutants = [
+            ("comb(n - 1, e - 1)", "comb(n - 1, e)"),
+            ("(-1) ** k * math.comb(d, k)", "math.comb(d, k)"),
+        ]
+        source = inspect.getsource(homalg.closed_form_m0e)
+        for old, new in mutants:
+            assert source.count(old) == 1, old
+            namespace = dict(vars(homalg))
+            exec(source.replace(old, new), namespace)
+            with monkeypatch.context() as patch:
+                patch.setattr(homalg, "closed_form_m0e", namespace["closed_form_m0e"])
+                assert _integer_poincare_fault() is not None, new
 
 
 class TestFourier:

@@ -1,4 +1,5 @@
-"""Exact sparse polynomial arithmetic."""
+"""Exact sparse polynomials: construction, sums, presentation, and the
+oracles' products and evaluation."""
 
 import random
 from decimal import Decimal
@@ -11,13 +12,18 @@ import hypothesis.strategies as st
 from oracles import (
     evaluate_by_fractions,
     evaluate_monomials,
+    exp_t0_by_fractions,
     falling_factorial_poly,
+    mpoly_product,
+    mul_truncated,
     negate_monomials,
     partial_derivative,
     restrict_to_first,
 )
-from tcalab.partitions import aut_factor, partitions_up_to
-from tcalab.polynomials import MPoly, exp_t0_truncated, mul_truncated
+from tcalab.hilbert import eval_char_poly, series_form
+from tcalab.partitions import partitions_up_to
+from tcalab.polynomials import MPoly, exp_t0_truncated
+from tcalab.symchar import Combination
 
 
 def small_polys():
@@ -27,7 +33,7 @@ def small_polys():
     )
     return st.lists(term, max_size=4).map(
         lambda ts: sum(
-            (MPoly.monomial(e, c) for e, c in ts), start=MPoly.zero()
+            (MPoly.monomial(e, c) for e, c in ts), start=MPoly("t")
         )
     )
 
@@ -45,7 +51,7 @@ def term_by_term(p, values):
 class TestRing:
     def test_zero_terms_dropped(self):
         p = MPoly.monomial({1: 2}, 1) + MPoly.monomial({1: 2}, -1)
-        assert p == MPoly.zero()
+        assert p == MPoly("t")
         assert not p
 
     def test_family_mismatch(self):
@@ -54,13 +60,15 @@ class TestRing:
 
     @given(small_polys(), small_polys(), small_polys())
     def test_ring_axioms(self, a, b, c):
+        # sums are the package's; products are the oracles' mpoly_product
+        mul = mpoly_product
         assert a + b == b + a
         assert (a + b) + c == a + (b + c)
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + MPoly.zero() == a
-        assert a * MPoly("t", {(): 1}) == a
+        assert mul(a, b) == mul(b, a)
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, b + c) == mul(a, b) + mul(a, c)
+        assert a + MPoly("t") == a
+        assert mul(a, MPoly("t", {(): 1})) == a
 
     @given(small_polys())
     def test_negate_involution(self, a):
@@ -69,11 +77,12 @@ class TestRing:
     def test_partial_derivative(self):
         p = MPoly.monomial({1: 2}, Fraction(1, 2)) + MPoly.monomial({2: 1}, 1)
         assert partial_derivative(p, 1) == MPoly.monomial({1: 1}, 1)
-        assert partial_derivative(MPoly("t", {(): 5}), 1) == MPoly.zero()
+        assert partial_derivative(MPoly("t", {(): 5}), 1) == MPoly("t")
 
     def test_weighted_degree(self):
-        assert MPoly.monomial({3: 2, 1: 1}, 1).degree() == 7
-        assert MPoly.zero().degree() == 0
+        # Combination.max_size: the largest |mu|, 0 on the zero polynomial
+        assert MPoly.monomial({3: 2, 1: 1}, 1).max_size() == 7
+        assert MPoly("t").max_size() == 0
 
     def test_restrict_to_first(self):
         p = MPoly.monomial({1: 3}, Fraction(1, 3)) + MPoly.monomial({3: 1}, -1)
@@ -126,7 +135,7 @@ class TestRing:
         # seeded a-polynomials with mixed denominators, the zero polynomial
         # and constants among them, at int, Fraction and mixed values
         rng = random.Random(21)
-        polys = [MPoly.zero("a"), MPoly("a", {(): Fraction(-5, 6)}), MPoly("a", {(): 4})]
+        polys = [MPoly("a"), MPoly("a", {(): Fraction(-5, 6)}), MPoly("a", {(): 4})]
         for _ in range(150):
             polys.append(MPoly("a", {
                 tuple(sorted((rng.randint(1, 4) for _ in range(rng.randint(0, 4))),
@@ -150,32 +159,35 @@ class TestRing:
             with pytest.raises(ValueError, match=r"inexact value .* for a1"):
                 evaluate_monomials(p, {1: bad})
         with pytest.raises(ValueError, match="for a7"):
-            evaluate_monomials(MPoly.zero("a"), {2: 1, 7: 2.0})
+            evaluate_monomials(MPoly("a"), {2: 1, 7: 2.0})
         assert evaluate_monomials(p, {1: 1}) == Fraction(7, 2)
 
 
 class TestSpecials:
     def test_falling_factorial(self):
         x = MPoly.monomial({1: 1}, 1, "a")
-        assert falling_factorial_poly(1, 2) == x * x - x
+        assert falling_factorial_poly(1, 2) == mpoly_product(x, x) - x
         assert falling_factorial_poly(2, 1) == MPoly.monomial({2: 1}, 1, "a")
         assert falling_factorial_poly(1, 0) == MPoly("a", {(): 1})
 
     def test_exp_truncation_coefficients(self):
+        # 1 on every t^mu / mu! in D, which is 1 / mu! on t^mu
         e = exp_t0_truncated(6)
-        for mu in partitions_up_to(6):
-            assert e.coeffs.get(mu) == Fraction(1, aut_factor(mu))
-        assert e.degree() == 6
+        assert e == Combination("D", {mu: 1 for mu in partitions_up_to(6)})
+        assert e.max_size() == 6
+        assert series_form(e) == exp_t0_by_fractions(6)
 
     def test_exp_multiplicativity_under_truncation(self):
-        # exp(T0)^2 agrees with substituting doubled coefficients
+        # exp(T0)^2 agrees with substituting doubled coefficients: 2^len(mu)
+        # on t^mu / mu!, both as the D product (exp(T0) read in B at mu) and
+        # as the Fraction product
         e = exp_t0_truncated(5)
-        sq = mul_truncated(e, e, 5)
+        sq = mul_truncated(series_form(e), series_form(e), 5)
         for mu in partitions_up_to(5):
-            from tcalab.partitions import multiplicities
-
-            expected = Fraction(2 ** sum(multiplicities(mu).values()), aut_factor(mu))
-            assert sq.coeffs.get(mu) == expected
+            assert eval_char_poly(Combination("B", e.coeffs), mu) == 2 ** len(mu)
+        assert sq == series_form(Combination("D", {
+            mu: 2 ** len(mu) for mu in partitions_up_to(5)
+        }))
 
     def test_json_is_sorted(self):
         p = MPoly.monomial({2: 1}, 1) + MPoly.monomial({1: 1}, 1)
