@@ -46,6 +46,8 @@ def families() -> list[list[str]]:
     argvs += [["ktheory", "conv", f"{b}[{p}]"] for b in "LQ" for p in _up_to(6)]
     specs = [f"{b}[{p}]" for b in "QL" for p in _up_to(4)]
     argvs += [["ktheory", "pair", x, y] for x in specs for y in specs]
+    argvs += [["ktheory", "mult", f"{b}[{p}]", f"{b}[{q}]"]
+              for b in "LQ" for p in _up_to(3) for q in _up_to(3)]
     argvs += [["hilbert", f"P[{p}]-S[{q}]"] for p in _up_to(4) for q in _up_to(4)]
     argvs += [["bgg", p] for p in _up_to(6)]
     argvs += [["quiver", "verify-bgg", p] for p in _up_to(7)]
@@ -57,6 +59,8 @@ def families() -> list[list[str]]:
         "Q[1]+L[1]", "S[1]-S[1]+Q[1]", "P[2]", "junk Q[1]", "Q[1] junk", "Q[1,2]", "Q[1,,2]")]
     argvs += [["fourier", f"{b}[{p}]"] for b in "SPLQ" for p in _up_to(4)]
     argvs += [["efw", p, str(e)] for p in _up_to(3) for e in range(1, 4)]
+    argvs += [["efw", p, str(e), "--bound", b] for b in ("0", "10")
+              for p in _up_to(2) for e in (1, 2)]
     argvs += [["poincare", p, str(e), "--trunc", "6"] for p in _up_to(3) for e in range(1, 4)]
     argvs.append(["selftest", "--size", "3"])
     # d below the first part is refused; `depth 0 0` is the infinite depth

@@ -99,37 +99,40 @@ def _symbol_sums(spec: str) -> dict[str, dict[Partition, int]]:
 _MIXED_BASES = "class spec must use only S/P symbols or a single K-theory basis"
 
 
-def parse_class_spec(spec: str):
-    """Parse a signed sum of S/P (module class) or L/Q (K-class) symbols."""
-    from .ktheory import AClass, KClassK, L_BASIS, Q_BASIS
-    from .symchar import VClass
-
+def _class_sums(spec: str, op: str | None = None) -> tuple[str | None, dict]:
+    """spec read as (basis, sums), the one reader of class specs.  An S/P
+    spec has basis None and sums the coefficients under each of its
+    letters; it is refused when an op is named, since the K-class
+    operations and `quiver socle` take L or Q specs only.  Any other spec
+    must use one basis, L or Q, alone: basis is its letter and sums its
+    coefficients, zero sums kept."""
     coeffs = _symbol_sums(spec)
     if set(coeffs) <= {"S", "P"}:
-        return AClass(VClass(coeffs.get("S")), VClass(coeffs.get("P")))
-    if set(coeffs) in ({L_BASIS}, {Q_BASIS}):
-        (basis,) = coeffs
-        return KClassK(basis, coeffs[basis])
-    raise InputError(_MIXED_BASES)
-
-
-def _basis_sums(op: str, spec: str) -> tuple[str, dict[Partition, int]]:
-    """The basis letter (L or Q) of spec and its nonzero coefficients,
-    refused unless spec uses that one basis alone."""
-    coeffs = _symbol_sums(spec)
-    if set(coeffs) <= {"S", "P"}:
-        raise InputError(f"{op} expects an L or Q class spec, got {spec!r}")
+        if op:
+            raise InputError(f"{op} expects an L or Q class spec, got {spec!r}")
+        return None, coeffs
     if set(coeffs) not in ({"L"}, {"Q"}):
         raise InputError(_MIXED_BASES)
     ((basis, sums),) = coeffs.items()
-    return basis, {p: c for p, c in sums.items() if c}
+    return basis, sums
+
+
+def parse_class_spec(spec: str):
+    """Parse a signed sum of S/P (module class) or L/Q (K-class) symbols."""
+    from .ktheory import AClass, KClassK
+    from .symchar import VClass
+
+    basis, sums = _class_sums(spec)
+    if basis is None:
+        return AClass(VClass(sums.get("S")), VClass(sums.get("P")))
+    return KClassK(basis, sums)
 
 
 def _k_class(op: str, spec: str):
     """spec as an L or Q class, refused otherwise."""
     from .ktheory import KClassK
 
-    return KClassK(*_basis_sums(op, spec))
+    return KClassK(*_class_sums(spec, op))
 
 
 def _terms_json(x) -> list[dict]:
@@ -309,8 +312,8 @@ def _hom(lam, mu):
 def _socle(spec):
     from .quiver import VertexSet, build_injective, build_simple, socle
 
-    basis, sums = _basis_sums("socle", spec)
-    items = list(sums.items())
+    basis, sums = _class_sums(spec, "socle")
+    items = [(p, c) for p, c in sums.items() if c]
     if len(items) != 1 or items[0][1] != 1:
         raise InputError("socle expects a single basis symbol")
     lam = items[0][0]

@@ -46,9 +46,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .ktheory import AClass
 from .partitions import (
     Partition,
     _partitions_cached,
@@ -62,12 +61,19 @@ from .partitions import (
 from .polynomials import MPoly
 from .symchar import Combination, _mn, mn_trace
 
+if TYPE_CHECKING:
+    from .ktheory import AClass
 
-def _divided_form(X: Combination) -> Combination:
+
+_REFUSAL = {"D": "enhanced series live in the divided-power basis D",
+            "B": "character polynomials live in the binomial basis B"}
+
+
+def _in_basis(X: Combination, basis: str) -> Combination:
     """X itself, refused with a ValueError unless it is a combination in
-    the divided-power basis D."""
-    if not isinstance(X, Combination) or X.basis != "D":
-        raise ValueError("enhanced series live in the divided-power basis D")
+    the integer basis `basis`, D (divided powers) or B (binomials)."""
+    if not isinstance(X, Combination) or X.basis != basis:
+        raise ValueError(_REFUSAL[basis])
     return X
 
 
@@ -77,8 +83,8 @@ class EnhancedSeries:
     __slots__ = ("p", "q")
 
     def __init__(self, p: Combination, q: Combination):
-        self.p = _divided_form(p)
-        self.q = _divided_form(q)
+        self.p = _in_basis(p, "D")
+        self.q = _in_basis(q, "D")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, EnhancedSeries) and self.p == other.p and self.q == other.q
@@ -123,7 +129,7 @@ def t1_derivative(s: Combination) -> Combination:
     coefficient on a mu that ends in a 1 moves unchanged to mu[:-1], and
     every other term vanishes."""
     return Combination("D", {
-        mu[:-1]: c for mu, c in _divided_form(s).coeffs.items() if mu and mu[-1] == 1
+        mu[:-1]: c for mu, c in _in_basis(s, "D").coeffs.items() if mu and mu[-1] == 1
     })
 
 
@@ -131,7 +137,7 @@ def negate_variables(s: Combination) -> Combination:
     """The substitution t_i -> -t_i for every i, in D: the coefficient on
     mu picks up (-1)^len(mu)."""
     return Combination("D", {
-        mu: -c if len(mu) & 1 else c for mu, c in _divided_form(s).coeffs.items()
+        mu: -c if len(mu) & 1 else c for mu, c in _in_basis(s, "D").coeffs.items()
     })
 
 
@@ -139,7 +145,7 @@ def series_form(X: Combination) -> MPoly:
     """The t-monomials of a D combination, for output: c t^mu / mu! becomes
     the Fraction c / mu! on t^mu."""
     return MPoly("t", {
-        mu: Fraction(c, aut_factor(mu)) for mu, c in _divided_form(X).coeffs.items()
+        mu: Fraction(c, aut_factor(mu)) for mu, c in _in_basis(X, "D").coeffs.items()
     })
 
 
@@ -194,14 +200,6 @@ def _umbral_ints(terms: list[tuple[Partition, int]], den: int) -> MPoly:
     return MPoly("a", {k: Fraction(v, den) for k, v in out.items() if v})
 
 
-def _binomial_form(X: Combination) -> Combination:
-    """X itself, refused with a ValueError unless it is a combination in
-    the binomial basis B."""
-    if not isinstance(X, Combination) or X.basis != "B":
-        raise ValueError("character polynomials live in the binomial basis B")
-    return X
-
-
 @lru_cache(maxsize=None)
 def char_poly_simple(lam: Partition) -> Combination:
     """Character polynomial of the simple at lam in the binomial basis B:
@@ -225,7 +223,7 @@ def monomial_form(X: Combination) -> MPoly:
     image of sum c t^nu / nu!.  Over the lcm den of the nu!, the ints
     c * den / nu! go straight to the umbral expansion, which expands each
     suffix of the nu once and makes the Fractions of the output."""
-    auts = {nu: aut_factor(nu) for nu in _binomial_form(X).coeffs}
+    auts = {nu: aut_factor(nu) for nu in _in_basis(X, "B").coeffs}
     den = lcm(*auts.values())
     return _umbral_ints([(nu, c * (den // auts[nu])) for nu, c in X.coeffs.items()], den)
 
@@ -236,7 +234,7 @@ def eval_char_poly(X: Combination, mu: Partition) -> int:
     nu has more parts i than mu adds nothing."""
     get = multiplicities(partition(mu)).get
     total = 0
-    for nu, c in _binomial_form(X).coeffs.items():
+    for nu, c in _in_basis(X, "B").coeffs.items():
         for i, k in multiplicities(nu).items():
             c *= comb(get(i, 0), k)
             if not c:

@@ -293,11 +293,6 @@ def _move_betas(parts, moves) -> Iterator[tuple[int, Partition] | None]:
         yield abs(slot - row), tuple(x for x in shape if x)
 
 
-def _move_beta(parts, row: int, by: int) -> tuple[int, Partition] | None:
-    """The one move (row, by) of `_move_betas`."""
-    return next(_move_betas(parts, ((row, by),)))
-
-
 def aligned_border_strips(shape: Partition) -> list[BorderStripRemoval]:
     """All removable connected border strips containing the last box of the
     first row, one per realizable size, ordered by increasing size.
@@ -327,7 +322,7 @@ def shifted_normalize(
     """
     rest = partition(rest)
     top = rest[0] if rest else 0
-    moved = _move_beta((top,) + rest, 0, first - top)
+    (moved,) = _move_betas((top,) + rest, [(0, first - top)])
     if moved is None:
         return None
     return ((-1) ** moved[0], moved[1])

@@ -36,8 +36,9 @@ reads each term and the signed maps off the table, and checks the
 morphism and d^2 = 0 conditions on it and the resolution's signs; every
 other complex is checked by the `RepComplex` constructor.  The checks
 still visit every two-box path and every covering pair from the support,
-so they are as complete as the matrix products they replace, and a
-failure is reported as the per-term checks would report it.  The strip
+so they are as complete as the matrix products they replace.  Refusals go
+to the constructors: the tables a certificate refuses are handed to
+`QuiverRep` or `RepComplex`, which name the fault.  The strip
 sets come from `partitions`: the support of the injective at lam, its
 horizontal-strip down-set, from `down_set(lam)`, and the resolution's
 terms and signs from `bgg_resolution`.  `VertexSet.up_to_size`, the one
@@ -269,16 +270,15 @@ def _summand_masks(lams, vs: VertexSet) -> dict[Partition, int]:
     return {v: found[v] for v in sorted(found, key=vs.index.get)}
 
 
-def _relation_fault(mask: dict[Partition, int], up) -> str | None:
-    """The first local relation that the sum with summand masks `mask`
-    breaks, as `QuiverRep.validate` words it; None when all hold.  The
-    composite i -> j -> k is the partial identity on the summands present
-    at i, j and k, so it is fixed by the mask of i & j & k: it vanishes
-    exactly when that mask is 0, and two middles agree exactly when their
-    masks are equal.  Every two-box path from the support is met, so the
-    check is as complete as `QuiverRep.validate`, and it holds or fails
-    bit by bit: summand b breaks a relation exactly when the sum of it
-    alone does."""
+def _relations_hold(mask: dict[Partition, int], up) -> bool:
+    """Whether the sum with summand masks `mask` satisfies the local
+    relations.  The composite i -> j -> k is the partial identity on the
+    summands present at i, j and k, so it is fixed by the mask of i & j & k:
+    it vanishes exactly when that mask is 0, and two middles agree exactly
+    when their masks are equal.  Every two-box path from the support is
+    met, so the check is as complete as `QuiverRep.validate`, and it holds
+    or fails bit by bit: summand b breaks a relation exactly when the sum
+    of it alone does."""
     for i, mask_i in mask.items():
         paths: dict[Partition, int] = {}
         for j in up[i]:
@@ -295,11 +295,11 @@ def _relation_fault(mask: dict[Partition, int], up) -> str | None:
                     # a vertical domino k/i has this one middle only, so
                     # the strip test is made once for each (i, k)
                     if via and not _two_box_is_strip(k, i):
-                        return f"nonzero composite through {j} on non-strip {(i, k)}"
+                        return False
                     paths[k] = via
                 elif first != via:
-                    return f"composite through {j} disagrees on {(i, k)}"
-    return None
+                    return False
+    return True
 
 
 def _sum_rep(mask: dict[Partition, int], vs: VertexSet) -> QuiverRep:
@@ -340,15 +340,17 @@ def injective_sum(lams, vs: VertexSet) -> QuiverRep:
     holds the union of the summands' down-sets, in vertex order.
 
     Which summands sit at a vertex v is kept as one int, the mask with bit
-    b set when v lies below lams[b]; the local relations are checked on
-    these masks, not by matrix products (`_relation_fault`), and the
-    representation is then read off them and stored without
-    `QuiverRep.validate`."""
+    b set when v lies below lams[b]; the representation is read off these
+    masks and the local relations are checked on them, not by matrix
+    products (`_relations_hold`), so it is stored without
+    `QuiverRep.validate`.  Tables the masks refuse go to the `QuiverRep`
+    constructor, which names the fault."""
     mask = _summand_masks([partition(lam) for lam in lams], vs)
-    fault = _relation_fault(mask, vs.up)
-    if fault:
-        raise RelationError(fault)
-    return _sum_rep(mask, vs)
+    rep = _sum_rep(mask, vs)
+    if not _relations_hold(mask, vs.up):
+        QuiverRep(vs, rep.dims, rep.arrows)
+        raise InternalError("an injective sum passes QuiverRep but not its masks")
+    return rep
 
 
 def build_injective(lam, vs: VertexSet) -> QuiverRep:
@@ -502,28 +504,21 @@ def realize_bgg(lam, vs: VertexSet | None = None) -> RepComplex:
     by matrix products.  Every summand of every term has a bit, term t the
     range [start[t], start[t+1]), so the local relations of all terms are
     checked in one pass over the union of their supports; a bit fails
-    exactly when its term's own check does, so on a failure the terms are
-    checked alone, in order, and the first that fails raises what
-    `injective_sum` would.  Each term's representation is read off its bit
-    range, and a summand's position in a map block is the popcount of the
-    lower bits of its term at that vertex.
+    exactly when its term's own check does.  Each term's representation is
+    read off its bit range, and a summand's position in a map block is the
+    popcount of the lower bits of its term at that vertex.
 
     At a covering pair (i, j) with i below b and j below a, the two sides
     of the morphism square for (b -> a) are the sign times [j below b] and
     times [i below a], so the map is a morphism exactly when those agree:
     the targets T(b), the a with s(b, a) != 0, that sit at j must sit at i
-    when b sits at j, and must not when b does not.  A union of targets
-    misses a mask exactly when each member does, so the targets of the b
-    at i that sit at j are ORed and tested once, and so are those of the
-    b that do not; every b at i and every cover j is met, so no pair
-    (b, a) is skipped.  The composite at v sends b to c with the sum of
-    s(b, a) s(a, c) over the middles a above v, so d^2 = 0 exactly when
-    every such sum vanishes.  The blocks and both checks are made in one
-    pass over the union, which keeps the first failure of each map; the
-    lowest map's is raised, morphisms before composites, so a failure
-    raises the `NotAComplexError` that `RepComplex` would raise, with the
-    same message and at the same first failure.  The complex is then
-    stored without the constructor's checks."""
+    when b sits at j, and must not when b does not.  The composite at v
+    sends b to c with the sum of s(b, a) s(a, c) over the middles a above
+    v, so d^2 = 0 exactly when every such sum vanishes.  The blocks and
+    both checks are made in one pass over the union, and the complex is
+    then stored without the constructor's checks.  Tables the masks refuse
+    go to the checking constructors, `QuiverRep` for each term in order
+    and then `RepComplex`, which name the fault."""
     lam = partition(lam)
     if vs is None:
         vs = VertexSet.up_to_size(size(lam))
@@ -534,11 +529,11 @@ def realize_bgg(lam, vs: VertexSet | None = None) -> RepComplex:
     # each term's masks, its bits kept where they sit in the union
     span = [(1 << hi) - (1 << lo) for lo, hi in zip(start, start[1:])]
     masks = [{v: m for v, u in union.items() if (m := u & bits)} for bits in span]
-    if _relation_fault(union, vs.up):
-        # a bit fails exactly when its term's own check does, so some term
-        # fails alone; the first one names the fault
-        faults = (_relation_fault(mask, vs.up) for mask in masks)
-        raise RelationError(next(fault for fault in faults if fault))
+    reps = [_sum_rep(mask, vs) for mask in masks]
+    if not _relations_hold(union, vs.up):
+        for rep in reps:
+            QuiverRep(vs, rep.dims, rep.arrows)
+        raise InternalError(f"the terms resolving {lam} pass QuiverRep but not their masks")
     # signed[b] lists (a, s(b, a)) over the summands a of the next term,
     # aim[b] is the mask of those a, and lower[b] the mask of the bits of
     # b's term below b, whose popcount at v is b's basis position there
@@ -550,12 +545,8 @@ def realize_bgg(lam, vs: VertexSet | None = None) -> RepComplex:
                          if (s := res.signs.get((nu, mu)))]
     aim = [sum(1 << a for a, _ in out) for out in signed]
     lower = [(1 << b) - (1 << start[t]) for b, t in enumerate(term_of)]
-    # one pass over the union: the blocks of every map at i, and the first
-    # failure of each map's morphism and d^2 checks, raised below in the
-    # order `RepComplex` meets them
     maps: list[dict[Partition, Matrix]] = [{} for _ in res.terms[1:]]
-    unmorphic: dict[int, tuple[Partition, Partition]] = {}
-    nonzero: dict[int, Partition] = {}
+    broken = False
     every = range(len(summands))
     for i, mask_i in union.items():
         at_i = [b for b in every if mask_i >> b & 1]
@@ -575,33 +566,21 @@ def realize_bgg(lam, vs: VertexSet | None = None) -> RepComplex:
                         if mask_i >> c & 1:
                             composite[c] = composite.get(c, 0) + s * r
             if any(composite.values()):
-                nonzero.setdefault(t, i)
+                broken = True
         for j in vs.up[i]:
             mask_j = union.get(j)
             if mask_j is None:
                 continue  # no summand sits at j
-            # the targets of the b at i that sit at j must sit at i, and
-            # those of the b that do not must not
-            stay = leave = 0
             for b in at_i:
-                if mask_j >> b & 1:
-                    stay |= aim[b]
-                else:
-                    leave |= aim[b]
-            if mask_j & (stay & ~mask_i | leave & mask_i):
-                for b in at_i:
-                    if aim[b] & mask_j & (~mask_i if mask_j >> b & 1 else mask_i):
-                        unmorphic.setdefault(term_of[b], (i, j))
-    if unmorphic:
-        t = min(unmorphic)
-        raise NotAComplexError(f"map {t} is not a morphism at {unmorphic[t]}")
-    if nonzero:
-        t = min(nonzero)
-        raise NotAComplexError(f"composite {t},{t+1} nonzero at {nonzero[t]}")
+                if aim[b] & mask_j & (~mask_i if mask_j >> b & 1 else mask_i):
+                    broken = True
+    if broken:
+        RepComplex(reps, maps)
+        raise InternalError(f"the maps resolving {lam} pass RepComplex but not their masks")
     # stored as the constructor would store them: one vs, one map between
     # consecutive terms, nonzero int blocks of the right shapes
     cx = RepComplex.__new__(RepComplex)
-    cx.reps, cx.maps = [_sum_rep(mask, vs) for mask in masks], maps
+    cx.reps, cx.maps = reps, maps
     return cx
 
 

@@ -591,15 +591,16 @@ def test_cli_import_leaves_out_inspect():
 
 
 _K = ["ktheory", "partitions", "symchar"]
-_ALGEBRA = ["hilbert", "ktheory", "partitions", "polynomials", "symchar"]
+_CHARACTER = ["hilbert", "partitions", "polynomials", "symchar"]
+_ALGEBRA = sorted(_CHARACTER + ["ktheory"])
 _HOMALG = sorted(_ALGEBRA + ["homalg"])
 _QUIVER = ["linalg", "partitions", "quiver"]
 
 # one request per row of `cli.COMMANDS`, with the layers it loads
 REQUEST_LAYERS = [
-    (["charpoly", "2,1"], _ALGEBRA),
+    (["charpoly", "2,1"], _CHARACTER),
     (["hilbert", "P[2,1]-S[1]"], _ALGEBRA),
-    (["modify", "2,1", "2"], _ALGEBRA),
+    (["modify", "2,1", "2"], _CHARACTER),
     (["localcoh", "2,1", "3"], _HOMALG),
     (["depth", "3", "5"], _HOMALG),
     (["bgg", "2,1"], ["partitions"]),
@@ -631,7 +632,7 @@ def test_each_request_loads_only_its_layers(argv, layers):
     """A fresh interpreter that answers one request through `main` holds
     `tcalab`, `tcalab.cli` and the layers that answer it, and no other
     `tcalab` module: `bgg` needs `partitions` alone, `charpoly` and `modify`
-    none of `quiver`, `linalg` or `homalg`, and `quiver hom` and `quiver
+    none of `ktheory`, `quiver`, `linalg` or `homalg`, and `quiver hom` and `quiver
     verify-bgg` none of the algebra."""
     code = (
         "import contextlib, io, sys; from tcalab.cli import main\n"

@@ -241,6 +241,14 @@ class TestUmbral:
             with pytest.raises(ValueError, match="live in the binomial basis B"):
                 monomial_form(X)
 
+    def test_a_divided_power_series_is_not_a_character_polynomial(self):
+        # both integer bases are Combinations; the tag tells them apart
+        X = Combination("D", {(1,): 1})
+        with pytest.raises(ValueError, match="live in the binomial basis B"):
+            eval_char_poly(X, (1,))
+        with pytest.raises(ValueError, match="live in the binomial basis B"):
+            monomial_form(X)
+
 
 class TestCharacterPolynomials:
     def test_matches_the_product_oracle(self):

@@ -19,7 +19,7 @@ from oracles import (
     sum_tables_on_supports,
     vertex_set_by_remove_strips,
 )
-from tcalab import linalg, quiver
+from tcalab import InternalError, linalg, quiver
 from tcalab.ktheory import q_class, q_to_l
 from tcalab.partitions import (
     HS,
@@ -660,6 +660,33 @@ class TestRealizedResolutions:
         assert verdicts.keys() == {"accepted", "map", "composite", "nonzero"}
         assert min(verdicts[k] for k in ("accepted", "map", "composite")) > 40, verdicts
         assert two_terms["RelationError"] > 40, two_terms
+
+    def test_a_refusal_the_constructors_accept_is_an_internal_error(self, monkeypatch):
+        # the certificates decide and the constructors name the fault; a
+        # refusal that the constructor does not share is raised, never
+        # returned
+        vs = VertexSet.up_to_size(4)
+        res = bgg_resolution((2, 1))
+        with monkeypatch.context() as patch:
+            patch.setattr(quiver, "_relations_hold", lambda mask, up: False)
+            for build in (lambda: injective_sum([(2, 1), (1,)], vs),
+                          lambda: realize_bgg((2, 1), vs)):
+                with pytest.raises(InternalError, match="QuiverRep but not") as got:
+                    build()
+                assert type(got.value) is InternalError
+        # a flipped sign breaks the maps; a constructor that checks nothing
+        # accepts them
+        signs = dict(res.signs)
+        pair = next(iter(signs))
+        signs[pair] *= -1
+        monkeypatch.setattr(quiver, "bgg_resolution",
+                            lambda lam: InjResolution(res.top, res.terms, signs))
+        with pytest.raises(NotAComplexError):
+            realize_bgg((2, 1), vs)
+        monkeypatch.setattr(RepComplex, "__init__", lambda self, reps, maps: None)
+        with pytest.raises(InternalError, match="RepComplex but not") as got:
+            realize_bgg((2, 1), vs)
+        assert type(got.value) is InternalError
 
     def test_non_complex_rejected(self):
         vs = VertexSet.up_to_size(2)
