@@ -1,12 +1,13 @@
-"""Compare the CLI's exit codes and stdout between the working tree and a
-git revision.
+"""Compare the CLI's exit codes, stdout and stderr between the working
+tree and a git revision.
 
     python scripts/stdout_diff.py REV
 
 REV is checked out into a temporary detached worktree.  Every argv of the
 fixed families below runs through `python -m tcalab.cli` against each
 tree's `src`, and the script prints how many argv it compared and the first
-one whose exit code or stdout differs.  It exits 0 when every argv agrees
+one whose exit code, stdout or stderr differs.  The stderr of `selftest`
+carries timings and is not compared.  It exits 0 when every argv agrees
 and 1 on a difference.  The worktree is removed afterwards.  Standard
 library only.
 """
@@ -90,22 +91,24 @@ def families() -> list[list[str]]:
     return argvs
 
 
-def run_family(root: Path, argvs: list[list[str]]) -> list[tuple[int, str]]:
-    """(exit code, stdout) of each argv, run on root/src, two at a time."""
+def run_family(root: Path, argvs: list[list[str]]) -> list[tuple[int, str, str]]:
+    """(exit code, stdout, stderr) of each argv, run on root/src, two at a
+    time; the stderr of `selftest`, which carries timings, reads empty."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("TCALAB_")}
     env["PYTHONPATH"] = str(Path(root) / "src")
 
     def run(argv):
         proc = subprocess.run([sys.executable, "-m", "tcalab.cli", *argv],
                               capture_output=True, text=True, env=env, cwd=root)
-        return proc.returncode, proc.stdout
+        return proc.returncode, proc.stdout, "" if "selftest" in argv else proc.stderr
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         return list(pool.map(run, argvs))
 
 
 def first_difference(argvs, ours, theirs) -> int | None:
-    """Index of the first argv whose (exit code, stdout) differ, else None."""
+    """Index of the first argv whose (exit code, stdout, stderr) differ,
+    else None."""
     return next((i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b), None)
 
 
@@ -121,8 +124,9 @@ def report(argvs, ours, theirs) -> str | None:
     if i is None:
         return None
     return (f"first difference: {' '.join(argvs[i])}\n"
-            f"  first tree:  exit {ours[i][0]}, stdout {ours[i][1]!r}\n"
-            f"  second tree: exit {theirs[i][0]}, stdout {theirs[i][1]!r}")
+            f"  first tree:  exit {ours[i][0]}, stdout {ours[i][1]!r}, stderr {ours[i][2]!r}\n"
+            f"  second tree: exit {theirs[i][0]}, stdout {theirs[i][1]!r}, "
+            f"stderr {theirs[i][2]!r}")
 
 
 def main(argv: list[str]) -> int:
@@ -140,7 +144,7 @@ def main(argv: list[str]) -> int:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
                             str(tree)], check=True)
     if diff is None:
-        print(f"{count} argv compared against {rev}: identical exit codes and stdout")
+        print(f"{count} argv compared against {rev}: identical exit codes, stdout and stderr")
         return 0
     print(f"{count} argv compared against {rev} (first tree {rev}, second the "
           f"working tree); {diff}")

@@ -61,7 +61,8 @@ def show_local_cohomology():
         )
         for i in sorted(table.rows):
             row = ", ".join(format_partition(p) for p in table.rows[i])
-            gen = format_partition(table.generator[i])
+            # each row lists its entries ascending, and the smallest generates it
+            gen = format_partition(table.rows[i][0])
             print(f"    H^{i} = [{row}]  (generated by {gen})")
     print()
 

@@ -6,6 +6,11 @@ stderr.  Exit codes: 0 success, 2 input error or a request that runs out of
 memory, 3 internal invariant violation (`tcalab.InternalError`) or any
 other failure.
 
+This module alone knows the `tcalab/1` document format.  The library
+returns plain data (tuples, dicts, ints and its own result types) and never
+writes JSON; the encoders here turn that data into documents, and `_answer`
+tags each document with its row's name, so no handler spells its own.
+
 Each subcommand, and each `ktheory` and `quiver` operation, is one row of
 `COMMANDS`, from which the parser and the operand-count check are derived.
 A handler imports the layer that answers it, so a request loads only that
@@ -136,11 +141,43 @@ def _k_class(op: str, spec: str):
 
 
 def _terms_json(x) -> list[dict]:
-    return [{"partition": list(p), "coeff": c} for p, c in x.items()]
+    return [{"partition": p, "coeff": c} for p, c in x.items()]
 
 
 def _kclass_json(x) -> dict:
     return {"basis": x.basis, "terms": _terms_json(x)}
+
+
+def _poly_json(poly) -> list[dict]:
+    """The terms of an `MPoly`, sorted by weighted degree and then by their
+    exponent pairs: its coefficient dict keeps the order in which the terms
+    were made, and the document must not depend on that."""
+    return [
+        {"exponents": {str(i): d for i, d in k}, "num": c.numerator, "den": c.denominator}
+        for k, c in poly.sorted_terms()
+    ]
+
+
+def _shape_json(shape) -> dict:
+    out = {"explicit": {str(i): gens for i, gens in enumerate(shape.explicit)}}
+    if shape.tail is not None:
+        out["tail"] = {
+            "start": len(shape.explicit),
+            "shapes": shape.tail,
+            "column": 1,  # every tail grows in the first column
+        }
+    return out
+
+
+def _poincare_json(series) -> list[dict]:
+    """Each int on t^d q^n / d! as a reduced fraction."""
+    from fractions import Fraction
+
+    out = []
+    for (d, n), c in sorted(series.coeffs.items()):
+        c = Fraction(c, math.factorial(d))
+        out.append({"t": d, "q": n, "num": c.numerator, "den": c.denominator})
+    return out
 
 
 def _emit(doc: dict, table: bool = False) -> None:
@@ -153,18 +190,15 @@ def _emit(doc: dict, table: bool = False) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Handlers: each takes its row's operands and options, in the row's order
+# Handlers: each takes its row's operands and options, in the row's order,
+# and returns its document without the schema and command tags
 
 
 def _charpoly(partition):
     from .hilbert import char_poly_simple, monomial_form
 
     lam = _partition(partition)
-    return {
-        "command": "charpoly",
-        "partition": list(lam),
-        "char_poly": monomial_form(char_poly_simple(lam)).to_json(),
-    }
+    return {"partition": lam, "char_poly": _poly_json(monomial_form(char_poly_simple(lam)))}
 
 
 def _hilbert(class_spec):
@@ -175,8 +209,7 @@ def _hilbert(class_spec):
     if not isinstance(cls, AClass):
         raise InputError("hilbert expects an S/P class spec")
     series = enhanced_of_class(cls)
-    return {"command": "hilbert", "p": series_form(series.p).to_json(),
-            "q": series_form(series.q).to_json()}
+    return {"p": _poly_json(series_form(series.p)), "q": _poly_json(series_form(series.q))}
 
 
 def _modify(partition, n):
@@ -184,12 +217,12 @@ def _modify(partition, n):
 
     lam = _partition(partition)
     out = modification(lam, n)
-    doc = {"command": "modify", "partition": list(lam), "n": n}
+    doc = {"partition": lam, "n": n}
     if out is None:
         doc["result"] = "zero"
     else:
         sign, target = out
-        doc.update(result="nonzero", sign=sign, target=list(target))
+        doc.update(result="nonzero", sign=sign, target=target)
     return doc
 
 
@@ -197,18 +230,12 @@ def _localcoh(partition, d):
     from .homalg import local_cohomology
 
     lam = _partition(partition)
-    table = local_cohomology(lam, d)
+    rows = local_cohomology(lam, d).rows
     return {
-        "command": "localcoh",
-        "partition": list(lam),
+        "partition": lam,
         "d": d,
-        "rows": {
-            str(i): {
-                "partitions": [list(p) for p in table.rows[i]],
-                "generator": list(table.generator[i]),
-            }
-            for i in sorted(table.rows)
-        },
+        # each row lists its entries ascending, and the smallest generates it
+        "rows": {str(i): {"partitions": rows[i], "generator": rows[i][0]} for i in sorted(rows)},
     }
 
 
@@ -216,7 +243,7 @@ def _depth(partition, d):
     from .homalg import depth
 
     lam = _partition(partition)
-    doc = {"command": "depth", "partition": list(lam), "d": d, "depth": depth(lam, d)}
+    doc = {"partition": lam, "d": d, "depth": depth(lam, d)}
     if doc["depth"] == math.inf:
         doc.update(depth=None, infinite=True)
     return doc
@@ -226,13 +253,9 @@ def _bgg(partition):
     lam = _partition(partition)
     res = bgg_resolution(lam)
     return {
-        "command": "bgg",
-        "partition": list(lam),
-        "terms": [[list(p) for p in term] for term in res.terms],
-        "signs": [
-            {"from": list(a), "to": list(b), "sign": s}
-            for (a, b), s in sorted(res.signs.items())
-        ],
+        "partition": lam,
+        "terms": res.terms,
+        "signs": [{"from": a, "to": b, "sign": s} for (a, b), s in sorted(res.signs.items())],
     }
 
 
@@ -241,20 +264,20 @@ def _conv(spec):
 
     cls = _k_class("conv", spec)
     out = q_to_l(cls) if cls.basis == Q_BASIS else l_to_q(cls)
-    return {"command": "ktheory.conv", "result": _kclass_json(out)}
+    return {"result": _kclass_json(out)}
 
 
 def _mult(x, y):
     from .ktheory import k_product
 
     product = k_product(_k_class("mult", x), _k_class("mult", y))
-    return {"command": "ktheory.mult", "result": _kclass_json(product)}
+    return {"result": _kclass_json(product)}
 
 
 def _pair(x, y):
     from .ktheory import pairing
 
-    return {"command": "ktheory.pair", "value": pairing(_k_class("pair", x), _k_class("pair", y))}
+    return {"value": pairing(_k_class("pair", x), _k_class("pair", y))}
 
 
 def _fourier(class_spec):
@@ -262,17 +285,12 @@ def _fourier(class_spec):
 
     cls = parse_class_spec(class_spec)
     if isinstance(cls, KClassK):
-        return {"command": "fourier", "result": _kclass_json(fourier_K(cls))}
+        return {"result": _kclass_json(fourier_K(cls))}
     from .homalg import fourier_class
 
     out = fourier_class(cls)
-    return {
-        "command": "fourier",
-        "result": {
-            "torsion": _terms_json(out.torsion),
-            "projective": _terms_json(out.projective),
-        },
-    }
+    return {"result": {"torsion": _terms_json(out.torsion),
+                       "projective": _terms_json(out.projective)}}
 
 
 def _efw(alpha, e, bound):
@@ -280,7 +298,7 @@ def _efw(alpha, e, bound):
 
     alpha = _partition(alpha)
     shape = efw_resolution(alpha, e, bound)
-    return {"command": "efw", "alpha": list(alpha), "e": e, "shape": shape.to_json()}
+    return {"alpha": alpha, "e": e, "shape": _shape_json(shape)}
 
 
 def _poincare(alpha, e, trunc):
@@ -290,13 +308,7 @@ def _poincare(alpha, e, trunc):
     bound = trunc if trunc is not None else _default_trunc()
     shape = efw_resolution(alpha, e, bound + len(alpha) + 2)
     series = poincare_truncated(shape, bound)
-    return {
-        "command": "poincare",
-        "alpha": list(alpha),
-        "e": e,
-        "trunc": bound,
-        "coefficients": series.to_json(),
-    }
+    return {"alpha": alpha, "e": e, "trunc": bound, "coefficients": _poincare_json(series)}
 
 
 def _hom(lam, mu):
@@ -306,7 +318,7 @@ def _hom(lam, mu):
     # any truncation holding both injectives gives the same dimension
     vs = VertexSet.up_to_size(max(size(lam), size(mu)))
     dim, _ = hom_space(build_injective(lam, vs), build_injective(mu, vs))
-    return {"command": "quiver.hom", "dimension": dim}
+    return {"dimension": dim}
 
 
 def _socle(spec):
@@ -320,9 +332,8 @@ def _socle(spec):
     build = build_injective if basis == "Q" else build_simple
     soc = socle(build(lam, VertexSet.up_to_size(size(lam))))
     return {
-        "command": "quiver.socle",
         "socle": [
-            {"partition": list(p), "multiplicity": m}
+            {"partition": p, "multiplicity": m}
             for p, m in sorted(soc.items(), key=lambda kv: (size(kv[0]), kv[0]))
         ],
     }
@@ -336,11 +347,10 @@ def _verify_bgg(partition):
     if cohom[0] != {lam: 1} or any(cohom[1:]):
         raise InternalError(f"resolution of {lam} has wrong cohomology")
     return {
-        "command": "quiver.verify-bgg",
-        "partition": list(lam),
+        "partition": lam,
         "d2_zero": True,
         "cohomology": [
-            [{"partition": list(p), "multiplicity": m} for p, m in sorted(h.items())]
+            [{"partition": p, "multiplicity": m} for p, m in sorted(h.items())]
             for h in cohom
         ],
     }
@@ -354,7 +364,7 @@ def _selftest(cap):
     failures = run_selftest(cap, log=sys.stderr)
     if failures:
         raise InternalError("; ".join(failures))
-    return {"command": "selftest", "size": cap, "ok": True}
+    return {"size": cap, "ok": True}
 
 
 # name: (help, arguments, handler).  An argument is an operand's name, an
@@ -411,16 +421,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _answer(args: argparse.Namespace) -> dict:
-    """The document of the parsed request; an operation's operands are
-    counted before any work."""
+    """The document of the parsed request, tagged with its row's name (and
+    operation); an operation's operands are counted before any work."""
     _, arguments, handler = COMMANDS[args.command]
     if isinstance(handler, dict):
         want, run = handler[args.op]
         if len(args.args) != want:
             raise InputError(f"{args.op} takes {want} operand(s), got {len(args.args)}")
-        return run(*args.args)
+        return {"command": f"{args.command}.{args.op}", **run(*args.args)}
     names = (arg if isinstance(arg, str) else arg[0] for arg in arguments)
-    return handler(*(getattr(args, name.lstrip("-")) for name in names))
+    return {"command": args.command,
+            **handler(*(getattr(args, name.lstrip("-")) for name in names))}
 
 
 def _fail(code: int, **doc) -> int:

@@ -6,18 +6,16 @@ combinatorics and live in `partitions`.
 Local cohomology of the tail module with first row at least D follows the
 aligned-border-strip rule on the prefixed shape (D, lam): the strip height
 gives the cohomological degree and the leftover partition the answer as a
-plain object of the semisimple category; only the generator is recorded as
-extra module data.  Depth is the multiplicity of D in (D, lam) and is
-cross-checked against both the first nonvanishing cohomology row and the
-stable row-count statistic, which the linear tail of a resolution shape
-gives in closed form.
+plain object of the semisimple category; each row lists its leftovers
+ascending, and the first, the smallest, generates it as a module.  Depth
+is the multiplicity of D in (D, lam) and is cross-checked against both the
+first nonvanishing cohomology row and the stable row-count statistic,
+which the linear tail of a resolution shape gives in closed form.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from math import factorial
 from typing import NamedTuple
 
 from . import InternalError
@@ -48,11 +46,10 @@ class UnstableError(ValueError):
 
 class LocalCohomologyTable(NamedTuple):
     """Rows i >= 1 of local cohomology as objects of the semisimple
-    category, plus the partition generating each row as a module."""
+    category, each listed ascending; its first entry generates the row as a
+    module."""
 
-    shape: Partition  # the prefixed shape (D, lam)
     rows: dict[int, tuple[Partition, ...]]
-    generator: dict[int, Partition]
 
     def min_nonzero(self) -> int | None:
         return min(self.rows) if self.rows else None
@@ -74,9 +71,7 @@ def local_cohomology(lam, D: int) -> LocalCohomologyTable:
     # smallest (the largest strip)
     for strip in aligned_border_strips(shape):
         rows.setdefault(strip.height, []).append(strip.result)
-    table = {i: tuple(reversed(entries)) for i, entries in rows.items()}
-    generator = {i: entries[-1] for i, entries in rows.items()}
-    return LocalCohomologyTable(shape, table, generator)
+    return LocalCohomologyTable({i: tuple(reversed(entries)) for i, entries in rows.items()})
 
 
 def depth(lam, D: int) -> int | float:
@@ -120,21 +115,6 @@ class FreeResShape(NamedTuple):
         if self.tail is None:
             return ()
         return tuple(p + (1,) * steps for p in self.tail)
-
-    def to_json(self) -> dict:
-        out = {
-            "explicit": {
-                str(i): [list(p) for p in gens]
-                for i, gens in enumerate(self.explicit)
-            }
-        }
-        if self.tail is not None:
-            out["tail"] = {
-                "start": len(self.explicit),
-                "shapes": [list(p) for p in self.tail],
-                "column": 1,  # every tail grows in the first column
-            }
-        return out
 
 
 def efw_shape(alpha: Partition, e: int, i: int) -> Partition:
@@ -224,13 +204,6 @@ class PoincareTruncation(NamedTuple):
 
     bound: int
     coeffs: dict[tuple[int, int], int]
-
-    def to_json(self) -> list[dict]:
-        out = []
-        for (d, n), c in sorted(self.coeffs.items()):
-            c = Fraction(c, factorial(d))
-            out.append({"t": d, "q": n, "num": c.numerator, "den": c.denominator})
-        return out
 
 
 def poincare_truncated(shape: FreeResShape, bound: int) -> PoincareTruncation:

@@ -184,7 +184,6 @@ class InjResolution(NamedTuple):
     """Terms of the minimal injective resolution of a simple, with the sign
     on each single-box covering map between consecutive terms."""
 
-    top: Partition
     terms: tuple[tuple[Partition, ...], ...]
     signs: dict[tuple[Partition, Partition], int]
 
@@ -209,7 +208,7 @@ def bgg_resolution(lam) -> InjResolution:
             if c[b] < blocks[b]:
                 cover = c[:b] + (c[b] + 1,) + c[b + 1:]
                 signs[(mu, shape[cover])] = (-1) ** sum(c[b + 1:])
-    return InjResolution(lam, tuple(tuple(t) for t in terms), signs)
+    return InjResolution(tuple(tuple(t) for t in terms), signs)
 
 
 def down_set(lam: Partition) -> list[Partition]:

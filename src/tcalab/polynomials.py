@@ -15,7 +15,8 @@ character polynomials live in the binomial basis B
 (`hilbert.eval_char_poly`) and enhanced series in the divided-power basis D
 (`hilbert.t1_derivative`), and their `Fraction` monomials in a and t are
 made only for output (`hilbert.monomial_form`, `hilbert.series_form`).
-Nothing here multiplies, evaluates or differentiates a polynomial.
+Nothing here multiplies, evaluates or differentiates a polynomial, and
+nothing here writes JSON: `cli` encodes the `sorted_terms` of an MPoly.
 
 exp(T_0) with T_0 = sum t_i is sum_mu t^mu / mu!, the D combination with
 every coefficient 1.  Its product with a D combination p needs no
@@ -94,16 +95,6 @@ class MPoly(Combination):
             coeff = str(c)
             bits.append(f"{coeff}*{mono}" if mono else coeff)
         return " + ".join(bits).replace("+ -", "- ")
-
-    def to_json(self) -> list[dict]:
-        return [
-            {
-                "exponents": {str(i): d for i, d in k},
-                "num": c.numerator,
-                "den": c.denominator,
-            }
-            for k, c in self.sorted_terms()
-        ]
 
 
 @lru_cache(maxsize=None)

@@ -61,10 +61,19 @@ def _check_transpose(cap: int) -> str | None:
 
 
 def _check_fourier_involution(cap: int) -> str | None:
+    """F swaps the L and Q tags, is an involution and commutes with the
+    change of basis; the tags are compared first, since a basis change
+    refuses a class in the wrong basis.  The last identity catches an F
+    that drops its sign (-1)^|lam|, which is still an involution."""
     for lam in partitions_up_to(cap):
-        for cls in (q_class(lam), l_class(lam)):
-            if ktheory.fourier_K(ktheory.fourier_K(cls)) != cls:
+        for cls, there, back in ((q_class(lam), q_to_l, l_to_q), (l_class(lam), l_to_q, q_to_l)):
+            image = ktheory.fourier_K(cls)
+            if image.basis == cls.basis:
+                return f"K Fourier keeps the basis of {cls!r}"
+            if ktheory.fourier_K(image) != cls:
                 return f"K Fourier involution fails at {cls!r}"
+            if ktheory.fourier_K(there(cls)) != back(image):
+                return f"K Fourier does not commute with the change of basis at {cls!r}"
     return None
 
 

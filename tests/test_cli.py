@@ -444,9 +444,11 @@ def test_stdout_diff_names_the_first_difference(tmp_path):
     assert stdout_diff.compare(tmp_path / "a", tmp_path / "b", argvs) == (3, None)
 
     ours = stdout_diff.run_family(tmp_path / "a", argvs)
-    assert [code for code, _ in ours] == [0, 0, 0]
-    theirs = [ours[0], (0, ours[1][1].replace('"coeff": 1', '"coeff": 2')), (3, "")]
+    assert [(code, err) for code, _, err in ours] == [(0, ""), (0, ""), (0, "")]
+    theirs = [ours[0], (0, ours[1][1].replace('"coeff": 1', '"coeff": 2'), ""), (3, "", "")]
     assert stdout_diff.first_difference(argvs, ours, theirs) == 1
+    # a changed refusal message is a difference too
+    assert stdout_diff.first_difference(argvs, ours, [*ours[:2], (0, ours[2][1], "x")]) == 2
     diff = stdout_diff.report(argvs, ours, theirs)
     assert diff.startswith("first difference: ktheory conv L[2,1]\n"), diff
 
@@ -557,6 +559,28 @@ def test_package_imports_only_the_standard_library():
                 tops.add(node.module.split(".")[0])
         foreign = sorted(tops - {"tcalab"} - sys.stdlib_module_names)
         assert not foreign, f"{path.name} imports {foreign}"
+
+
+def test_only_the_cli_knows_the_output_format():
+    """`cli.py` alone imports `json` or defines a `to_json`, so a change to
+    a library type cannot change a document; `homalg` keeps its Poincare
+    coefficients in ints and imports no `fractions`."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "tcalab"
+    owners = {"json": set(), "to_json": set(), "fractions": set()}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            else:
+                continue
+            for name in set(names) & owners.keys():
+                owners[name].add(path.name)
+    found = (owners["json"], owners["to_json"], "homalg.py" in owners["fractions"])
+    assert found == ({"cli.py"}, set(), False)
 
 
 @pytest.mark.parametrize("module, loaded", [

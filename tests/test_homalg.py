@@ -17,6 +17,7 @@ from oracles import (
     remove_strips,
 )
 from tcalab import InternalError, homalg
+from tcalab.cli import _poincare_json
 from tcalab.hilbert import enhanced_of_simple, series_form
 from tcalab.homalg import (
     FreeResShape,
@@ -102,10 +103,10 @@ class TestLocalCohomology:
         assert t.rows == {2: ((),)}
         t = local_cohomology((2,), 2)
         assert t.rows == {2: ((1,), (1, 1))}
-        assert t.generator == {2: (1,)}
+        assert t.rows[2][0] == (1,)
         t = local_cohomology((2, 1), 2)
         assert t.rows == {2: ((1, 1, 1),), 3: ((1,),)}
-        assert t.generator == {2: (1, 1, 1), 3: (1,)}
+        assert (t.rows[2][0], t.rows[3][0]) == ((1, 1, 1), (1,))
 
     def test_invalid_d(self):
         with pytest.raises(InvalidDError):
@@ -125,7 +126,7 @@ class TestLocalCohomology:
                     )
                 )
                 assert t.rows.get(1, ()) == expected, (lam, D)
-                assert t.generator[1] == partition((top,) + lam)
+                assert t.rows[1][0] == partition((top,) + lam)
 
     def test_depth_values(self):
         for n in range(1, 4):
@@ -198,11 +199,23 @@ class TestResolutionShapes:
         shape = FreeResShape((((1,),), ((3,),)))
         with pytest.raises(UnstableError):
             regularity(shape)
+        with pytest.raises(UnstableError, match="shape has no generators"):
+            regularity(FreeResShape(((), ())))
+        # strand 1 in degree 0, then a tail on strand 3 - 1 = 2
+        with pytest.raises(UnstableError, match="strand value jumps at the tail boundary"):
+            regularity(FreeResShape((((1,),),), ((3,),)))
 
     def test_regularity_of_an_empty_tail(self):
         # a tail with no shapes has no strand to keep constant
         with pytest.raises(UnstableError, match="a tail with no shapes never stabilizes"):
             regularity(FreeResShape((((1,),),), ()))
+
+    def test_jumps_below_one_are_refused(self):
+        for e in (0, -1):
+            with pytest.raises(ValueError, match="jump e must be a positive integer"):
+                efw_resolution((1,), e, 4)
+            with pytest.raises(ValueError, match="e must be a positive integer"):
+                closed_form_m0e(e, 4)
 
     def test_syzygy_shape(self):
         shape = syzygy_shape_ln(1, 2, 4)
@@ -280,7 +293,7 @@ class TestPoincare:
         # the shape `poincare 1 2 --trunc 6` resolves: -16 on t^6 q^3 / 6!
         series = poincare_truncated(efw_resolution((1,), 2, 9), 6)
         assert series.coeffs[(6, 3)] == -16
-        assert series.to_json()[-1] == {"t": 6, "q": 3, "num": -1, "den": 45}
+        assert _poincare_json(series)[-1] == {"t": 6, "q": 3, "num": -1, "den": 45}
         assert all(type(c) is int for c in series.coeffs.values())
 
     def test_matches_the_break_condition_walk(self):

@@ -55,6 +55,10 @@ class TestBasisChange:
             l_class((1,)) + q_class((1,))
         with pytest.raises(BasisMismatchError):
             q_to_l(l_class((1,)))
+        with pytest.raises(BasisMismatchError, match="l_to_q expects an L-basis class"):
+            l_to_q(q_class((1,)))
+        with pytest.raises(ValueError, match="basis must be 'L' or 'Q', got 'S'"):
+            KClassK("S", {(1,): 1})
         with pytest.raises(BasisMismatchError):
             k_product(l_class((1,)), q_class((1,)))
 
@@ -67,6 +71,8 @@ class TestBasisChange:
             AClass(torsion=l_class((2,)))
         with pytest.raises(BasisMismatchError):
             AClass(projective=q_class((2,)))
+        with pytest.raises(TypeError, match="expected VClass or AClass, got KClassK"):
+            schur_derivative(l_class((1,)))
         assert VClass({(1,): 1}) != l_class((1,))
 
 

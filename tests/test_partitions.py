@@ -36,6 +36,7 @@ from tcalab.partitions import (
     partition,
     partitions_of,
     partitions_up_to,
+    prefixed_to_partition,
     shifted_normalize,
     size,
     transpose,
@@ -59,6 +60,9 @@ class TestPartitionBasics:
             partition([1, 2])
         with pytest.raises(PartitionError):
             partition([2, -1])
+        assert prefixed_to_partition(2, (2,)) == (2, 2)
+        with pytest.raises(PartitionError, match=r"\(1, \(2,\)\) is not a partition"):
+            prefixed_to_partition(1, (2,))
 
     def test_parse(self):
         assert parse_partition("7,5,3,3,2") == (7, 5, 3, 3, 2)

@@ -20,6 +20,7 @@ from oracles import (
     partial_derivative,
     restrict_to_first,
 )
+from tcalab.cli import _poly_json
 from tcalab.hilbert import eval_char_poly, series_form
 from tcalab.partitions import partitions_up_to
 from tcalab.polynomials import MPoly, exp_t0_truncated
@@ -191,4 +192,4 @@ class TestSpecials:
 
     def test_json_is_sorted(self):
         p = MPoly.monomial({2: 1}, 1) + MPoly.monomial({1: 1}, 1)
-        assert [t["exponents"] for t in p.to_json()] == [{"1": 1}, {"2": 1}]
+        assert [t["exponents"] for t in _poly_json(p)] == [{"1": 1}, {"2": 1}]

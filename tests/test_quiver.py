@@ -23,7 +23,6 @@ from tcalab import InternalError, linalg, quiver
 from tcalab.ktheory import q_class, q_to_l
 from tcalab.partitions import (
     HS,
-    InjResolution,
     bgg_resolution,
     corner_removals,
     down_set,
@@ -641,7 +640,7 @@ class TestRealizedResolutions:
                     del signs[pair]
                 else:
                     signs[pair] *= -1 if kind == "flip" else 2
-            resolution[:] = [InjResolution(res.top, res.terms, signs)]
+            resolution[:] = [res._replace(signs=signs)]
             try:
                 want = realize_bgg_by_constructor(lam, vs)
             except (NotAComplexError, RelationError) as exc:
@@ -680,7 +679,7 @@ class TestRealizedResolutions:
         pair = next(iter(signs))
         signs[pair] *= -1
         monkeypatch.setattr(quiver, "bgg_resolution",
-                            lambda lam: InjResolution(res.top, res.terms, signs))
+                            lambda lam: res._replace(signs=signs))
         with pytest.raises(NotAComplexError):
             realize_bgg((2, 1), vs)
         monkeypatch.setattr(RepComplex, "__init__", lambda self, reps, maps: None)
@@ -697,6 +696,8 @@ class TestRealizedResolutions:
         g = {v: [[Fraction(1)]] for v in q1.dims if v in q0.dims}
         with pytest.raises(NotAComplexError):
             RepComplex([q2, q1, q0], [f, g])
+        with pytest.raises(NotAComplexError, match="need one map between consecutive terms"):
+            RepComplex([q2, q1, q0], [f])
 
     def test_terms_on_two_vertex_sets_rejected(self):
         q1 = build_injective((1,), VertexSet.up_to_size(2))

@@ -4,7 +4,7 @@ when the invariant it sweeps is broken by an injected fault."""
 import pytest
 
 from tcalab import hilbert, homalg, ktheory, quiver, selftest
-from tcalab.ktheory import KClassK
+from tcalab.ktheory import KClassK, signed_transpose
 from tcalab.partitions import down_set, transpose
 
 fourier_K = ktheory.fourier_K
@@ -19,6 +19,11 @@ def _unsigned_fourier(x):
     """fourier_K without its sign (-1)^|lam|."""
     other = "L" if x.basis == "Q" else "Q"
     return KClassK(other, {transpose(lam): c for lam, c in x.coeffs.items()})
+
+
+def _basis_keeping_fourier(x):
+    """fourier_K that keeps the basis tag."""
+    return KClassK(x.basis, signed_transpose(x))
 
 
 # check name: (module, attribute, fault), where the check reads the attribute
@@ -49,3 +54,13 @@ def test_a_broken_invariant_is_reported(monkeypatch, name, check):
     module, attribute, fault = FAULTS[name]
     monkeypatch.setattr(module, attribute, fault)
     assert check(3) is not None, name
+
+
+@pytest.mark.parametrize("fault, message", [
+    (_unsigned_fourier, "K Fourier does not commute with the change of basis at Q[1]"),
+    (_basis_keeping_fourier, "K Fourier keeps the basis of Q[0]"),
+], ids=["unsigned", "basis kept"])
+def test_the_fourier_check_sees_the_sign_and_the_basis(monkeypatch, fault, message):
+    # both faults are still involutions
+    monkeypatch.setattr(ktheory, "fourier_K", fault)
+    assert selftest._check_fourier_involution(3) == message
