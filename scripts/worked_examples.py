@@ -76,7 +76,7 @@ def show_poincare():
         if series != closed_form_m0e(e, 10):
             raise SystemExit(f"e={e}: the resolution's series is not the closed form")
         print(f"  e={e}: regularity {reg}, coefficients through t^10:")
-        for (d, n), c in sorted(series.coeffs.items()):
+        for (d, n), c in sorted(series.items()):
             print(f"    t^{d} q^{n}: {Fraction(c, factorial(d))}")
     print()
 

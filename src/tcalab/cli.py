@@ -169,12 +169,13 @@ def _shape_json(shape) -> dict:
     return out
 
 
-def _poincare_json(series) -> list[dict]:
-    """Each int on t^d q^n / d! as a reduced fraction."""
+def _poincare_json(series: dict) -> list[dict]:
+    """Each int on t^d q^n / d! of the series, keyed (d, n), as a reduced
+    fraction."""
     from fractions import Fraction
 
     out = []
-    for (d, n), c in sorted(series.coeffs.items()):
+    for (d, n), c in sorted(series.items()):
         c = Fraction(c, math.factorial(d))
         out.append({"t": d, "q": n, "num": c.numerator, "den": c.denominator})
     return out

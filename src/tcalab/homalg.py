@@ -198,16 +198,9 @@ def depth_from_resolution(shape: FreeResShape) -> int | float:
 # Poincare series
 
 
-class PoincareTruncation(NamedTuple):
-    """Exact coefficients for d <= bound: coeffs[(d, n)] is the int c on
-    t^d q^n / d!, that is (-1)^n times a sum of dimensions."""
-
-    bound: int
-    coeffs: dict[tuple[int, int], int]
-
-
-def poincare_truncated(shape: FreeResShape, bound: int) -> PoincareTruncation:
-    """Coefficient of t^d q^n / d! is (-1)^n times the sum of dims of the
+def poincare_truncated(shape: FreeResShape, bound: int) -> dict[tuple[int, int], int]:
+    """The series for d <= bound, as the nonzero int coefficient on
+    t^d q^n / d! at each key (d, n): (-1)^n times the sum of dims of the
     degree-d generators in homological degree n.  Past the tail start
     every generator gains one box per degree, so no degree after `last`
     reaches the bound."""
@@ -222,10 +215,10 @@ def poincare_truncated(shape: FreeResShape, bound: int) -> PoincareTruncation:
             if d <= bound:
                 c = hook_dimension(g)
                 coeffs[(d, n)] = coeffs.get((d, n), 0) + (-c if n & 1 else c)
-    return PoincareTruncation(bound, {k: c for k, c in coeffs.items() if c})
+    return {k: c for k, c in coeffs.items() if c}
 
 
-def closed_form_m0e(e: int, bound: int) -> PoincareTruncation:
+def closed_form_m0e(e: int, bound: int) -> dict[tuple[int, int], int]:
     """Truncated expansion of the closed form for the quotient by the e-th
     power of the maximal ideal: an exponential part with Laurent prefactor
     plus a Laurent polynomial f with f(t, 1) = 0, which is reconstructed
@@ -237,7 +230,6 @@ def closed_form_m0e(e: int, bound: int) -> PoincareTruncation:
     coeffs = {(0, 0): 1}
     for n in range(e, bound + 1):
         coeffs[(n, n - e + 1)] = (-1) ** (n + e - 1) * math.comb(n - 1, e - 1)
-    series = PoincareTruncation(bound, coeffs)
 
     # exponential part: (sum_{i<e} t^{e-1-i} q^{-i}/(e-1-i)!) e^{-qt}, whose
     # term at i and k is (-1)^k C(d, k) on t^d q^{k-i} / d!, d = e-1-i+k
@@ -254,7 +246,7 @@ def closed_form_m0e(e: int, bound: int) -> PoincareTruncation:
         raise InternalError("Laurent remainder exceeds its degree bound")
     if any(sum(c for (d, _), c in f.items() if d == k) for k in range(e)):
         raise InternalError("Laurent remainder does not vanish at q = 1")
-    return series
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,12 @@ numbers).  Rim hooks (`symchar`), the aligned border strips and the
 rho-shifted sort are one step, `_move_betas`: move beta numbers of one
 shape, each on its own, sort again and count the numbers passed.
 
+The partitions of n are layer n of Young's lattice, each with its
+covers, the one-box additions: `_partitions_cached(n)` builds the layer
+from the covers of the layer below and keeps it, so that `quiver` takes
+its arrows from it, and `partitions_of` and `partitions_up_to` list its
+keys.
+
 All functions are pure and all values immutable.
 """
 
@@ -115,23 +121,35 @@ def aut_factor(p: Partition) -> int:
 
 def partitions_of(n: int) -> list[Partition]:
     """All partitions of n, lexicographically descending."""
-    return list(_partitions_of(n))
+    return list(_partitions_cached(n))
 
 
 @lru_cache(maxsize=None)
-def _partitions_cached(n: int) -> tuple[Partition, ...]:
-    return tuple(_partitions_of(n))
-
-
-def _partitions_of(n: int, cap: int | None = None) -> Iterator[Partition]:
-    if n == 0:
-        yield ()
-        return
-    if cap is None:
-        cap = n
-    for first in range(min(n, cap), 0, -1):
-        for rest in _partitions_of(n - first, first):
-            yield (first,) + rest
+def _partitions_cached(n: int) -> dict[Partition, tuple[Partition, ...]]:
+    """Layer n of Young's lattice: each partition of n, lexicographically
+    descending, with its covers, the one-box additions.  A box goes at the
+    start of each run of equal rows, in row order, then a new row, so the
+    covers are lexicographically descending too.  Layer n is read off the
+    covers of layer n - 1, whose first appearances come in that order, and
+    its keys are those cover objects, so each partition is stored once.
+    The layers below are filled first, bottom up, so no call recurses
+    deeply.  Callers must not change a layer."""
+    if n <= 0:  # () is covered by (1,) alone; a negative size has no partition
+        return {(): ((1,),)} if n == 0 else {}
+    for k in range(n):
+        _partitions_cached(k)
+    layer = dict.fromkeys(w for ws in _partitions_cached(n - 1).values() for w in ws)
+    made: dict[Partition, Partition] = {}
+    for v in layer:
+        covers = []
+        prev = 0
+        for r, x in enumerate(v):
+            if x != prev:
+                covers.append(v[:r] + (x + 1,) + v[r + 1:])
+                prev = x
+        covers.append(v + (1,))
+        layer[v] = tuple(made.setdefault(w, w) for w in covers)
+    return layer
 
 
 def partitions_up_to(n: int) -> list[Partition]:

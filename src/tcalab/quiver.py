@@ -41,10 +41,11 @@ to the constructors: the tables a certificate refuses are handed to
 `QuiverRep` or `RepComplex`, which name the fault.  The strip
 sets come from `partitions`: the support of the injective at lam, its
 horizontal-strip down-set, from `down_set(lam)`, and the resolution's
-terms and signs from `bgg_resolution`.  `VertexSet.up_to_size`, the one
-way to build a vertex set, lists the arrows by adding boxes, one size
-layer at a time.  The builders and the checks walk `up` from the support
-only.
+terms and signs from `bgg_resolution`.  The arrows are the covers of
+Young's lattice, which `partitions` keeps one size layer at a time with
+its partitions: `VertexSet.up_to_size`, the one way to build a vertex
+set, takes them from those layers and adds no box itself.  The builders
+and the checks walk `up` from the support only.
 
 This module machine-checks what the rest of the package computes by
 formula: hom dimensions between injectives, socles, and exactness of the
@@ -136,7 +137,9 @@ def _two_box_is_strip(k: Partition, i: Partition) -> bool:
 class VertexSet:
     """The partitions of size at most n, built by `up_to_size(n)` only;
     `up[v]` holds the one-box successors of v in the set, lexicographically
-    descending, which are the targets of the quiver's arrows out of v."""
+    descending, which are the targets of the quiver's arrows out of v.
+    Below the top layer they are the cover tuples of the partitions cache,
+    shared by every vertex set and read only; the top layer maps to ()."""
 
     __slots__ = ("vertices", "index", "up")
 
@@ -148,25 +151,16 @@ class VertexSet:
         """All partitions of size at most n, listed size layer by size layer,
         each canonical and lexicographically descending.  The set is
         downward closed, so the covers of a vertex below size n are all its
-        one-box additions: a box at the start of each run of equal rows, in
-        row order, then a new row, which is lexicographically descending.
-        The top layer has no covers in the set."""
+        one-box additions, which are the covers its layer of Young's lattice
+        holds in `_partitions_cached`; `up` shares those tuples.  The top
+        layer has no covers in the set."""
         out = cls.__new__(cls)
         out.vertices = tuple(partitions_up_to(n))
         out.index = {v: i for i, v in enumerate(out.vertices)}
         out.up = up = {}
         for k in range(n):
-            for v in _partitions_cached(k):
-                covers = []
-                prev = 0
-                for r, x in enumerate(v):
-                    if x != prev:
-                        covers.append(v[:r] + (x + 1,) + v[r + 1:])
-                        prev = x
-                covers.append(v + (1,))
-                up[v] = tuple(covers)
-        for v in _partitions_cached(n):
-            up[v] = ()
+            up.update(_partitions_cached(k))
+        up.update(dict.fromkeys(_partitions_cached(n), ()))
         return out
 
     def __contains__(self, p) -> bool:

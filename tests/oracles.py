@@ -40,6 +40,21 @@ def cells_to_partition(cs: set[Cell]) -> tuple[int, ...] | None:
     return tuple(counts)
 
 
+def partitions_by_first_part(n: int, cap: int | None = None):
+    """The partitions of n with parts at most cap (default n), by
+    recursion on the first part, largest first: lexicographically
+    descending.  The reference for the layers of Young's lattice that
+    `partitions._partitions_cached` builds from covers."""
+    if n == 0:
+        yield ()
+        return
+    if cap is None:
+        cap = n
+    for first in range(min(n, cap), 0, -1):
+        for rest in partitions_by_first_part(n - first, first):
+            yield (first,) + rest
+
+
 def sub_partitions(lam) -> list[tuple[int, ...]]:
     """All partitions contained in lam, by direct product over rows."""
     out = set()
@@ -959,11 +974,12 @@ def stability_bound(x, lc_degrees=None) -> int:
 
 
 def poincare_fractions(series):
-    """The coefficients of a `homalg.PoincareTruncation`, each int c on
-    t^d q^n / d! made the Fraction c / d! on t^d q^n."""
+    """The coefficients of a series of `homalg.poincare_truncated` or
+    `homalg.closed_form_m0e`, each int c on t^d q^n / d! made the Fraction
+    c / d! on t^d q^n."""
     from math import factorial
 
-    return {(d, n): Fraction(c, factorial(d)) for (d, n), c in series.coeffs.items()}
+    return {(d, n): Fraction(c, factorial(d)) for (d, n), c in series.items()}
 
 
 def poincare_by_break_conditions(shape, bound):

@@ -246,7 +246,7 @@ def test_criterion_7_efw_and_poincare():
             )
         # each coefficient is the int c on t^d q^n / d!
         assert {
-            (d, n): Fraction(c, math.factorial(d)) for (d, n), c in series.coeffs.items()
+            (d, n): Fraction(c, math.factorial(d)) for (d, n), c in series.items()
         } == expected
 
 
