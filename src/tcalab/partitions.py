@@ -28,7 +28,8 @@ from the covers of the layer below and keeps it, so that `quiver` takes
 its arrows from it, and `partitions_of` and `partitions_up_to` list its
 keys.
 
-All functions are pure and all values immutable.
+All functions are pure and all values immutable, but for the cached
+layers: they are dicts, shared, which callers only read.
 """
 
 from __future__ import annotations

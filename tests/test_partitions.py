@@ -13,6 +13,7 @@ from oracles import (
     brute_standard_tableaux_count,
     brute_transpose,
     eval_poly,
+    partitions_by_first_part,
     remove_strips,
     skew_is_hs,
     skew_is_vs,
@@ -24,6 +25,7 @@ from tcalab.partitions import (
     VS,
     BorderStripRemoval,
     PartitionError,
+    _partitions_cached,
     aligned_border_strips,
     aut_factor,
     contains,
@@ -96,6 +98,22 @@ class TestPartitionBasics:
         # counts match the partition function
         for n, count in enumerate([1, 1, 2, 3, 5, 7, 11, 15, 22]):
             assert len(partitions_of(n)) == count
+        assert partitions_of(-1) == []
+
+    @pytest.mark.parametrize("n", range(16))
+    def test_layer_keys_are_the_recursive_enumeration(self, n):
+        assert list(_partitions_cached(n)) == list(partitions_by_first_part(n))
+
+    @pytest.mark.parametrize("n", range(16))
+    def test_layer_covers_are_the_one_box_additions(self, n):
+        # the covers of v: the partitions of n + 1 with v among their corner
+        # removals, descending, each the very key object of layer n + 1
+        above = list(partitions_by_first_part(n + 1))
+        below = {w: corner_removals(w) for w in above}
+        key = {w: w for w in _partitions_cached(n + 1)}
+        for v, covers in _partitions_cached(n).items():
+            assert list(covers) == [w for w in above if v in below[w]], v
+            assert all(w is key[w] for w in covers), v
 
 
 class TestStrips:

@@ -5,7 +5,9 @@ and every cache in the package is among them.
 module and name, meters `.terms` on each `MPoly` result and `len` of
 each vertex set; a rename there would crash or silently zero every traced
 benchmark run.  The per-operation timer `scripts/op_times.py` runs a round
-of each in-process workload.
+of each in-process workload.  A round leaves the package's module globals
+as it found them, so the caches cleared between rounds are all the state
+that carries over.
 """
 
 import functools
@@ -66,6 +68,34 @@ def test_products_expose_their_terms():
 def test_vertex_sets_expose_their_size():
     # the quiver.vertices meter reads len() of every up_to_size result
     assert spans._vertices((), VertexSet.up_to_size(3)) == 7
+
+
+def _module_globals() -> dict:
+    """The id of every global of every tcalab module, with the len of each
+    dict, list and set among them."""
+    modules = [tcalab] + [importlib.import_module(f"tcalab.{info.name}")
+                          for info in pkgutil.iter_modules(tcalab.__path__)]
+    return {
+        (module.__name__, name): (id(obj), len(obj) if isinstance(obj, (dict, list, set)) else None)
+        for module in modules for name, obj in vars(module).items()
+    }
+
+
+@pytest.mark.parametrize("workload", ["quiver-verify", "character-sweep"])
+def test_a_round_changes_no_module_global(workload, monkeypatch):
+    """Only the seven named lru_caches keep state between operations: a
+    cache of anything else would not be cleared between cold rounds."""
+    gen = _load("gen")
+    monkeypatch.setitem(sys.modules, "gen", gen)  # ops.py imports it by name
+    ops = _load("ops")
+    caches = spans.lru_caches().values()
+    for fn in caches:
+        fn.cache_clear()
+    before = _module_globals()
+    for op in gen.generate(workload, 1):
+        assert ops.run_op(op) is None, op
+    assert _module_globals() == before
+    assert spans.lru_caches()["partitions.cache"].cache_info().currsize
 
 
 @pytest.mark.parametrize("workload", ["quiver-verify", "character-sweep"])

@@ -23,6 +23,7 @@ from tcalab import InternalError, linalg, quiver
 from tcalab.ktheory import q_class, q_to_l
 from tcalab.partitions import (
     HS,
+    _partitions_cached,
     bgg_resolution,
     corner_removals,
     down_set,
@@ -90,6 +91,24 @@ class TestVertexSet:
     def test_up_to_size_matches_the_remove_strips_construction(self, n):
         assert self._tables(VertexSet.up_to_size(n)) == self._oracle_tables(
             partitions_up_to(n))
+
+    def test_vertex_sets_leave_the_cached_layers_unchanged(self):
+        # the top layer's () goes into each vertex set's own up dict only
+        layers = [_partitions_cached(k) for k in range(10)]
+        copies = [dict(layer) for layer in layers]
+        for n in range(10):
+            vs = VertexSet.up_to_size(n)
+            assert all(vs.up[v] == () for v in layers[n])
+            assert vs.up is not layers[n]
+        assert [_partitions_cached(k) for k in range(10)] == copies
+        assert all(_partitions_cached(k) is layer for k, layer in enumerate(layers))
+        assert all(layer[v] for layer in layers for v in layer)
+
+    def test_up_to_size_fills_a_cleared_cache(self):
+        _partitions_cached.cache_clear()
+        vs = VertexSet.up_to_size(8)
+        assert _partitions_cached.cache_info().currsize == 9
+        assert self._tables(vs) == self._oracle_tables(partitions_up_to(8))
 
 
 class TestOrderTable:
